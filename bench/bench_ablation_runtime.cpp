@@ -1,9 +1,6 @@
-// Ablation benches for the design choices DESIGN.md calls out:
-//   (a) transport: queue (message passing) vs direct (locked shared-memory
-//       execution) — the Ch. VI thread-safety cost trade-off;
-//   (b) aggregation factor sweep — the Ch. III.B aggregation optimization;
-//   (c) thread-safety manager: default vs hashed locks under direct
-//       transport.
+// Ablation bench for the runtime's aggregation factor: async writes at
+// P=2 swept over the number of RMIs packed into one message (the Ch. III.B
+// aggregation optimization).
 
 #include "bench_common.hpp"
 #include "containers/p_array.hpp"
@@ -16,31 +13,7 @@ int main(int argc, char** argv)
   using namespace stapl;
   std::size_t const ops = 20'000 * bench::scale();
 
-  std::printf("# Ablation (a) — transport: queue vs direct (P=4)\n");
-  bench::table_header("remote apply_set x ops",
-                      {"transport", "seconds", "Mops"});
-  for (int ti = 0; ti < 2; ++ti) {
-    runtime_config cfg;
-    cfg.num_locations = 4;
-    cfg.transport = ti == 0 ? transport_kind::queue : transport_kind::direct;
-    std::atomic<double> t{0};
-    execute(cfg, [&] {
-      p_array<long> pa(4'000);
-      gid1d const remote = 1'000 * ((this_location() + 1) % num_locations());
-      double const tt = bench::timed_kernel([&] {
-        for (std::size_t i = 0; i < ops; ++i)
-          pa.apply_set(remote + i % 1'000, [](long& x) { ++x; });
-      });
-      if (this_location() == 0)
-        t.store(tt);
-    });
-    bench::cell(std::string(ti == 0 ? "queue" : "direct"));
-    bench::cell(t.load());
-    bench::cell(bench::mops(ops, t.load()));
-    bench::endrow();
-  }
-
-  std::printf("\n# Ablation (b) — aggregation factor sweep (P=2)\n");
+  std::printf("# Ablation — aggregation factor sweep (P=2)\n");
   bench::table_header("async writes", {"aggregation", "seconds", "messages"});
   for (unsigned agg : {1u, 4u, 16u, 64u, 256u}) {
     runtime_config cfg;
@@ -68,53 +41,6 @@ int main(int argc, char** argv)
     bench::cell(static_cast<std::size_t>(agg));
     bench::cell(t.load());
     bench::cell(static_cast<std::size_t>(msgs.load()));
-    bench::endrow();
-  }
-
-  std::printf("\n# Ablation (c) — locking manager under direct transport\n");
-  bench::table_header("concurrent applies (P=4)",
-                      {"manager", "seconds"});
-  {
-    runtime_config cfg;
-    cfg.num_locations = 4;
-    cfg.transport = transport_kind::direct;
-    std::atomic<double> t{0};
-    execute(cfg, [&] {
-      p_array<long> pa(4'000);
-      gid1d const remote = 1'000 * ((this_location() + 1) % num_locations());
-      double const tt = bench::timed_kernel([&] {
-        for (std::size_t i = 0; i < ops; ++i)
-          pa.apply_set(remote + i % 1'000, [](long& x) { ++x; });
-      });
-      if (this_location() == 0)
-        t.store(tt);
-    });
-    bench::cell(std::string("mutex(default)"));
-    bench::cell(t.load());
-    bench::endrow();
-  }
-  {
-    struct hashed_traits {
-      using bcontainer_type = stapl::vector_bcontainer<long>;
-      using mapper_type = stapl::blocked_mapper;
-      using ths_manager_type = stapl::hashed_locking_manager<64>;
-    };
-    runtime_config cfg;
-    cfg.num_locations = 4;
-    cfg.transport = transport_kind::direct;
-    std::atomic<double> t{0};
-    execute(cfg, [&] {
-      p_array<long, balanced_partition, hashed_traits> pa(4'000);
-      gid1d const remote = 1'000 * ((this_location() + 1) % num_locations());
-      double const tt = bench::timed_kernel([&] {
-        for (std::size_t i = 0; i < ops; ++i)
-          pa.apply_set(remote + i % 1'000, [](long& x) { ++x; });
-      });
-      if (this_location() == 0)
-        t.store(tt);
-    });
-    bench::cell(std::string("hashed<64>"));
-    bench::cell(t.load());
     bench::endrow();
   }
   return 0;

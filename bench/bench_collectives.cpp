@@ -171,7 +171,6 @@ agg_result run_zipf_steal(unsigned aggregation)
 
   runtime_config cfg;
   cfg.num_locations = 8;
-  cfg.transport = transport_kind::queue;
   cfg.aggregation = aggregation;
 
   agg_result res;

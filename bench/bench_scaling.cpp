@@ -1,5 +1,5 @@
 // Scaling & scenario suite: strong/weak scaling sweeps over the declared
-// harness axes (P, transport, steal, grain) for six kernels — the core
+// harness axes (P, steal, grain) for six kernels — the core
 // p_algorithms (for_each, map_reduce, partial_sum, sample_sort) plus the
 // two scenarios the paper's figures never stressed:
 //

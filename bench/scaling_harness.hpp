@@ -5,20 +5,19 @@
 //
 // A *kernel* is a named SPMD body plus a base problem size; the harness
 // crosses it with the sweep axes — location count P, strong/weak scaling
-// mode, transport (queue inboxes vs locked direct execution), stealing
-// on/off and grain auto/fixed — runs one stapl::execute per sweep point,
-// and reports per-point wall time, parallel efficiency against the P=1
-// point of the same series, and the `metrics::global_snapshot()` delta of
-// that execution (threads are fresh per execute, so the collective
-// snapshot covers exactly one sweep point).
+// mode, stealing on/off and grain auto/fixed — runs one stapl::execute per
+// sweep point, and reports per-point wall time, parallel efficiency against
+// the P=1 point of the same series, and the `metrics::global_snapshot()`
+// delta of that execution (threads are fresh per execute, so the
+// collective snapshot covers exactly one sweep point).
 //
 // Efficiency definitions (t1 = seconds of the same series at P=1):
 //   strong:  e(P) = t1 / (P * tP)   (fixed total N)
 //   weak:    e(P) = t1 / tP         (fixed N per location: N = base_n * P)
 //
 // Output: tables through the bench_common row/column mirror (one table per
-// kernel x mode, rows keyed "transport/steal/grain/pP" for the row-matching
-// differ) plus a machine-first "sweeps" JSON array attached to
+// kernel x mode, rows keyed "steal/grain/pP" for the row-matching differ)
+// plus a machine-first "sweeps" JSON array attached to
 // BENCH_scaling.json via bench::set_extra_json — the input of
 // bench_diff.py's curve-aware diffing.
 
@@ -41,18 +40,11 @@ enum class scale_mode { strong, weak };
   return m == scale_mode::strong ? "strong" : "weak";
 }
 
-[[nodiscard]] inline char const* name(stapl::transport_kind t)
-{
-  return t == stapl::transport_kind::direct ? "direct" : "queue";
-}
-
 /// The declared sweep axes.  Defaults are the CI-smoke ("lite") sweep;
 /// the full cross product is opt-in (bench_scaling --full).
 struct axes {
   std::vector<unsigned> p_list{1, 2, 4};
   std::vector<scale_mode> modes{scale_mode::strong, scale_mode::weak};
-  std::vector<stapl::transport_kind> transports{
-      stapl::transport_kind::queue, stapl::transport_kind::direct};
   std::vector<bool> steal{true};
   std::vector<std::size_t> grains{0};  ///< 0 = auto (default_grain)
 };
@@ -61,7 +53,6 @@ struct axes {
 struct sweep_point {
   std::string kernel;
   scale_mode mode = scale_mode::strong;
-  stapl::transport_kind transport = stapl::transport_kind::queue;
   bool steal = true;
   std::size_t grain = 0;  ///< 0 = auto
   unsigned p = 1;
@@ -92,7 +83,7 @@ struct sweep_point {
 /// computed within a series; the differ matches curves by this key + p.
 [[nodiscard]] inline std::string series_key(sweep_point const& pt)
 {
-  return pt.kernel + '/' + name(pt.mode) + '/' + name(pt.transport) +
+  return pt.kernel + '/' + name(pt.mode) +
          (pt.steal ? "/steal" : "/nosteal") + "/g:" +
          (pt.grain == 0 ? std::string("auto") : std::to_string(pt.grain));
 }
@@ -107,19 +98,17 @@ struct kernel_def {
 };
 
 /// All sweep points of one kernel, deterministically ordered:
-/// mode > transport > steal > grain > p, with p ascending so the P=1
+/// mode > steal > grain > p, with p ascending so the P=1
 /// baseline of every series precedes the rest of its curve.
 [[nodiscard]] inline std::vector<sweep_point>
 enumerate(std::string const& kernel, std::size_t base_n, axes const& ax)
 {
   std::vector<sweep_point> out;
   for (scale_mode m : ax.modes)
-    for (stapl::transport_kind t : ax.transports)
-      for (bool s : ax.steal)
-        for (std::size_t g : ax.grains)
-          for (unsigned p : ax.p_list)
-            out.push_back({kernel, m, t, s, g, p,
-                           problem_size(m, base_n, p)});
+    for (bool s : ax.steal)
+      for (std::size_t g : ax.grains)
+        for (unsigned p : ax.p_list)
+          out.push_back({kernel, m, s, g, p, problem_size(m, base_n, p)});
   return out;
 }
 
@@ -154,7 +143,7 @@ struct point_result {
 }
 
 /// Runs one sweep point: a fresh stapl::execute with the point's location
-/// count and transport, the kernel body inside, and the collective metrics
+/// count, the kernel body inside, and the collective metrics
 /// snapshot captured before the threads join.
 [[nodiscard]] inline point_result run_point(kernel_def const& k,
                                             sweep_point const& pt)
@@ -166,10 +155,7 @@ struct point_result {
     stapl::trace::enable(std::size_t{1} << 14, /*keep_last=*/true);
   std::atomic<double> secs{0.0};
   auto metrics_out = std::make_shared<stapl::metrics::counter_map>();
-  stapl::runtime_config cfg;
-  cfg.num_locations = pt.p;
-  cfg.transport = pt.transport;
-  stapl::execute(cfg, [&] {
+  stapl::execute(pt.p, [&] {
     double const s = k.body(pt);
     auto m = stapl::metrics::global_snapshot();
     if (stapl::this_location() == 0) {
@@ -256,7 +242,6 @@ metrics_json(stapl::metrics::counter_map const& m)
     first = false;
     out += "    {\"kernel\": " + detail::json_quote(r.pt.kernel) +
            ", \"mode\": " + detail::json_quote(name(r.pt.mode)) +
-           ", \"transport\": " + detail::json_quote(name(r.pt.transport)) +
            ", \"steal\": " + (r.pt.steal ? "true" : "false") +
            ", \"grain\": " +
            detail::json_quote(r.pt.grain == 0 ? "auto"
@@ -273,7 +258,7 @@ metrics_json(stapl::metrics::counter_map const& m)
 }
 
 /// Prints one table per kernel x mode through the bench_common mirror.
-/// The row key ("transport/steal/grain/pP") is unique within a table, so
+/// The row key ("steal/grain/pP") is unique within a table, so
 /// the classic row-matching differ tracks every point too.
 inline void print_tables(std::vector<point_result> const& rs)
 {
@@ -286,8 +271,7 @@ inline void print_tables(std::vector<point_result> const& rs)
       bench::table_header(
           r.pt.kernel + " (" + name(r.pt.mode) + " scaling)",
           {"point", "n", "seconds", "efficiency"});
-    std::string key = std::string(name(r.pt.transport)) +
-                      (r.pt.steal ? "/steal" : "/nosteal") + "/g:" +
+    std::string key = std::string(r.pt.steal ? "steal" : "nosteal") + "/g:" +
                       (r.pt.grain == 0 ? std::string("auto")
                                        : std::to_string(r.pt.grain)) +
                       "/p" + std::to_string(r.pt.p);

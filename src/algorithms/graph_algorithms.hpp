@@ -279,11 +279,11 @@ struct drain_result {
 /// the synchronous `page_rank`).
 ///
 /// Locking discipline (Ch. VI): a visit handler runs under the element's
-/// data lock when the transport is direct, so handlers never nest a second
-/// routed call.  The drain therefore settles the residual *and* snapshots
-/// the adjacency in one `apply_vertex_get`, the driver scatters from
-/// outside the lock, and target handlers only bump `residual` and push
-/// into the frontier p_object (the BFS pattern).
+/// data lock when the graph's traits select a locking manager, so handlers
+/// never nest a second routed call.  The drain therefore settles the
+/// residual *and* snapshots the adjacency in one `apply_vertex_get`, the
+/// driver scatters from outside the lock, and target handlers only bump
+/// `residual` and push into the frontier p_object (the BFS pattern).
 template <typename G>
 std::size_t page_rank_incremental(G& g,
                                   std::vector<vertex_descriptor> const& dirty,

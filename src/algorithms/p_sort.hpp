@@ -37,7 +37,7 @@ namespace sort_detail {
 template <typename T>
 struct bucket_buffer : p_object {
   std::vector<T> elems;
-  std::mutex mutex; ///< deliveries run on caller threads in direct transport
+  std::mutex mutex; ///< synchronises deliveries with the owner's reads
 
   void deliver(std::vector<T> batch)
   {

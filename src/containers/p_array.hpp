@@ -41,7 +41,7 @@ template <typename T>
 struct p_array_traits {
   using bcontainer_type = vector_bcontainer<T>;
   using mapper_type = blocked_mapper;
-  using ths_manager_type = default_thread_safety_manager;
+  using ths_manager_type = no_locking_manager;
 };
 
 template <typename T, typename Partition = balanced_partition,

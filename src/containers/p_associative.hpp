@@ -33,7 +33,7 @@ namespace detail {
 
 template <typename Key, typename Value, typename Partition, typename BC,
           typename Mapper = cyclic_mapper,
-          typename Ths = default_thread_safety_manager>
+          typename Ths = no_locking_manager>
 struct assoc_traits_bundle {
   using value_type = Value;
   using key_type = Key;
@@ -188,7 +188,6 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
   [[nodiscard]] mapped_type* local_element_ptr(key_type const& k)
   {
     if (this->is_dynamic()) {
-      typename base::dyn_guard guard(*this); // vs concurrent migrate_out
       if (!this->get_directory().owns(k))
         return nullptr;
       auto& bc = this->bc(this->derived().dyn_local_bcid(k));

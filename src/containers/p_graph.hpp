@@ -314,7 +314,7 @@ template <typename VP, typename EP>
 struct p_static_graph_traits {
   using bcontainer_type = dense_graph_bcontainer<VP, EP>;
   using mapper_type = cyclic_mapper;
-  using ths_manager_type = default_thread_safety_manager;
+  using ths_manager_type = no_locking_manager;
 };
 
 /// Partition facade for graphs: one bContainer per location.  Static graphs
@@ -360,7 +360,7 @@ template <typename VP, typename EP>
 struct p_graph_traits {
   using bcontainer_type = graph_bcontainer<VP, EP>;
   using mapper_type = cyclic_mapper; // bcid == location (identity for p==p)
-  using ths_manager_type = default_thread_safety_manager;
+  using ths_manager_type = no_locking_manager;
 };
 
 namespace detail {
@@ -624,9 +624,9 @@ class p_graph final
   /// Atomically rewires one out-edge (delete src→old_tgt, insert
   /// src→new_tgt) in a single routed visit at the vertex's owner — the
   /// edge-churn primitive of streaming-graph scenarios: one visit instead
-  /// of a delete_edge + add_edge_async pair, and the two mutations are
-  /// covered by the same element lock so no observer sees the vertex with
-  /// both (or neither) edge.  Directed graphs only: an undirected rewire
+  /// of a delete_edge + add_edge_async pair, and the two mutations run in
+  /// that one visit on the owner's thread, so no observer sees the vertex
+  /// with both (or neither) edge.  Directed graphs only: an undirected rewire
   /// would need a second routed visit for the reverse edges.
   void rewire_edge_async(gid_type src, gid_type old_tgt, gid_type new_tgt,
                          EP ep = EP{})
@@ -724,7 +724,6 @@ class p_graph final
   [[nodiscard]] VP* local_element_ptr(gid_type v)
   {
     if (!is_static()) {
-      typename base::dyn_guard guard(*this); // vs concurrent migrate_out
       if (!this->get_directory().owns(v))
         return nullptr;
       auto& bc = this->bc(this->get_location_id());

@@ -28,7 +28,7 @@ template <typename T>
 struct p_list_traits {
   using bcontainer_type = list_bcontainer<T>;
   using mapper_type = blocked_mapper;
-  using ths_manager_type = default_thread_safety_manager;
+  using ths_manager_type = no_locking_manager;
 };
 
 namespace detail {

@@ -18,7 +18,7 @@ template <typename T>
 struct p_matrix_traits {
   using bcontainer_type = matrix_bcontainer<T>;
   using mapper_type = blocked_mapper;
-  using ths_manager_type = default_thread_safety_manager;
+  using ths_manager_type = no_locking_manager;
 };
 
 template <typename T, typename Traits = p_matrix_traits<T>>

@@ -417,13 +417,11 @@ class p_container_base : public p_object {
     if (m_dynamic) {
       rmi_handle const h = this->get_handle();
       m_directory->invoke_where(
-          gid, [h, method, gid,
-                action = std::move(action)](location_id owner) mutable {
-            // Resolved at execution time so the action reaches the
-            // representative the directory routed it to (under the direct
-            // transport that is not the calling thread's location).
-            auto* c = get_registered_object_at<Derived>(owner, h);
-            c->dyn_execute(method, gid, std::move(action));
+          gid, [h, method, gid, action = std::move(action)]() mutable {
+            // Runs on the owner's thread: its representative is the one
+            // registered there.
+            get_registered_object<Derived>(h)->dyn_execute(
+                method, gid, std::move(action));
           });
       return;
     }
@@ -479,17 +477,14 @@ class p_container_base : public p_object {
   {
     latency::timed_op lat_scope(latency::op::container_apply);
     if (m_dynamic) {
-      {
-        dyn_guard guard(*this);
-        if (m_directory->owns(gid)) {
-          note_local_invocation();
-          m_directory->note_access(gid);
-          ths_info ti{method, derived().dyn_local_bcid(gid)};
-          m_ths.data_access_pre(ti);
-          auto result = action(derived(), ti.bcid);
-          m_ths.data_access_post(ti);
-          return result;
-        }
+      if (m_directory->owns(gid)) {
+        note_local_invocation();
+        m_directory->note_access(gid);
+        ths_info ti{method, derived().dyn_local_bcid(gid)};
+        m_ths.data_access_pre(ti);
+        auto result = action(derived(), ti.bcid);
+        m_ths.data_access_post(ti);
+        return result;
       }
       return invoke_split(method, gid, std::move(action)).get();
     }
@@ -519,11 +514,11 @@ class p_container_base : public p_object {
     if (m_dynamic) {
       rmi_handle const h = this->get_handle();
       m_directory->invoke_where(
-          gid, [h, method, gid, action = std::move(action),
-                st](location_id owner) mutable {
-            auto* c = get_registered_object_at<Derived>(owner, h);
-            c->template dyn_execute_result<R>(method, gid, std::move(action),
-                                              std::move(st));
+          gid, [h, method, gid, action = std::move(action), st]() mutable {
+            get_registered_object<Derived>(h)
+                ->template dyn_execute_result<R>(method, gid,
+                                                 std::move(action),
+                                                 std::move(st));
           });
       return;
     }
@@ -558,32 +553,19 @@ class p_container_base : public p_object {
   }
 
   /// Framework-internal: runs a routed action on the owner's
-  /// representative.  Re-verifies ownership — under the direct transport
-  /// (or with a migration racing the route) the element may have departed
-  /// between the directory's check and this call; the action then re-enters
-  /// the routing machinery via post_to_self instead of touching gone data.
+  /// representative.  The directory calls it on the owner's thread right
+  /// after confirming ownership, and nothing polls in between, so the
+  /// element is still here.
   template <typename Action>
   void dyn_execute(std::size_t method, gid_type gid, Action action)
   {
-    {
-      dyn_guard guard(*this);
-      if (m_directory->owns(gid)) {
-        note_local_invocation();
-        m_directory->note_access(gid);
-        ths_info ti{method, derived().dyn_local_bcid(gid)};
-        m_ths.data_access_pre(ti);
-        action(derived(), ti.bcid);
-        m_ths.data_access_post(ti);
-        return;
-      }
-    }
-    // Ownership left between routing and execution (migration race):
-    // re-enter the routing machinery from the polling location.
-    rmi_handle const h = this->get_handle();
-    post_to_self([h, method, gid, action = std::move(action)]() mutable {
-      auto* c = get_registered_object<Derived>(h);
-      c->invoke(method, gid, std::move(action));
-    });
+    assert(m_directory->owns(gid));
+    note_local_invocation();
+    m_directory->note_access(gid);
+    ths_info ti{method, derived().dyn_local_bcid(gid)};
+    m_ths.data_access_pre(ti);
+    action(derived(), ti.bcid);
+    m_ths.data_access_post(ti);
   }
 
   /// dyn_execute for value-returning routes (split-phase/synchronous).
@@ -591,25 +573,13 @@ class p_container_base : public p_object {
   void dyn_execute_result(std::size_t method, gid_type gid, Action action,
                           std::shared_ptr<typename pc_future<R>::state> st)
   {
-    {
-      dyn_guard guard(*this);
-      if (m_directory->owns(gid)) {
-        m_directory->note_access(gid);
-        ths_info ti{method, derived().dyn_local_bcid(gid)};
-        m_ths.data_access_pre(ti);
-        st->value.emplace(action(derived(), ti.bcid));
-        m_ths.data_access_post(ti);
-        st->ready.store(true, std::memory_order_release);
-        return;
-      }
-    }
-    rmi_handle const h = this->get_handle();
-    post_to_self(
-        [h, method, gid, action = std::move(action), st]() mutable {
-          auto* c = get_registered_object<Derived>(h);
-          c->template route_with_result<R>(method, gid, std::move(action),
-                                           std::move(st));
-        });
+    assert(m_directory->owns(gid));
+    m_directory->note_access(gid);
+    ths_info ti{method, derived().dyn_local_bcid(gid)};
+    m_ths.data_access_pre(ti);
+    st->value.emplace(action(derived(), ti.bcid));
+    m_ths.data_access_post(ti);
+    st->ready.store(true, std::memory_order_release);
   }
 
   // -------------------------------------------------------------------------
@@ -617,35 +587,20 @@ class p_container_base : public p_object {
   // -------------------------------------------------------------------------
 
   /// Owner-side step: extracts the element and ships it to `dest`, leaving
-  /// a forwarding hint behind.  Re-routes the whole migration if ownership
-  /// moved before this step executed.
+  /// a forwarding hint behind.  Routed like dyn_execute, so it runs on the
+  /// owner's thread while the element is here.
   void migrate_out(gid_type gid, location_id dest)
   {
-    using payload_type = decltype(derived().extract_element(gid));
-    std::optional<payload_type> payload;
-    std::uint32_t seq = 0;
-    {
-      dyn_guard guard(*this);
-      if (m_directory->owns(gid)) {
-        if (dest == get_location_id())
-          return; // already here — a no-op only while we still own it
-        payload.emplace(derived().extract_element(gid));
-        seq = m_directory->migration_departed(gid, dest);
-      }
-    }
-    if (!payload) {
-      rmi_handle const h = this->get_handle();
-      post_to_self([h, gid, dest] {
-        auto* c = get_registered_object<Derived>(h);
-        c->migrate(gid, dest);
-      });
-      return;
-    }
+    assert(m_directory->owns(gid));
+    if (dest == get_location_id())
+      return; // already here
+    auto payload = derived().extract_element(gid);
+    std::uint32_t const seq = m_directory->migration_departed(gid, dest);
     // The payload travels with its hop number so the home can order this
     // move's record update against updates of neighbouring hops.
     async_rmi<Derived>(dest, this->get_handle(),
                        [gid, seq,
-                        payload = std::move(*payload)](Derived& c) mutable {
+                        payload = std::move(payload)](Derived& c) mutable {
                          c.migrate_in(gid, std::move(payload), seq + 1);
                        });
   }
@@ -655,10 +610,7 @@ class p_container_base : public p_object {
   template <typename Payload>
   void migrate_in(gid_type gid, Payload payload, std::uint32_t seq)
   {
-    {
-      dyn_guard guard(*this);
-      derived().insert_migrated(gid, std::move(payload));
-    }
+    derived().insert_migrated(gid, std::move(payload));
     m_directory->migration_arrived(gid, seq);
   }
 
@@ -716,33 +668,6 @@ class p_container_base : public p_object {
     m_dynamic = true;
   }
 
-  /// Serializes this representative's dynamic dispatch (ownership check +
-  /// local bCID computation + element access) against the migration steps
-  /// under the direct transport, where both run on arbitrary caller
-  /// threads.  No-op under the queue transport (single thread per
-  /// location).  Recursive so an element action may nest local operations
-  /// on the same container; element actions must not perform *remote*
-  /// container operations under the direct transport (Ch. VI discipline).
-  struct dyn_guard {
-    explicit dyn_guard(p_container_base const& c)
-        : m(current_transport() == transport_kind::direct ? &c.m_dyn_mutex
-                                                          : nullptr)
-    {
-      if (m)
-        m->lock();
-    }
-    ~dyn_guard()
-    {
-      if (m)
-        m->unlock();
-    }
-    dyn_guard(dyn_guard const&) = delete;
-    dyn_guard& operator=(dyn_guard const&) = delete;
-
-   private:
-    std::recursive_mutex* m;
-  };
-
   partition_type m_partition;
   mapper_type m_mapper;
   location_manager_type m_lm;
@@ -759,13 +684,12 @@ class p_container_base : public p_object {
   unsigned m_lb_interval = 1;    ///< effective interval (auto-tuned)
   unsigned m_lb_countdown = 0;   ///< epochs until the next wave (0 = never)
   double m_lb_last_imbalance = 1.0;
-  /// Locality-pipeline feedback state (guarded: executor feedback may run
-  /// on caller threads under the direct transport).
+  /// Locality-pipeline feedback state (mutex-guarded, like the
+  /// directory's state).
   mutable std::mutex m_locality_mutex;
   grain_tuner m_grain;
   task_graph_stats m_tg_epoch;
   chunk_affinity_table m_affinity;
-  mutable std::recursive_mutex m_dyn_mutex;
   /// bCID of migrated-in elements that do not belong to a local bContainer
   /// per the closed-form partition (value == migrated_bcid when the element
   /// lives in m_migrated).
@@ -1011,7 +935,6 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
   [[nodiscard]] value_type& local_element(gid_type gid)
   {
     if (this->is_dynamic()) {
-      typename base::dyn_guard guard(*this); // vs concurrent migrate_out
       assert(this->get_directory().owns(gid));
       return element_at(gid, this->derived().dyn_local_bcid(gid));
     }
@@ -1022,13 +945,11 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
 
   /// Pointer to a local element, or nullptr when the element is remote
   /// (lets views/algorithms take the direct path when possible).  The
-  /// lookup itself is guarded against concurrent migration; the returned
-  /// pointer, like any native-view reference, is only stable within a
-  /// computation phase (no concurrent migration of the same element).
+  /// returned pointer, like any native-view reference, is only stable
+  /// within a computation phase (no concurrent migration of the element).
   [[nodiscard]] value_type* local_element_ptr(gid_type gid)
   {
     if (this->is_dynamic()) {
-      typename base::dyn_guard guard(*this);
       if (!this->get_directory().owns(gid))
         return nullptr;
       return &element_at(gid, this->derived().dyn_local_bcid(gid));
@@ -1045,9 +966,7 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
   /// partition-assigned slots whose element migrated away are skipped, and
   /// adopted elements living in the overflow store are visited (ascending
   /// GID order) — so bView iteration and task-graph chunks cover exactly
-  /// the elements this location owns.  Runs under the dynamic-dispatch
-  /// guard; like any element action, `f` must not perform remote container
-  /// operations under the direct transport (Ch. VI discipline).
+  /// the elements this location owns.
   template <typename F>
   void for_each_local(F&& f)
   {
@@ -1059,7 +978,6 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
       }
       return;
     }
-    typename base::dyn_guard guard(*this);
     auto const owned = this->get_directory().owned_snapshot();
     for (auto& [bcid, bcptr] : this->m_lm) {
       std::size_t const n = bcptr->size();
@@ -1089,7 +1007,6 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
       }
       return out;
     }
-    typename base::dyn_guard guard(*this);
     auto const owned = this->get_directory().owned_snapshot();
     for (auto const& [bcid, bcptr] : this->m_lm) {
       std::size_t const n = bcptr->size();

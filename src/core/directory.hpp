@@ -28,9 +28,10 @@
 // poll round — it stays visible to rmi_fence's termination detection, so a
 // fence cannot pass over forwarded-but-unexecuted work.
 //
-// All inter-representative traffic uses the existing ARMI primitives; the
-// per-representative mutex exists for the `direct` transport, where
-// handlers execute on caller threads (Ch. VI metadata locking).
+// All inter-representative traffic uses the existing ARMI primitives, so
+// every handler runs on its own location's thread.  The per-representative
+// mutex stays as plain synchronisation of the maps below (Ch. VI metadata
+// locking); in this runtime only the owning thread takes it.
 
 #include <algorithm>
 #include <atomic>
@@ -125,6 +126,9 @@ class space_saving_tracker {
     return out;
   }
 
+  /// Stops tracking `g` (its element was erased).
+  void erase(GID const& g) { m_entries.erase(g); }
+
   void clear() { m_entries.clear(); }
 
  private:
@@ -143,11 +147,10 @@ template <typename GID, typename Hash = std::hash<GID>>
 class directory : public p_object {
  public:
   using gid_type = GID;
-  /// Type-erased work item routed to the owner of a GID.  Invoked with the
-  /// location of the representative it executes against — under the direct
-  /// transport that is not the calling thread's location, so work must use
-  /// the argument (not this_location()) to find its container.
-  using work_item = std::function<void(location_id)>;
+  /// Type-erased work item routed to the owner of a GID.  It runs on the
+  /// owner's thread, so this_location() is the owner and the work reaches
+  /// its container through get_registered_object.
+  using work_item = std::function<void()>;
 
   directory()
       : m_metrics_id(metrics::register_contributor(
@@ -362,7 +365,8 @@ class directory : public p_object {
     update_home_record(g);
   }
 
-  /// Removes `g` from this location and erases its home record.
+  /// Removes `g` from this location and erases its home record.  The key
+  /// also leaves the hot-GID sketch, so no rebalance plans to move it.
   void unregister_gid(GID const& g)
   {
     {
@@ -371,6 +375,7 @@ class directory : public p_object {
       m_owned_seq.erase(g);
       m_away.erase(g);
       m_cache.erase(g);
+      m_hot.erase(g);
     }
     location_id const home = home_of(g);
     if (home == get_location_id()) {
@@ -447,7 +452,7 @@ class directory : public p_object {
   /// exactly once.  Asynchronous: completion is guaranteed by the next
   /// rmi_fence even when the route crosses stale caches or an in-flight
   /// migration.  `f` must reach state it needs through registered handles
-  /// (it executes on another location's thread under the queue transport).
+  /// (it executes on the owner's thread).
   template <typename F>
   void invoke_where(GID const& g, F f)
   {
@@ -456,7 +461,7 @@ class directory : public p_object {
       if (m_owned.count(g)) {
         m_stats.local_hits += 1;
         lock.unlock();
-        f(get_location_id());
+        f();
         return;
       }
     }
@@ -629,9 +634,8 @@ class directory : public p_object {
     if (requester != invalid_location && requester != owner &&
         requester != get_location_id()) {
       subscribe(it->second, requester);
-      // Queued (never inline): sent under m_mutex, and an inline send
-      // would lock the requester's representative while we hold ours —
-      // two homes servicing each other would deadlock.
+      // Sent under m_mutex so it orders against invalidations; the
+      // requester is remote, so the send only enqueues.
       queued_rmi<directory>(requester, this->get_handle(),
                             [g, owner](directory& d) {
                               d.handle_cache_update(g, owner);
@@ -670,7 +674,7 @@ class directory : public p_object {
       std::unique_lock lock(m_mutex);
       if (m_owned.count(g)) {
         lock.unlock();
-        f(get_location_id());
+        f();
         return;
       }
       auto hint = m_away.find(g);
@@ -687,7 +691,7 @@ class directory : public p_object {
       if (designated) {
         m_owned.insert(g);
         lock.unlock();
-        f(get_location_id());
+        f();
         return;
       }
       m_stats.stale_bounces += 1;
@@ -781,8 +785,7 @@ class directory : public p_object {
   }
 
   /// Requires m_mutex held.  Retires the forwarding hint for `g` at `l`
-  /// (locally, or via a queued message — never inline, same deadlock
-  /// argument as invalidate_copies_locked).
+  /// (locally, or via a queued message, as in invalidate_copies_locked).
   void reclaim_hint_locked(GID const& g, location_id l)
   {
     if (l == invalid_location)
@@ -796,12 +799,11 @@ class directory : public p_object {
                           [g](directory& d) { d.handle_reclaim_hint(g); });
   }
 
-  /// Requires m_mutex held.  Sends are queued, never inline: an inline
-  /// send would take the target representative's mutex while this one is
-  /// held (cross-location deadlock under the direct transport).  Queued
+  /// Requires m_mutex held.  Remote sends only enqueue, so sending under
+  /// the lock is safe, and this location is handled inline.  Queued
   /// delivery preserves push order, which is all the coherence argument
-  /// needs: updates and invalidations reach each location in the order
-  /// the home's record lock emitted them.
+  /// needs: updates and invalidations reach each location in the order the
+  /// home's record lock emitted them.
   void invalidate_copies_locked(GID const& g, location_id keep,
                                 std::vector<location_id> const& targets)
   {
@@ -941,7 +943,7 @@ class directory : public p_object {
       if (m_owned.count(g)) {
         lock.unlock();
         work_item body = std::move(f);
-        body(get_location_id());
+        body();
         return true;
       }
       auto hint = m_away.find(g);
@@ -957,7 +959,7 @@ class directory : public p_object {
       m_owned.insert(g); // synthesized record with no element/hint: adopt
       lock.unlock();
       work_item body = std::move(f);
-      body(get_location_id());
+      body();
       return true;
     }
   }
@@ -990,7 +992,7 @@ class directory : public p_object {
       if (m_owned.count(g)) {
         lock.unlock();
         work_item body = std::move(f);
-        body(get_location_id());
+        body();
         return true;
       }
       auto hint = m_away.find(g);

@@ -22,9 +22,9 @@
 //
 // The protocol is asynchronous: rmi_fence() guarantees that the move and
 // every request it re-routed have completed.  Requests that race the move
-// either chase A's forwarding hint (queue transport delivers the payload
-// first on the A->dest channel, so the chase lands after the element) or
-// park via post_to_self until the ownership metadata settles.
+// either chase A's forwarding hint (the A->dest channel delivers the
+// payload first, so the chase lands after the element) or park via
+// post_to_self until the ownership metadata settles.
 
 #include <cassert>
 
@@ -43,9 +43,8 @@ void migrate(C& c, typename C::gid_type gid, location_id dest)
   assert(c.is_dynamic() && "migrate() requires directory-backed resolution");
   STAPL_FAULT_POINT(fault::site::migration);
   rmi_handle const h = c.get_handle();
-  c.get_directory().invoke_where(gid, [h, gid, dest](location_id owner) {
-    auto* owner_rep = get_registered_object_at<C>(owner, h);
-    owner_rep->migrate_out(gid, dest);
+  c.get_directory().invoke_where(gid, [h, gid, dest] {
+    get_registered_object<C>(h)->migrate_out(gid, dest);
   });
 }
 

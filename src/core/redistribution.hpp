@@ -24,7 +24,7 @@ namespace redist_detail {
 template <typename T>
 struct staging : p_object {
   std::vector<std::pair<gid1d, T>> incoming;
-  std::mutex mutex; ///< deliveries run on caller threads in direct transport
+  std::mutex mutex; ///< synchronises deliveries with the owner's reads
 
   void deliver(std::vector<std::byte> bytes)
   {
@@ -129,7 +129,7 @@ template <typename T>
 struct relocatable_array_traits {
   using bcontainer_type = vector_bcontainer<T>;
   using mapper_type = arbitrary_mapper;
-  using ths_manager_type = default_thread_safety_manager;
+  using ths_manager_type = no_locking_manager;
 };
 
 } // namespace stapl

@@ -7,10 +7,11 @@
 // framework (through the invoke skeleton, Fig. 17) before and after each
 // access to metadata and data.  The manager decides granularity and type of
 // locking based on a per-method locking-policy table (Ch. VI.D).  Managers
-// are selected through the container traits; the default locks only under
-// the `direct` transport, where multiple threads may genuinely touch the
-// same bContainer concurrently (under the `queue` transport every
-// bContainer is accessed by its owning location's thread only).
+// are selected through the container traits.  The runtime runs every RMI
+// on its target location's own thread, so each bContainer is touched by one
+// thread only and containers default to `no_locking_manager`.  The locking
+// managers below implement the paper's policy table for containers whose
+// traits select them, and are thread-safe in their own right.
 
 #include <array>
 #include <cstddef>
@@ -20,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "../runtime/runtime.hpp"
 #include "partitions.hpp"
 
 namespace stapl {
@@ -234,51 +234,6 @@ class hashed_locking_manager {
  private:
   locking_policy_table const* m_table;
   std::array<std::mutex, K> m_locks;
-};
-
-/// Default manager: delegates to the mutex manager only when the runtime
-/// uses the `direct` transport (concurrent access possible); under the
-/// `queue` transport each bContainer is touched by a single thread and no
-/// locking is performed.
-class default_thread_safety_manager {
- public:
-  explicit default_thread_safety_manager(locking_policy_table const* table)
-      : m_inner(table)
-  {}
-
-  void metadata_access_pre(ths_info const& i)
-  {
-    if (active())
-      m_inner.metadata_access_pre(i);
-  }
-  void metadata_access_post(ths_info const& i)
-  {
-    if (active())
-      m_inner.metadata_access_post(i);
-  }
-  void data_access_pre(ths_info const& i)
-  {
-    if (active())
-      m_inner.data_access_pre(i);
-  }
-  void data_access_post(ths_info const& i)
-  {
-    if (active())
-      m_inner.data_access_post(i);
-  }
-
-  [[nodiscard]] static bool locks()
-  {
-    return current_transport() == transport_kind::direct;
-  }
-  [[nodiscard]] std::size_t memory_size() const { return m_inner.memory_size(); }
-
- private:
-  [[nodiscard]] static bool active()
-  {
-    return current_transport() == transport_kind::direct;
-  }
-  mutex_locking_manager m_inner;
 };
 
 } // namespace stapl

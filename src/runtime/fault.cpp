@@ -351,9 +351,7 @@ void watchdog_fire(char const* what)
     auto& impl = *g_runtime;
     r << "pending RMIs: sent="
       << impl.total_sent.load(std::memory_order_acquire) << " executed="
-      << impl.total_executed.load(std::memory_order_acquire)
-      << " active_polls="
-      << impl.active_polls.load(std::memory_order_acquire) << "\n";
+      << impl.total_executed.load(std::memory_order_acquire) << "\n";
     for (location_id l = 0; l < impl.num_locations(); ++l) {
       auto& ls = impl.loc(l);
       r << "  loc " << l << ": inbox_depth=" << ls.in.size()

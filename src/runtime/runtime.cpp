@@ -26,13 +26,12 @@ void rmi_fence()
     // The first barrier must poll while waiting: a peer may still be blocked
     // in a sync_rmi whose request landed in our inbox after we drained.
     polling_barrier_wait();
-    // After the barrier no location starts a new poll this round, but one
-    // poll per location may straddle the barrier release and still send
-    // messages.  Wait for those to retire so the counters are frozen and all
-    // locations take the same verdict.
-    deadline_backoff bo("rmi.fence");
-    while (impl.active_polls.load(std::memory_order_acquire) != 0)
-      bo.pause();
+    // A location that has not yet seen that barrier release may still start
+    // a poll that executes or sends RMIs.  The second barrier passes only
+    // once every location has left its polling loop, and nobody polls again
+    // before the third, so all locations read the same frozen counters and
+    // take the same verdict.
+    impl.barrier().arrive_and_wait();
     bool const quiesced =
         impl.total_sent.load(std::memory_order_acquire) ==
         impl.total_executed.load(std::memory_order_acquire);

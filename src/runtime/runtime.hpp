@@ -6,14 +6,14 @@
 // The RTS provides *locations* as an abstraction of processing elements.  In
 // this reproduction a location is backed by a std::thread inside one process;
 // different locations communicate exclusively through the RMI primitives
-// below (ARMI work-alike).  Two transports are available:
-//
-//   * transport_kind::queue  — message passing through per-location FIFO
-//     inboxes.  Models a distributed-memory machine: per-(source,destination)
-//     in-order delivery, completion at fences, polling progress.
-//   * transport_kind::direct — locked direct execution on the destination
-//     representative from the calling thread.  Models ARMI's shared-memory
-//     transport and makes the Ch. VI thread-safety machinery load-bearing.
+// below (ARMI work-alike).  The transport is message passing through
+// per-location FIFO inboxes and models a distributed-memory machine: a remote
+// RMI lands in its target's inbox and runs on the target location's own
+// thread when that location polls.  Delivery is in order per (source,
+// destination) pair, progress is by polling, and completion is at fences.
+// Every representative is therefore touched by its own location's thread
+// only, so containers need no locks by default (Ch. VI; see
+// core/thread_safety.hpp).
 //
 // The guarantees relied upon by the memory-consistency model of Ch. VII are
 // provided here: requests from location A to location B execute in invocation
@@ -52,7 +52,6 @@ namespace stapl {
 /// Configuration of one SPMD execution (see `execute`).
 struct runtime_config {
   unsigned num_locations = 1;
-  transport_kind transport = transport_kind::queue;
   /// Number of RMIs aggregated into a single "network" message (Ch. III.B:
   /// the RTS packs multiple requests to a given location into one message).
   unsigned aggregation = 16;
@@ -64,7 +63,7 @@ struct runtime_config {
   /// Per-sender sequence numbers + receiver-side duplicate suppression on
   /// queued delivery (exactly-once under duplication/reordering).  Latched
   /// on whenever the fault layer is armed; off by default because the
-  /// in-process transports never duplicate.
+  /// in-process transport never duplicates.
   bool sequenced_delivery = false;
   /// Hard bound on the deferred-retry queue (parked requests whose target
   /// has not registered yet).  Growth past this means a registration will
@@ -415,10 +414,6 @@ class runtime_impl {
 
   std::atomic<std::uint64_t> total_sent{0};
   std::atomic<std::uint64_t> total_executed{0};
-  /// Number of locations currently inside poll_once; the fence takes its
-  /// termination verdict only when this is zero, so the sent/executed
-  /// counters are frozen while being read.
-  std::atomic<int> active_polls{0};
 
  private:
   runtime_config m_cfg;
@@ -461,11 +456,6 @@ void execute(unsigned p, std::function<void()> spmd);
 [[nodiscard]] inline unsigned num_locations() noexcept
 {
   return runtime_detail::rt().num_locations();
-}
-
-[[nodiscard]] inline transport_kind current_transport() noexcept
-{
-  return runtime_detail::rt().config().transport;
 }
 
 /// Statistics of the calling location.  Compatibility shim: the same
@@ -523,11 +513,6 @@ inline void flush_aggregation()
 /// Executes one round of incoming requests; returns true if any executed.
 inline bool poll_once()
 {
-  struct poll_guard {
-    poll_guard() { rt().active_polls.fetch_add(1, std::memory_order_acq_rel); }
-    ~poll_guard() { rt().active_polls.fetch_sub(1, std::memory_order_acq_rel); }
-  } guard;
-
   auto& self = rt().loc(tl_location);
   STAPL_FAULT_POINT(fault::site::rmi_poll); // straggler nap
   flush_aggregation();
@@ -604,8 +589,8 @@ inline bool poll_once()
 }
 
 /// Marshaled size of one RMI argument: `packed_size` when the typer knows
-/// the type, its object size otherwise (e.g. closures the queue transport
-/// hands over by value rather than by wire).
+/// the type, its object size otherwise (e.g. closures the inbox hands over
+/// by value rather than by wire).
 template <typename T>
 [[nodiscard]] inline std::size_t wire_size_of(T const& t)
 {
@@ -679,23 +664,6 @@ inline void enqueue_remote(location_id dest, request r, std::size_t bytes = 0)
     flush_dest(self, dest);
 }
 
-/// Looks up a registered object on `loc`, spinning until it appears (bounded
-/// by SPMD program order: the sender can only know the handle after the
-/// owner's construction statement).
-template <typename Obj>
-[[nodiscard]] Obj* lookup_wait(location_id loc, rmi_handle h)
-{
-  // Deadline-covered but non-polling: this can run inside a poll handler
-  // (get_registered_object_at from forwarded work), where re-entering
-  // poll_once would recurse.
-  deadline_backoff bo("rmi.lookup");
-  for (;;) {
-    if (void* p = rt().loc(loc).registry.lookup(h))
-      return static_cast<Obj*>(p);
-    bo.pause();
-  }
-}
-
 } // namespace runtime_detail
 
 /// Drives communication progress on the calling location.  Returns whether
@@ -722,18 +690,6 @@ template <typename T>
 {
   using namespace runtime_detail;
   return static_cast<T*>(rt().loc(this_location()).registry.lookup(h));
-}
-
-/// Representative of a registered p_object on location `loc` (spins until
-/// the owner's construction statement registers it).  Routed work (e.g. a
-/// directory-forwarded request) uses this to reach the representative it
-/// was delivered to: under the direct transport handlers execute on caller
-/// threads, so this_location() does not identify the executing
-/// representative.
-template <typename T>
-[[nodiscard]] T* get_registered_object_at(location_id loc, rmi_handle h)
-{
-  return runtime_detail::lookup_wait<T>(loc, h);
 }
 
 /// Re-enqueues work into this location's own inbox, to be retried on a later
@@ -915,12 +871,10 @@ decltype(auto) apply_on(Obj& o, F& f, Tuple& t)
 } // namespace runtime_detail
 
 /// Queued RMI: like async_rmi, but always delivered through the
-/// destination's inbox — even under the direct transport, and even to
-/// self.  Two guarantees async_rmi cannot give there: messages pushed by
-/// one sender execute in push order, and the send never executes handler
-/// code inline (so it is safe while holding locks the handler might also
-/// take on another representative).  Delivery happens at the destination's
-/// next poll; completion by the next rmi_fence.
+/// destination's inbox, even to self.  The send therefore never executes
+/// handler code inline, so it is safe while holding locks the handler also
+/// takes.  Messages pushed by one sender execute in push order at the
+/// destination's next poll; completion by the next rmi_fence.
 template <typename Obj, typename F, typename... Args>
 void queued_rmi(location_id dest, rmi_handle h, F f, Args... args)
 {
@@ -954,16 +908,6 @@ void async_rmi(location_id dest, rmi_handle h, F f, Args... args)
     std::invoke(f, *o, std::move(args)...);
     return;
   }
-  if (current_transport() == transport_kind::direct) {
-    auto& self = rt().loc(this_location());
-    self.stats.rmis_sent += 1;
-    std::size_t const bytes = wire_size(f, args...);
-    self.stats.rmi_bytes += bytes;
-    STAPL_TRACE(trace::event_kind::rmi_send, bytes);
-    Obj* o = lookup_wait<Obj>(dest, h);
-    std::invoke(f, *o, std::move(args)...);
-    return;
-  }
   queued_rmi<Obj>(dest, h, std::move(f), std::move(args)...);
 }
 
@@ -985,17 +929,6 @@ template <typename Obj, typename F, typename... Args>
 
   // Remote round trip from here on — the tail-latency-relevant part.
   latency::timed_op lat_scope(latency::op::rmi_sync);
-
-  if (current_transport() == transport_kind::direct) {
-    auto& self = rt().loc(this_location());
-    self.stats.rmis_sent += 1;
-    self.stats.sync_rmis += 1;
-    std::size_t const bytes = wire_size(f, args...);
-    self.stats.rmi_bytes += bytes;
-    STAPL_TRACE(trace::event_kind::rmi_send, bytes);
-    Obj* o = lookup_wait<Obj>(dest, h);
-    return std::invoke(f, *o, std::move(args)...);
-  }
 
   struct sync_state {
     std::atomic<bool> done{false};
@@ -1041,18 +974,6 @@ template <typename Obj, typename F, typename... Args>
     self.stats.local_rmis += 1;
     Obj* o = static_cast<Obj*>(self.registry.lookup(h));
     assert(o != nullptr && "opaque_rmi: local object not registered");
-    st->value.emplace(std::invoke(f, *o, std::move(args)...));
-    st->ready.store(true, std::memory_order_release);
-    return pc_future<R>(st);
-  }
-
-  if (current_transport() == transport_kind::direct) {
-    auto& self = rt().loc(this_location());
-    self.stats.rmis_sent += 1;
-    std::size_t const bytes = wire_size(f, args...);
-    self.stats.rmi_bytes += bytes;
-    STAPL_TRACE(trace::event_kind::rmi_send, bytes);
-    Obj* o = lookup_wait<Obj>(dest, h);
     st->value.emplace(std::invoke(f, *o, std::move(args)...));
     st->ready.store(true, std::memory_order_release);
     return pc_future<R>(st);

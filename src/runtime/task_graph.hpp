@@ -378,9 +378,10 @@ class task_graph : public p_object {
   // Message handlers (public: executed on remote representatives via ARMI)
   // -------------------------------------------------------------------------
 
-  /// At the successor's owner: one input value arrived.  Under the direct
-  /// transport a fast peer may deliver before this location finished
-  /// building its replica; such values park in m_early until seed().
+  /// At the successor's owner: one input value arrived.  A fast peer may
+  /// deliver before this location finished building its replica (a poll
+  /// inside the spawn-time allgather runs the handler before seed()); such
+  /// values park in m_early until seed().
   void handle_value(task_id t, std::uint32_t slot, E v)
   {
     std::lock_guard lock(m_mutex);
@@ -508,10 +509,9 @@ class task_graph : public p_object {
         m_ready = std::move(keep);
       }
     }
-    // Answers carry the victim's identity: under the direct transport the
-    // handler runs on the *victim's caller thread*, so the thief cannot
-    // recover the answering location any other way — and the straggler
-    // detector needs to know who answered to clear its strikes.
+    // Answers carry the victim's identity: a late answer can arrive after
+    // the thief moved on to another victim, and the straggler detector
+    // needs to know who answered to clear its strikes.
     location_id const victim = this->get_location_id();
     if (!grants.empty()) {
       async_rmi<task_graph>(thief, this->get_handle(),
@@ -827,7 +827,7 @@ class task_graph : public p_object {
   /// The in-flight probe to m_probe_victim went unanswered past the
   /// timeout: strike the victim (demoting it after demote_after strikes),
   /// advance past it, and clear the in-flight flag so scheduling resumes.
-  /// The late answer — probes are never lost on these transports, only
+  /// The late answer — probes are never lost on this transport, only
   /// slow — stays benign: a grant still adds its tasks, a nack advances
   /// the pointer once more, and either clears the strikes again.
   void on_probe_timeout()

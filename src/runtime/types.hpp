@@ -32,12 +32,6 @@ inline constexpr std::uint32_t collective_scope = 0xFFFFFFFFu;
   return static_cast<std::uint32_t>(h >> 32);
 }
 
-/// How remote method invocations are transported between locations.
-enum class transport_kind {
-  queue,  ///< message passing through per-location FIFO inboxes
-  direct  ///< locked direct execution on the target representative
-};
-
 } // namespace stapl
 
 #endif

@@ -2,7 +2,7 @@
 // (runtime/collectives.hpp): tree vs flat result equality for every
 // primitive at P=1..8 (including non-power-of-two P), deterministic
 // rank-ordered folds for non-commutative associative operators,
-// aggregation flush-on-fence exactly-once delivery under both transports,
+// aggregation flush-on-fence exactly-once delivery,
 // and counter plausibility (recursive doubling runs ceil(log2 P) rounds).
 
 #include "runtime/collectives.hpp"
@@ -212,33 +212,29 @@ class sink_object : public p_object {
 };
 
 // Messages parked in aggregation buffers below both flush thresholds must
-// be delivered exactly once by the fence, under both transports.
+// be delivered exactly once by the fence.
 TEST(Collectives, AggregationFlushOnFenceExactlyOnce)
 {
-  for (transport_kind t : {transport_kind::queue, transport_kind::direct}) {
-    runtime_config cfg;
-    cfg.num_locations = 4;
-    cfg.transport = t;
-    cfg.aggregation = 64;      // count threshold never reached
-    cfg.agg_max_bytes = 1 << 20; // byte threshold never reached
-    execute(cfg, [&] {
-      sink_object sink;
-      int const n = 10; // well below both thresholds
-      location_id const dest =
-          (this_location() + 1) % num_locations();
-      for (int i = 0; i < n; ++i)
-        async_rmi<sink_object>(dest, sink.get_handle(), &sink_object::hit,
-                               static_cast<int>(this_location()) * 100 + i);
-      rmi_fence();
-      EXPECT_EQ(sink.count(), static_cast<std::size_t>(n));
-      auto const seen = sink.sorted();
-      location_id const src =
-          (this_location() + num_locations() - 1) % num_locations();
-      for (int i = 0; i < n; ++i)
-        EXPECT_EQ(seen[i], static_cast<int>(src) * 100 + i);
-      rmi_fence(); // sink destruction is collective
-    });
-  }
+  runtime_config cfg;
+  cfg.num_locations = 4;
+  cfg.aggregation = 64;        // count threshold never reached
+  cfg.agg_max_bytes = 1 << 20; // byte threshold never reached
+  execute(cfg, [&] {
+    sink_object sink;
+    int const n = 10; // well below both thresholds
+    location_id const dest = (this_location() + 1) % num_locations();
+    for (int i = 0; i < n; ++i)
+      async_rmi<sink_object>(dest, sink.get_handle(), &sink_object::hit,
+                             static_cast<int>(this_location()) * 100 + i);
+    rmi_fence();
+    EXPECT_EQ(sink.count(), static_cast<std::size_t>(n));
+    auto const seen = sink.sorted();
+    location_id const src =
+        (this_location() + num_locations() - 1) % num_locations();
+    for (int i = 0; i < n; ++i)
+      EXPECT_EQ(seen[i], static_cast<int>(src) * 100 + i);
+    rmi_fence(); // sink destruction is collective
+  });
 }
 
 // The byte cap flushes a buffer before the count threshold when payloads

@@ -1,16 +1,18 @@
 // Memory-consistency model tests (Ch. VII): completion guarantees of
 // sync/async/split-phase methods, per-element per-source ordering, fence
 // semantics, the relaxed default model (Dekker, Fig. 22b) vs the
-// sequential-consistency restriction of Claim 3 — plus thread-safety under
-// the direct (locked shared-memory) transport (Ch. VI) and pMatrix tests.
+// sequential-consistency restriction of Claim 3 — plus the Ch. VI
+// thread-safety managers and pMatrix tests.
 
 #include "algorithms/p_algorithms.hpp"
 #include "containers/p_array.hpp"
-#include "containers/p_list.hpp"
 #include "containers/p_matrix.hpp"
 #include "containers/p_vector.hpp"
 
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 namespace {
 
@@ -120,7 +122,7 @@ TEST(Consistency, DekkerWithAsyncWritesAllowsRelaxedOutcome)
   // The default MCM is weaker than SC (Ch. VII.E.1): with asynchronous
   // writes the (0,0) outcome is permitted.  We only verify that every
   // observed outcome is one of the four allowed ones and report whether the
-  // relaxed outcome occurred (it usually does under the queue transport).
+  // relaxed outcome occurred (it usually does: async writes are queued).
   unsigned relaxed = 0;
   unsigned const trials = 50;
   for (unsigned t = 0; t < trials; ++t) {
@@ -151,22 +153,16 @@ TEST(Consistency, DekkerWithAsyncWritesAllowsRelaxedOutcome)
 }
 
 // ---------------------------------------------------------------------------
-// Thread safety under the direct transport (Ch. VI)
+// Thread safety (Ch. VI)
 // ---------------------------------------------------------------------------
 
-TEST(ThreadSafety, ConcurrentRemoteIncrementsUnderDirectTransport)
+TEST(ThreadSafety, ConcurrentRemoteIncrementsSameElement)
 {
-  // Under the direct transport, RMIs execute on the caller's thread against
-  // the target's storage: without the locking of Ch. VI the concurrent
-  // read-modify-writes below would race (ThreadSanitizer-visible) and lose
-  // updates through torn interleavings of larger critical sections.
-  runtime_config cfg;
-  cfg.num_locations = 4;
-  cfg.transport = transport_kind::direct;
-  execute(cfg, [] {
+  // Every location sends read-modify-writes to one element; the owner runs
+  // them on its own thread, so no update may be lost.
+  execute(4, [] {
     p_array<long> pa(1, 0);
     rmi_fence();
-    // All locations hammer the same element with read-modify-write applies.
     for (int i = 0; i < 1000; ++i)
       pa.apply_set(0, [](long& x) { x += 1; });
     rmi_fence();
@@ -175,25 +171,39 @@ TEST(ThreadSafety, ConcurrentRemoteIncrementsUnderDirectTransport)
   });
 }
 
-TEST(ThreadSafety, ConcurrentListAnywhereInsertsDirect)
+// The locking managers stay correct under real contention: plain threads
+// bracket non-atomic read-modify-writes of one bCID's data with
+// data_access_pre/post, as the invoke skeleton does.
+template <typename Manager>
+void expect_no_lost_updates()
 {
-  runtime_config cfg;
-  cfg.num_locations = 4;
-  cfg.transport = transport_kind::direct;
-  execute(cfg, [] {
-    p_list<int> pl;
-    // insert_element_async on a shared anchor from all locations.
-    dynamic_gid anchor;
-    if (this_location() == 0)
-      anchor = pl.push_anywhere(0);
-    anchor = broadcast(0, anchor);
-    rmi_fence();
-    for (int i = 0; i < 200; ++i)
-      pl.insert_element_async(anchor, 1);
-    rmi_fence();
-    EXPECT_EQ(pl.size(), 1u + 4 * 200);
-    rmi_fence();
-  });
+  locking_policy_table const table;
+  Manager m(&table);
+  int const threads = 4;
+  int const iters = 20000;
+  long counter = 0;
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t)
+    pool.emplace_back([&] {
+      ths_info const ti{MP_APPLY, 3};
+      for (int i = 0; i < iters; ++i) {
+        m.data_access_pre(ti);
+        long const v = counter;
+        if (i % 64 == 0)
+          std::this_thread::yield(); // widen the window a lost update needs
+        counter = v + 1;
+        m.data_access_post(ti);
+      }
+    });
+  for (auto& th : pool)
+    th.join();
+  EXPECT_EQ(counter, static_cast<long>(threads) * iters);
+}
+
+TEST(ThreadSafety, ManagersSerializeConcurrentReadModifyWrites)
+{
+  expect_no_lost_updates<mutex_locking_manager>();
+  expect_no_lost_updates<hashed_locking_manager<64>>();
 }
 
 TEST(ThreadSafety, LockingPolicyTableDefaults)
@@ -210,25 +220,26 @@ TEST(ThreadSafety, LockingPolicyTableDefaults)
   EXPECT_EQ(t.get(MP_GET_ELEMENT).granularity, lock_granularity::none);
 }
 
-TEST(ThreadSafety, NoLockingTraitOverride)
+TEST(ThreadSafety, LockingManagerTraitOverride)
 {
-  // Ch. VI.E customization: a read-only phase can run with the no-locking
-  // manager even under the direct transport.
-  struct no_lock_traits {
+  // Ch. VI.E customization: containers default to no locking, and the
+  // traits can select a locking manager instead; every method then runs
+  // under its policy's locks.
+  struct locking_traits {
     using bcontainer_type = vector_bcontainer<int>;
     using mapper_type = blocked_mapper;
-    using ths_manager_type = no_locking_manager;
+    using ths_manager_type = mutex_locking_manager;
   };
-  runtime_config cfg;
-  cfg.num_locations = 2;
-  cfg.transport = transport_kind::direct;
-  execute(cfg, [] {
-    p_array<int, balanced_partition, no_lock_traits> pa(32, 5);
+  execute(2, [] {
+    p_array<int, balanced_partition, locking_traits> pa(32, 5);
+    rmi_fence();
+    for (gid1d g = 0; g < 32; ++g)
+      pa.apply_set(g, [](int& x) { x += 1; });
     rmi_fence();
     long total = 0;
     for (gid1d g = 0; g < 32; ++g)
       total += pa.get_element(g);
-    EXPECT_EQ(total, 160);
+    EXPECT_EQ(total, 32 * (5 + 2));
     rmi_fence();
   });
 }

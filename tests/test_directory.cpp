@@ -2,8 +2,8 @@
 // core/migration.hpp) and its container wiring: GID registration across
 // home locations, request forwarding through stale caches and in-flight
 // migrations, cache invalidation on ownership change, and the element
-// migration protocol on pArray / pMap / pGraph — on both transports with
-// at least 4 locations.
+// migration protocol on pArray / pMap / pGraph — with at least 4
+// locations.
 
 #include "algorithms/p_algorithms.hpp"
 #include "containers/p_array.hpp"
@@ -22,33 +22,14 @@ namespace {
 
 using namespace stapl;
 
-runtime_config config_for(transport_kind t, unsigned p)
-{
-  runtime_config cfg;
-  cfg.num_locations = p;
-  cfg.transport = t;
-  return cfg;
-}
-
-class directory_test : public ::testing::TestWithParam<transport_kind> {};
-
-INSTANTIATE_TEST_SUITE_P(Transports, directory_test,
-                         ::testing::Values(transport_kind::queue,
-                                           transport_kind::direct),
-                         [](auto const& info) {
-                           return info.param == transport_kind::queue
-                                      ? "queue"
-                                      : "direct";
-                         });
-
 // ---------------------------------------------------------------------------
 // Bare directory
 // ---------------------------------------------------------------------------
 
-TEST_P(directory_test, RegisterAndResolve)
+TEST(directory_test, RegisterAndResolve)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     directory<std::size_t> dir;
     // Every location owns the GIDs congruent to it mod P.
     for (std::size_t g = this_location(); g < 64; g += num_locations())
@@ -64,9 +45,9 @@ TEST_P(directory_test, RegisterAndResolve)
   });
 }
 
-TEST_P(directory_test, UnknownGidResolvesInvalid)
+TEST(directory_test, UnknownGidResolvesInvalid)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     directory<std::size_t> dir; // no default owner installed
     rmi_fence();
     EXPECT_EQ(dir.resolve(12345), invalid_location);
@@ -77,20 +58,20 @@ TEST_P(directory_test, UnknownGidResolvesInvalid)
 // Registration skew: location 0 registers; every other location routes work
 // at the GID *before* any fence.  The work must park (post_to_self retry)
 // until the registration lands, and the fence must not pass over it.
-TEST_P(directory_test, ConcurrentRegistrationSkew)
+TEST(directory_test, ConcurrentRegistrationSkew)
 {
   unsigned const p = 5;
   std::atomic<int> executed{0};
   std::atomic<unsigned> exec_loc{~0u};
-  execute(config_for(GetParam(), p), [&] {
+  execute(p, [&] {
     directory<std::size_t> dir;
     std::size_t const gid = 7;
     if (this_location() == 0) {
       dir.register_gid(gid);
     } else {
-      dir.invoke_where(gid, [&](location_id where) {
+      dir.invoke_where(gid, [&] {
         executed.fetch_add(1);
-        exec_loc.store(where);
+        exec_loc.store(this_location());
       });
     }
     rmi_fence(); // must drain every parked/forwarded request
@@ -102,22 +83,22 @@ TEST_P(directory_test, ConcurrentRegistrationSkew)
 
 // Massive skew: every location registers a disjoint batch while every other
 // location immediately routes work at all of them.
-TEST_P(directory_test, RegistrationSkewAllToAll)
+TEST(directory_test, RegistrationSkewAllToAll)
 {
   unsigned const p = 4;
   std::size_t const n = 32;
   std::atomic<int> executed{0};
   std::atomic<int> misrouted{0};
-  execute(config_for(GetParam(), p), [&] {
+  execute(p, [&] {
     directory<std::size_t> dir;
     for (std::size_t g = this_location(); g < n; g += num_locations())
       dir.register_gid(g);
     // No fence: requests race the registrations.
     for (std::size_t g = 0; g < n; ++g) {
       location_id const expect = g % num_locations();
-      dir.invoke_where(g, [&, expect](location_id where) {
+      dir.invoke_where(g, [&, expect] {
         executed.fetch_add(1);
-        if (where != expect)
+        if (this_location() != expect)
           misrouted.fetch_add(1);
       });
     }
@@ -128,9 +109,9 @@ TEST_P(directory_test, RegistrationSkewAllToAll)
   });
 }
 
-TEST_P(directory_test, InvokeWhereUsesCache)
+TEST(directory_test, InvokeWhereUsesCache)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     directory<std::size_t> dir;
     std::size_t const gid = 3 + num_locations(); // ensure remote for loc != 3
     if (this_location() == 3)
@@ -141,12 +122,12 @@ TEST_P(directory_test, InvokeWhereUsesCache)
       // Cold: routes through the home.  The home piggybacks the owner, so
       // a later request forwards directly.
       std::atomic<int> ran{0};
-      dir.invoke_where(gid, [&](location_id) { ran.fetch_add(1); });
+      dir.invoke_where(gid, [&] { ran.fetch_add(1); });
       rmi_fence();
       auto const cold_cache_hits = dir.stats().cache_hits;
       EXPECT_TRUE(dir.try_resolve(gid).has_value())
           << "home lookup should have warmed the cache";
-      dir.invoke_where(gid, [&](location_id) { ran.fetch_add(1); });
+      dir.invoke_where(gid, [&] { ran.fetch_add(1); });
       rmi_fence();
       EXPECT_EQ(ran.load(), 2);
       EXPECT_GT(dir.stats().cache_hits, cold_cache_hits);
@@ -162,10 +143,10 @@ TEST_P(directory_test, InvokeWhereUsesCache)
 // Migration through the container wiring (pArray)
 // ---------------------------------------------------------------------------
 
-TEST_P(directory_test, ArrayMigrateAndAccess)
+TEST(directory_test, ArrayMigrateAndAccess)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     std::size_t const n = 8 * num_locations();
     p_array<long> pa(n);
     for (std::size_t g = 0; g < n; ++g)
@@ -203,12 +184,12 @@ TEST_P(directory_test, ArrayMigrateAndAccess)
 // The ISSUE acceptance scenario: a location with a stale owner cache routes
 // work at a migrated element; it must execute exactly once, on the new
 // owner, and rmi_fence must drain all forwarded traffic.
-TEST_P(directory_test, StaleCacheForwardsExactlyOnce)
+TEST(directory_test, StaleCacheForwardsExactlyOnce)
 {
   unsigned const p = 4;
   std::atomic<int> executed{0};
   std::atomic<unsigned> exec_loc{~0u};
-  execute(config_for(GetParam(), p), [&] {
+  execute(p, [&] {
     std::size_t const n = 4 * num_locations();
     p_array<long> pa(n, 1);
     pa.make_dynamic();
@@ -224,9 +205,9 @@ TEST_P(directory_test, StaleCacheForwardsExactlyOnce)
       // owner, then route work through it: the request must chase the
       // forwarding hint at location 0 to the element's new home.
       pa.get_directory().handle_cache_update(gid, 0);
-      pa.get_directory().invoke_where(gid, [&](location_id where) {
+      pa.get_directory().invoke_where(gid, [&] {
         executed.fetch_add(1);
-        exec_loc.store(where);
+        exec_loc.store(this_location());
       });
     }
     rmi_fence(); // must drain the chase/bounce traffic
@@ -244,10 +225,10 @@ TEST_P(directory_test, StaleCacheForwardsExactlyOnce)
   });
 }
 
-TEST_P(directory_test, CacheInvalidationOnMigration)
+TEST(directory_test, CacheInvalidationOnMigration)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     std::size_t const n = 4 * num_locations();
     p_array<long> pa(n, 7);
     pa.make_dynamic();
@@ -276,11 +257,11 @@ TEST_P(directory_test, CacheInvalidationOnMigration)
 
 // Work pounded at an element *while* it migrates: every request must
 // execute exactly once wherever the element currently is.
-TEST_P(directory_test, ForwardingToElementMidFlight)
+TEST(directory_test, ForwardingToElementMidFlight)
 {
   unsigned const p = 4;
   std::atomic<long> applied{0};
-  execute(config_for(GetParam(), p), [&] {
+  execute(p, [&] {
     std::size_t const n = 4 * num_locations();
     p_array<long> pa(n, 0);
     pa.make_dynamic();
@@ -318,9 +299,9 @@ TEST_P(directory_test, ForwardingToElementMidFlight)
 
 // Element migrated away and back: it must land in its original
 // partition-assigned slot again (no overflow-store residue).
-TEST_P(directory_test, ArrayMigrateRoundTrip)
+TEST(directory_test, ArrayMigrateRoundTrip)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     std::size_t const n = 4 * num_locations();
     p_array<long> pa(n, 3);
     pa.make_dynamic();
@@ -352,10 +333,10 @@ TEST_P(directory_test, ArrayMigrateRoundTrip)
 // Associative containers
 // ---------------------------------------------------------------------------
 
-TEST_P(directory_test, MapDynamicInsertFindMigrate)
+TEST(directory_test, MapDynamicInsertFindMigrate)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     p_map<int, long> pm;
     pm.make_dynamic();
     int const n = 40;
@@ -391,9 +372,9 @@ TEST_P(directory_test, MapDynamicInsertFindMigrate)
 // Erasing a key from a dynamic container must also retire its directory
 // state: the home record disappears and a later insert/find resolves via
 // the closed-form default again.
-TEST_P(directory_test, EraseRetiresDirectoryState)
+TEST(directory_test, EraseRetiresDirectoryState)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     p_map<int, long> pm;
     pm.make_dynamic();
     int const k = 11;
@@ -434,9 +415,9 @@ TEST_P(directory_test, EraseRetiresDirectoryState)
 
 // Migrating a multimap key moves exactly one occurrence; the remaining
 // duplicates stay in place (total element count is preserved).
-TEST_P(directory_test, MultimapMigratesEqualRangeAtomically)
+TEST(directory_test, MultimapMigratesEqualRangeAtomically)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     p_multimap<int, long> pm;
     pm.make_dynamic();
     int const k = 4;
@@ -445,6 +426,7 @@ TEST_P(directory_test, MultimapMigratesEqualRangeAtomically)
         pm.insert_async(k, 10 + v);
     rmi_fence();
     EXPECT_EQ(pm.size(), 3u);
+    rmi_fence(); // one-sided size() queries finish before the move starts
 
     if (this_location() == 1)
       migrate(pm, k, 2);
@@ -475,9 +457,9 @@ TEST_P(directory_test, MultimapMigratesEqualRangeAtomically)
   });
 }
 
-TEST_P(directory_test, MultisetMigratesEqualRangeAtomically)
+TEST(directory_test, MultisetMigratesEqualRangeAtomically)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     p_multiset<int> ps;
     ps.make_dynamic();
     int const k = 9;
@@ -487,6 +469,7 @@ TEST_P(directory_test, MultisetMigratesEqualRangeAtomically)
     rmi_fence();
     EXPECT_EQ(ps.size(), 4u);
     EXPECT_EQ(ps.count(k), 4u);
+    rmi_fence(); // one-sided size() queries finish before the move starts
 
     if (this_location() == 3)
       migrate(ps, k, 1);
@@ -512,10 +495,10 @@ TEST_P(directory_test, MultisetMigratesEqualRangeAtomically)
 // migrated-away slots disappear, adopted overflow elements appear.
 // ---------------------------------------------------------------------------
 
-TEST_P(directory_test, DynamicIndexedLocalTraversalFollowsOwnership)
+TEST(directory_test, DynamicIndexedLocalTraversalFollowsOwnership)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     std::size_t const n = 8 * num_locations();
     p_array<long> pa(n, 0);
     array_1d_view v(pa);
@@ -562,10 +545,10 @@ TEST_P(directory_test, DynamicIndexedLocalTraversalFollowsOwnership)
 // Graph vertex migration
 // ---------------------------------------------------------------------------
 
-TEST_P(directory_test, GraphVertexMigration)
+TEST(directory_test, GraphVertexMigration)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     p_graph<DIRECTED, MULTI, int> g;
     // Every location adds one vertex with a known descriptor.
     vertex_descriptor const mine = 100 + this_location();
@@ -601,10 +584,10 @@ TEST_P(directory_test, GraphVertexMigration)
 // drives the home representatives into servicing each other
 // simultaneously — a deadlock here means a handler executed inline into a
 // peer while holding its own representative's lock.
-TEST_P(directory_test, ConcurrentCrossHomeResolves)
+TEST(directory_test, ConcurrentCrossHomeResolves)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     std::size_t const n = 16 * num_locations();
     p_array<long> pa(n, 1);
     pa.make_dynamic();
@@ -636,9 +619,9 @@ TEST_P(directory_test, ConcurrentCrossHomeResolves)
 // Directory statistics sanity
 // ---------------------------------------------------------------------------
 
-TEST_P(directory_test, StatsObserveMigrationTraffic)
+TEST(directory_test, StatsObserveMigrationTraffic)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     std::size_t const n = 4 * num_locations();
     p_array<long> pa(n, 0);
     pa.make_dynamic();

@@ -9,7 +9,6 @@
 
 #include "containers/p_associative.hpp"
 #include "core/migration.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/task_graph.hpp"
@@ -34,14 +33,6 @@ using namespace stapl;
   if (char const* s = std::getenv("STAPL_FAULT_SEED"))
     return std::strtoull(s, nullptr, 10);
   return 42;
-}
-
-runtime_config config_for(transport_kind t, unsigned p)
-{
-  runtime_config cfg;
-  cfg.num_locations = p;
-  cfg.transport = t;
-  return cfg;
 }
 
 /// RAII guard: every test leaves the fault layer disarmed and empty, with
@@ -108,7 +99,7 @@ class recorder : public p_object {
 
 void run_replay_workload()
 {
-  execute(config_for(transport_kind::queue, 4), [] {
+  execute(4, [] {
     recorder r;
     int const me = static_cast<int>(this_location());
     location_id const dest = (this_location() + 1) % num_locations();
@@ -166,18 +157,6 @@ TEST(Faults, SameSeedReplaysIdenticalInjectionTrace)
 // Exactly-once under duplication + reordering + delay storms
 // ---------------------------------------------------------------------------
 
-class fault_transport_test : public ::testing::TestWithParam<transport_kind> {
-};
-
-INSTANTIATE_TEST_SUITE_P(Transports, fault_transport_test,
-                         ::testing::Values(transport_kind::queue,
-                                           transport_kind::direct),
-                         [](auto const& info) {
-                           return info.param == transport_kind::queue
-                                      ? "queue"
-                                      : "direct";
-                         });
-
 void arm_dup_reorder_delay_storm()
 {
   auto dup = make_plan(fault::site::rmi_enqueue, fault::act_duplicate);
@@ -196,13 +175,13 @@ void arm_dup_reorder_delay_storm()
   fault::arm(base_seed());
 }
 
-TEST_P(fault_transport_test, QueuedRmiExactlyOnceUnderStorm)
+TEST(Faults, QueuedRmiExactlyOnceUnderStorm)
 {
   fault_guard guard;
   arm_dup_reorder_delay_storm();
   for (unsigned p : {4u, 8u}) {
     auto before = metrics::process_totals()["robust.dups_suppressed"];
-    execute(config_for(GetParam(), p), [] {
+    execute(p, [] {
       recorder r;
       int const me = static_cast<int>(this_location());
       int const n = 150;
@@ -224,7 +203,7 @@ TEST_P(fault_transport_test, QueuedRmiExactlyOnceUnderStorm)
   }
 }
 
-TEST_P(fault_transport_test, MigrationExactlyOnceUnderStorm)
+TEST(Faults, MigrationExactlyOnceUnderStorm)
 {
   fault_guard guard;
   arm_dup_reorder_delay_storm();
@@ -238,7 +217,7 @@ TEST_P(fault_transport_test, MigrationExactlyOnceUnderStorm)
   fault::add_plan(dir_stall);
   fault::arm(base_seed());
   for (unsigned p : {4u, 8u}) {
-    execute(config_for(GetParam(), p), [] {
+    execute(p, [] {
       p_map<int, long> pm;
       pm.make_dynamic();
       int const n = 40;
@@ -268,7 +247,7 @@ TEST_P(fault_transport_test, MigrationExactlyOnceUnderStorm)
   }
 }
 
-TEST_P(fault_transport_test, PayloadForwardExactlyOnceUnderStorm)
+TEST(Faults, PayloadForwardExactlyOnceUnderStorm)
 {
   fault_guard guard;
   arm_dup_reorder_delay_storm();
@@ -278,7 +257,7 @@ TEST_P(fault_transport_test, PayloadForwardExactlyOnceUnderStorm)
   fault::add_plan(payload_stall);
   fault::arm(base_seed());
   for (unsigned p : {4u, 8u}) {
-    execute(config_for(GetParam(), p), [] {
+    execute(p, [] {
       task_graph<long, long> tg;
       using tid = task_graph<long, long>::task_id;
       task_options pending;
@@ -332,7 +311,7 @@ TEST(Faults, CollectivesCompleteUnderDelayStorm)
   fault::arm(base_seed());
 
   coll::set_mode(coll::mode::tree);
-  execute(config_for(transport_kind::queue, 8), [] {
+  execute(8, [] {
     recorder r;
     long const me = static_cast<long>(this_location());
     for (int round = 0; round < 3; ++round) {
@@ -370,7 +349,7 @@ TEST(Faults, WatchdogNamesTheBlockedSite)
   fault_guard guard;
   fault::set_watchdog_ms(20);
   auto before = metrics::process_totals()["robust.watchdog_dumps"];
-  execute(config_for(transport_kind::queue, 2), [] {
+  execute(2, [] {
     recorder r;
     rmi_fence();
     if (this_location() == 0) {
@@ -443,7 +422,7 @@ TEST(Faults, StragglerDemotionVisibleInStats)
   fault::arm(base_seed());
 
   auto before = metrics::process_totals();
-  execute(config_for(transport_kind::queue, 4), [] {
+  execute(4, [] {
     task_graph<long> tg;
     task_options stealable;
     stealable.stealable = true;
@@ -475,7 +454,7 @@ TEST(Faults, StealAllocFailureDegradesToNacks)
   alloc.every_n = 1;
   fault::add_plan(alloc);
   fault::arm(base_seed());
-  execute(config_for(transport_kind::queue, 4), [] {
+  execute(4, [] {
     task_graph<long> tg;
     task_options stealable;
     stealable.stealable = true;
@@ -517,7 +496,7 @@ TEST(Faults, EnqueueAllocFailureForcesFlushes)
   fault::add_plan(alloc);
   fault::arm(base_seed());
   auto before = metrics::process_totals()["fault.alloc_fails"];
-  execute(config_for(transport_kind::queue, 4), [] {
+  execute(4, [] {
     recorder r;
     int const me = static_cast<int>(this_location());
     for (int k = 0; k < 100; ++k)
@@ -538,7 +517,7 @@ TEST(Faults, EnqueueAllocFailureForcesFlushes)
 TEST(Faults, QueuedOrderingPreservedWithoutInjection)
 {
   ASSERT_FALSE(fault::armed());
-  execute(config_for(transport_kind::direct, 4), [] {
+  execute(4, [] {
     recorder r;
     if (this_location() == 1)
       for (int k = 0; k < 300; ++k)
@@ -564,7 +543,7 @@ TEST(Faults, QueuedDeliveryCompleteUnderReorderStorm)
   fault::add_plan(reorder);
   fault::add_plan(flush_reorder);
   fault::arm(base_seed());
-  execute(config_for(transport_kind::queue, 4), [] {
+  execute(4, [] {
     recorder r;
     if (this_location() == 1)
       for (int k = 0; k < 300; ++k)
@@ -589,7 +568,7 @@ TEST(Faults, QueuedDeliveryCompleteUnderReorderStorm)
 
 TEST(Faults, PostToSelfRetryParksUntilReady)
 {
-  execute(config_for(transport_kind::queue, 2), [] {
+  execute(2, [] {
     std::atomic<int> executed{0};
     int attempts = 0;
     post_to_self([&executed, attempts]() mutable -> bool {
@@ -609,7 +588,8 @@ TEST(Faults, InboxDepthGaugeObservesBacklog)
 {
   EXPECT_FALSE(metrics::sums_on_merge("rmi.inbox_depth"));
   EXPECT_FALSE(metrics::sums_on_merge("rmi.deferred_depth"));
-  runtime_config cfg = config_for(transport_kind::queue, 4);
+  runtime_config cfg;
+  cfg.num_locations = 4;
   cfg.aggregation = 1; // every send lands in the inbox immediately
   execute(cfg, [] {
     recorder r;
@@ -643,7 +623,7 @@ TEST(Faults, DisarmedLayerRecordsNothing)
   fault_guard guard;
   fault::clear_events();
   ASSERT_FALSE(fault::armed());
-  execute(config_for(transport_kind::queue, 4), [] {
+  execute(4, [] {
     recorder r;
     for (int k = 0; k < 50; ++k)
       queued_rmi<recorder>((this_location() + 1) % num_locations(),
@@ -673,7 +653,7 @@ TEST(Faults, GatedPlanOnlyFiresWhenGateOpen)
   fault::arm(base_seed());
 
   fault::set_gate(0);
-  execute(config_for(transport_kind::queue, 2), [] {
+  execute(2, [] {
     recorder r;
     for (int k = 0; k < 20; ++k)
       queued_rmi<recorder>(1, r.get_handle(), &recorder::record, 0, k);
@@ -682,7 +662,7 @@ TEST(Faults, GatedPlanOnlyFiresWhenGateOpen)
   EXPECT_TRUE(fault::all_events().empty());
 
   fault::set_gate(1);
-  execute(config_for(transport_kind::queue, 2), [] {
+  execute(2, [] {
     recorder r;
     for (int k = 0; k < 20; ++k)
       queued_rmi<recorder>(1, r.get_handle(), &recorder::record, 0, k);

@@ -592,7 +592,7 @@ TEST(InstrumentTest, GlobalSnapshotSurfacesAllFamilies)
     EXPECT_EQ(g["lb.waves"], static_cast<std::uint64_t>(num_locations()));
     EXPECT_GT(g["rmi.rmis_sent"], 0u);
     EXPECT_GT(g["rmi.rmi_bytes"], 0u);
-    EXPECT_GT(g["rmi.msg_bytes"], 0u); // queue transport aggregates messages
+    EXPECT_GT(g["rmi.msg_bytes"], 0u); // the transport aggregates messages
     EXPECT_GT(g["dir.owner_accesses"], 0u);
     rmi_fence();
   });

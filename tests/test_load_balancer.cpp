@@ -3,8 +3,8 @@
 // tracker, owner-side access counting, greedy plan determinism, skewed
 // workloads converging below the imbalance threshold, reachability and
 // exactly-once execution through stale caches after balancer-driven
-// migration, and home-driven forwarding-hint reclamation — on both
-// transports with at least 4 locations.
+// migration, and home-driven forwarding-hint reclamation — with at least 4
+// locations.
 
 #include "containers/p_array.hpp"
 #include "containers/p_associative.hpp"
@@ -16,30 +16,12 @@
 
 #include <atomic>
 #include <cstddef>
+#include <set>
 #include <vector>
 
 namespace {
 
 using namespace stapl;
-
-runtime_config config_for(transport_kind t, unsigned p)
-{
-  runtime_config cfg;
-  cfg.num_locations = p;
-  cfg.transport = t;
-  return cfg;
-}
-
-class load_balancer_test : public ::testing::TestWithParam<transport_kind> {};
-
-INSTANTIATE_TEST_SUITE_P(Transports, load_balancer_test,
-                         ::testing::Values(transport_kind::queue,
-                                           transport_kind::direct),
-                         [](auto const& info) {
-                           return info.param == transport_kind::queue
-                                      ? "queue"
-                                      : "direct";
-                         });
 
 /// max/avg over per-location loads (the planner's own spread metric).
 double spread_of(std::vector<std::uint64_t> const& loads)
@@ -189,10 +171,10 @@ void skewed_workload(PA& pa, std::size_t hot, int rounds)
   rmi_fence();
 }
 
-TEST_P(load_balancer_test, SkewedArrayConvergesBelowThreshold)
+TEST(load_balancer_test, SkewedArrayConvergesBelowThreshold)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     std::size_t const n = 16 * num_locations();
     std::size_t const hot = 16; // all on location 0 initially
     int const rounds = 25;
@@ -243,10 +225,10 @@ TEST_P(load_balancer_test, SkewedArrayConvergesBelowThreshold)
 // caches: every location plants a cache entry naming the *old* owner, then
 // routes one increment at each hot element — each must execute exactly
 // once at the element's post-rebalance location.
-TEST_P(load_balancer_test, StaleCachesAfterRebalanceExactlyOnce)
+TEST(load_balancer_test, StaleCachesAfterRebalanceExactlyOnce)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     std::size_t const n = 8 * num_locations();
     std::size_t const hot = 8;
     int const rounds = 30;
@@ -275,10 +257,10 @@ TEST_P(load_balancer_test, StaleCachesAfterRebalanceExactlyOnce)
   });
 }
 
-TEST_P(load_balancer_test, AdvanceEpochHonorsInterval)
+TEST(load_balancer_test, AdvanceEpochHonorsInterval)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     std::size_t const n = 8 * num_locations();
     p_array<long> pa(n, 0);
 
@@ -303,14 +285,12 @@ TEST_P(load_balancer_test, AdvanceEpochHonorsInterval)
 
 // The owner hot path now bumps relaxed atomic counters and only takes the
 // directory mutex for sampled (1-in-N) sketch updates.  The load counters
-// must match the old locked path exactly — under the direct transport the
-// accesses run concurrently on caller threads, the regime the lock-free
-// path exists for — and the weighted sketch must keep every genuinely hot
-// GID on the books.
-TEST_P(load_balancer_test, SampledNoteAccessCountsMatchLockedPath)
+// must match the old locked path exactly, and the weighted sketch must
+// keep every genuinely hot GID on the books.
+TEST(load_balancer_test, SampledNoteAccessCountsMatchLockedPath)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     std::size_t const n = 16 * num_locations();
     std::size_t const hot = 16; // location 0's closed-form block
     int const rounds = 40;
@@ -361,10 +341,10 @@ TEST_P(load_balancer_test, SampledNoteAccessCountsMatchLockedPath)
 // advance_epoch() auto-tuning from imbalance drift
 // ---------------------------------------------------------------------------
 
-TEST_P(load_balancer_test, AdvanceEpochAutoTunesInterval)
+TEST(load_balancer_test, AdvanceEpochAutoTunesInterval)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     std::size_t const n = 8 * num_locations();
     p_array<long> pa(n, 0);
 
@@ -420,10 +400,10 @@ TEST_P(load_balancer_test, AdvanceEpochAutoTunesInterval)
 // reports one of them kept losing its chunk tasks to thieves: the load
 // model must rank the loser hotter and trigger a wave that plain access
 // counts would not.
-TEST_P(load_balancer_test, TaskStatsShiftTheLoadModel)
+TEST(load_balancer_test, TaskStatsShiftTheLoadModel)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     std::size_t const n = 16 * num_locations();
     p_array<long> pa(n, 0);
 
@@ -466,10 +446,10 @@ TEST_P(load_balancer_test, TaskStatsShiftTheLoadModel)
 // Forwarding-hint reclamation under repeated migration waves
 // ---------------------------------------------------------------------------
 
-TEST_P(load_balancer_test, HintsBoundedAfterMigrationWaves)
+TEST(load_balancer_test, HintsBoundedAfterMigrationWaves)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     std::size_t const n = 4 * num_locations();
     std::size_t const moving = 8; // GIDs bounced around every wave
     int const waves = 6;
@@ -505,10 +485,10 @@ TEST_P(load_balancer_test, HintsBoundedAfterMigrationWaves)
 // Other container families
 // ---------------------------------------------------------------------------
 
-TEST_P(load_balancer_test, MapHotKeysRebalance)
+TEST(load_balancer_test, MapHotKeysRebalance)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     int const n = 32;
     int const rounds = 25;
     p_map<int, long> pm;
@@ -554,10 +534,66 @@ TEST_P(load_balancer_test, MapHotKeysRebalance)
   });
 }
 
-TEST_P(load_balancer_test, GraphHubVerticesSpreadAcrossLocations)
+// An erased key leaves its owner's hot-key sketch, so the next wave plans
+// no move of a key that no longer exists: the sketch lists live keys only,
+// and size()/find_val stay correct across the wave.
+TEST(load_balancer_test, ErasedHotKeysLeaveSketchBeforeRebalance)
+{
+  execute(4, [] {
+    int const n = 64;
+    int const rounds = 20;
+    p_hash_map<int, long> pm;
+    pm.make_dynamic();
+    if (this_location() == 0)
+      for (int k = 0; k < n; ++k)
+        pm.insert_async(k, 0L);
+    rmi_fence();
+    pm.enable_load_balancing();
+
+    // Every location hammers location 0's keys; the first half of them
+    // twice as hard, so at the top of the sketch, and then erases those.
+    auto const mine = allgather(this_location() == 0
+                                    ? pm.local_gids()
+                                    : std::vector<int>{});
+    std::set<int> const hot(mine[0].begin(), mine[0].end());
+    ASSERT_GE(hot.size(), 2u);
+    std::set<int> const erased(mine[0].begin(),
+                               mine[0].begin() + mine[0].size() / 2);
+    for (int r = 0; r < rounds; ++r)
+      for (int k : hot)
+        for (int hit = 0; hit < (erased.count(k) != 0 ? 2 : 1); ++hit)
+          pm.apply_async(k, [](long& v) { v += 1; });
+    rmi_fence();
+    if (this_location() == 1)
+      for (int k : erased)
+        pm.erase_async(k);
+    rmi_fence();
+
+    if (this_location() == 0) {
+      for (auto const& [g, count] : pm.get_directory().hot_elements())
+        EXPECT_EQ(erased.count(g), 0u) << "erased key " << g << " in sketch";
+    }
+
+    EXPECT_TRUE(pm.rebalance().triggered);
+    EXPECT_EQ(pm.size(), static_cast<std::size_t>(n) - erased.size());
+    long const hits = static_cast<long>(rounds) * num_locations();
+    for (int k = 0; k < n; ++k) {
+      auto const found = pm.find_val(k);
+      if (erased.count(k) != 0)
+        EXPECT_FALSE(found.second) << "erased key " << k;
+      else
+        EXPECT_EQ(found, (std::pair<long, bool>{hot.count(k) != 0 ? hits : 0L,
+                                                true}))
+            << "key " << k;
+    }
+    rmi_fence();
+  });
+}
+
+TEST(load_balancer_test, GraphHubVerticesSpreadAcrossLocations)
 {
   unsigned const p = 4;
-  execute(config_for(GetParam(), p), [] {
+  execute(p, [] {
     p_graph<DIRECTED, MULTI, int> g;
     // Location 0 owns four hub vertices everyone reads; each location
     // adds one cold vertex of its own (the hubs' edge targets).

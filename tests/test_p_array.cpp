@@ -404,21 +404,4 @@ TEST(PArray, MemoryReport)
   });
 }
 
-TEST(PArray, DirectTransport)
-{
-  runtime_config cfg;
-  cfg.num_locations = 4;
-  cfg.transport = transport_kind::direct;
-  execute(cfg, [] {
-    p_array<int> pa(128);
-    gid1d const lo = 32 * this_location();
-    for (gid1d g = lo; g < lo + 32; ++g)
-      pa.set_element((g + 64) % 128, static_cast<int>((g + 64) % 128));
-    rmi_fence();
-    for (gid1d g = 0; g < 128; ++g)
-      EXPECT_EQ(pa.get_element(g), static_cast<int>(g));
-    rmi_fence();
-  });
-}
-
 } // namespace

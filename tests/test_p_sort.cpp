@@ -1,5 +1,5 @@
 // Tests for parallel sample sort (the Ch. VI bucket kernel) across
-// distributions, input patterns, location counts and both transports.
+// distributions, input patterns and location counts.
 
 #include "algorithms/p_algorithms.hpp"
 #include "algorithms/p_sort.hpp"
@@ -69,30 +69,6 @@ TEST(SampleSort, DescendingComparator)
     });
     p_sample_sort(pa, std::greater<>{});
     EXPECT_TRUE(p_is_sorted(pa, std::greater<>{}));
-    rmi_fence();
-  });
-}
-
-TEST(SampleSort, DirectTransportBucketsNeedLocks)
-{
-  // The Ch. VI claim: bucket insertion is correct under concurrent access
-  // as long as bucket-level atomicity holds — exercised by the direct
-  // transport where RMIs run on caller threads.
-  runtime_config cfg;
-  cfg.num_locations = 4;
-  cfg.transport = transport_kind::direct;
-  execute(cfg, [] {
-    p_array<long> pa(512);
-    p_for_each_gid(array_1d_view(pa), [](gid1d g, long& x) {
-      x = static_cast<long>((g * 48271) % 701);
-    });
-    p_sample_sort(pa);
-    EXPECT_TRUE(p_is_sorted(pa));
-    long const sum = p_accumulate(array_1d_view(pa), 0L);
-    long expect = 0;
-    for (std::size_t g = 0; g < 512; ++g)
-      expect += static_cast<long>((g * 48271) % 701);
-    EXPECT_EQ(sum, expect); // multiset preserved
     rmi_fence();
   });
 }

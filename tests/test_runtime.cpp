@@ -1,6 +1,6 @@
 // Unit tests for the RTS work-alike: SPMD execution, p_object registration,
 // async/sync/split-phase RMI, ordering guarantees, fence termination
-// detection, collectives and transports (dissertation Ch. III.B, VII.B).
+// detection and collectives (dissertation Ch. III.B, VII.B).
 
 #include "runtime/runtime.hpp"
 #include "runtime/serialization.hpp"
@@ -237,25 +237,6 @@ TEST(Runtime, SingleLocationObject)
     rmi_fence();
     if (this_location() == 2)
       delete obj;
-    rmi_fence();
-  });
-}
-
-TEST(Runtime, DirectTransportEquivalence)
-{
-  runtime_config cfg;
-  cfg.num_locations = 4;
-  cfg.transport = transport_kind::direct;
-  execute(cfg, [] {
-    counter_object c;
-    for (int i = 0; i < 10; ++i)
-      async_rmi<counter_object>(0, c.get_handle(), &counter_object::add, 1);
-    rmi_fence();
-    if (this_location() == 0)
-      EXPECT_EQ(c.get(), 10 * static_cast<int>(num_locations()));
-    int const v =
-        sync_rmi<counter_object>(0, c.get_handle(), &counter_object::get);
-    EXPECT_EQ(v, 10 * static_cast<int>(num_locations()));
     rmi_fence();
   });
 }

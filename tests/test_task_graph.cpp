@@ -2,12 +2,11 @@
 // (runtime/task_graph.hpp): coarsened chunk tasks, value-carrying
 // dependence edges across locations, cross-location work stealing
 // (determinism of results, not schedules), exactly-once chunk execution
-// under concurrent element migration, and the scheduler stats — on both
-// transports with at least 4 locations.
+// under concurrent element migration, and the scheduler stats — with at
+// least 4 locations.
 
 #include "algorithms/p_algorithms.hpp"
 #include "containers/p_array.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/task_graph.hpp"
 
 #include <gtest/gtest.h>
@@ -22,32 +21,13 @@ namespace {
 
 using namespace stapl;
 
-runtime_config config_for(transport_kind t, unsigned p)
-{
-  runtime_config cfg;
-  cfg.num_locations = p;
-  cfg.transport = t;
-  return cfg;
-}
-
-class task_graph_test : public ::testing::TestWithParam<transport_kind> {};
-
-INSTANTIATE_TEST_SUITE_P(Transports, task_graph_test,
-                         ::testing::Values(transport_kind::queue,
-                                           transport_kind::direct),
-                         [](auto const& info) {
-                           return info.param == transport_kind::queue
-                                      ? "queue"
-                                      : "direct";
-                         });
-
 // ---------------------------------------------------------------------------
 // Value-carrying dependence edges
 // ---------------------------------------------------------------------------
 
-TEST_P(task_graph_test, ValueChainAcrossLocations)
+TEST(task_graph_test, ValueChainAcrossLocations)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     task_graph<long> tg;
     using tid = task_graph<long>::task_id;
     // A 16-task chain snaking over the locations; each link adds its index.
@@ -79,9 +59,9 @@ TEST_P(task_graph_test, ValueChainAcrossLocations)
   });
 }
 
-TEST_P(task_graph_test, DiamondDeliversBothValues)
+TEST(task_graph_test, DiamondDeliversBothValues)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     task_graph<long> tg;
     auto const src = tg.add_task(
         0, [](std::vector<long> const&, char const&) { return 7L; });
@@ -114,9 +94,9 @@ TEST_P(task_graph_test, DiamondDeliversBothValues)
 // Coarsened chunk tasks
 // ---------------------------------------------------------------------------
 
-TEST_P(task_graph_test, ChunkedMapAppliesEveryElementOnce)
+TEST(task_graph_test, ChunkedMapAppliesEveryElementOnce)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     std::size_t const n = 4000;
     p_array<long> pa(n, 1);
     array_1d_view v(pa);
@@ -129,9 +109,9 @@ TEST_P(task_graph_test, ChunkedMapAppliesEveryElementOnce)
   });
 }
 
-TEST_P(task_graph_test, ViewChunksRespectGrain)
+TEST(task_graph_test, ViewChunksRespectGrain)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     p_array<long> pa(1024);
     array_1d_view v(pa);
     auto const chunks = v.chunks(100);
@@ -148,9 +128,9 @@ TEST_P(task_graph_test, ViewChunksRespectGrain)
   });
 }
 
-TEST_P(task_graph_test, TreeReduceMatchesReference)
+TEST(task_graph_test, TreeReduceMatchesReference)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     std::size_t const n = 3000;
     p_array<long> pa(n);
     array_1d_view v(pa);
@@ -178,9 +158,9 @@ TEST_P(task_graph_test, TreeReduceMatchesReference)
   });
 }
 
-TEST_P(task_graph_test, TreeReduceEmptyViewIsNullopt)
+TEST(task_graph_test, TreeReduceEmptyViewIsNullopt)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     p_array<long> pa(0);
     auto const r = map_reduce(
         array_1d_view(pa), [](long const& x) { return x; },
@@ -231,9 +211,9 @@ long run_imbalanced(bool steal, task_graph_stats* agg = nullptr,
   return tg.result_of(sinks[this_location()]);
 }
 
-TEST_P(task_graph_test, StealingPreservesResultsNotSchedules)
+TEST(task_graph_test, StealingPreservesResultsNotSchedules)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     long expect = 0;
     for (int i = 0; i < 24; ++i)
       expect += static_cast<long>(i) * i;
@@ -258,9 +238,9 @@ TEST_P(task_graph_test, StealingPreservesResultsNotSchedules)
   });
 }
 
-TEST_P(task_graph_test, StealHalfGrantsBatchesAndPreservesResults)
+TEST(task_graph_test, StealHalfGrantsBatchesAndPreservesResults)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     // A large all-on-location-0 backlog of sleeping tasks: steal-half
     // grants ship several tasks per probe, and the result must not depend
     // on how the batches were cut.
@@ -304,9 +284,9 @@ TEST(steal_victim_order, PrefersCacheWarmThenLoadedVictims)
   EXPECT_EQ(cold[2], 3u);
 }
 
-TEST_P(task_graph_test, TwoVictimStealPrefersCacheWarmVictim)
+TEST(task_graph_test, TwoVictimStealPrefersCacheWarmVictim)
 {
-  execute(config_for(GetParam(), 3), [] {
+  execute(3, [] {
     // Locations 1 and 2 each own a backlog of sleeping stealable tasks;
     // location 1's are annotated cached-at-0.  The idle location 0 must
     // drain the warm victim first.  Each task returns the location that
@@ -349,9 +329,9 @@ TEST_P(task_graph_test, TwoVictimStealPrefersCacheWarmVictim)
   });
 }
 
-TEST_P(task_graph_test, NonStealableTasksStayHome)
+TEST(task_graph_test, NonStealableTasksStayHome)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     task_graph<long> tg; // stealing on, but nothing is marked stealable
     for (int i = 0; i < 8; ++i) {
       tg.add_task(0, [](std::vector<long> const&, char const&) {
@@ -371,9 +351,9 @@ TEST_P(task_graph_test, NonStealableTasksStayHome)
 // Adaptive grain and placement feedback (locality pipeline)
 // ---------------------------------------------------------------------------
 
-TEST_P(task_graph_test, AdaptiveGrainShrinksUnderStealsAndRecovers)
+TEST(task_graph_test, AdaptiveGrainShrinksUnderStealsAndRecovers)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     p_array<long> pa(1024);
     EXPECT_DOUBLE_EQ(pa.grain_factor(), 1.0);
     std::size_t const base = 1000;
@@ -413,9 +393,9 @@ TEST_P(task_graph_test, AdaptiveGrainShrinksUnderStealsAndRecovers)
   });
 }
 
-TEST_P(task_graph_test, PlacementFeedbackWarmsChunkDescriptors)
+TEST(task_graph_test, PlacementFeedbackWarmsChunkDescriptors)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     std::size_t const n = 64 * num_locations();
     p_array<long> pa(n, 0);
     array_1d_view v(pa);
@@ -456,9 +436,9 @@ TEST_P(task_graph_test, PlacementFeedbackWarmsChunkDescriptors)
 // Chunk tasks vs. concurrent element migration
 // ---------------------------------------------------------------------------
 
-TEST_P(task_graph_test, ChunkTasksExactlyOnceUnderConcurrentMigration)
+TEST(task_graph_test, ChunkTasksExactlyOnceUnderConcurrentMigration)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     std::size_t const n = 64 * num_locations();
     p_array<long> pa(n, 0);
     pa.make_dynamic();
@@ -658,9 +638,9 @@ TEST(chunk_affinity_table, SplittingRespectsCapacityBound)
 // Metadata-only spawn exchange
 // ---------------------------------------------------------------------------
 
-TEST_P(task_graph_test, StealableSpawnShipsWireFormNotGids)
+TEST(task_graph_test, StealableSpawnShipsWireFormNotGids)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     std::size_t const n = 512 * num_locations();
     p_array<long> pa(n, 0);
     array_1d_view v(pa);
@@ -698,37 +678,13 @@ TEST_P(task_graph_test, StealableSpawnShipsWireFormNotGids)
 }
 
 // ---------------------------------------------------------------------------
-// p_range compatibility shim
-// ---------------------------------------------------------------------------
-
-TEST_P(task_graph_test, PRangeShimRunsDependenceOrder)
-{
-  execute(config_for(GetParam(), 4), [] {
-    p_array<int> acc(1, 0);
-    p_range pr;
-    std::size_t prev = static_cast<std::size_t>(-1);
-    for (int i = 0; i < 8; ++i) {
-      auto const t = pr.add_task(
-          static_cast<location_id>(i % num_locations()),
-          [&acc] { acc.apply_set(0, [](int& x) { ++x; }); });
-      if (prev != static_cast<std::size_t>(-1))
-        pr.add_dependence(prev, t);
-      prev = t;
-    }
-    pr.execute();
-    EXPECT_EQ(acc.get_element(0), 8);
-    rmi_fence();
-  });
-}
-
-// ---------------------------------------------------------------------------
 // Stress: chunked algorithms + stealing + migration churn (sized for the
 // sanitizer CI job as well)
 // ---------------------------------------------------------------------------
 
-TEST_P(task_graph_test, StressMixedLoad)
+TEST(task_graph_test, StressMixedLoad)
 {
-  execute(config_for(GetParam(), 4), [] {
+  execute(4, [] {
     std::size_t const n = 96 * num_locations();
     p_array<long> pa(n, 0);
     array_1d_view v(pa);

@@ -27,7 +27,7 @@ artifact and warn past SERVE_REGRESSION_PCT.
 
 Benches carrying a scaling sweep (a top-level ``"sweeps"`` array, see
 bench/scaling_harness.hpp) get curve-aware treatment: points are matched
-by their full axes tuple (kernel/mode/transport/steal/grain/p/n), each
+by their full axes tuple (kernel/mode/steal/grain/p/n), each
 kernel renders a per-series scaling table (efficiency across P, seconds
 delta vs previous), and a series whose efficiency at the largest common P
 regressed by more than REGRESSION_PCT emits the same non-blocking
@@ -77,7 +77,7 @@ INFORMATIONAL_FAMILIES = ("fault.",)
 INFORMATIONAL_NAMES = {"dups_suppressed", "probe_timeouts", "demotions",
                        "repromotions"}
 
-SWEEP_AXES = ("kernel", "mode", "transport", "steal", "grain", "p", "n")
+SWEEP_AXES = ("kernel", "mode", "steal", "grain", "p", "n")
 
 
 def column_direction(name):
@@ -262,9 +262,12 @@ def diff_timeseries(name, prev_bench, cur_bench):
 
 
 def sweep_points(bench):
-    """The bench's "sweeps" array (scaling_harness output), or []."""
+    """The bench's "sweeps" array (scaling_harness output), or [].  Older
+    artifacts also swept a second transport; only their default-transport
+    ("queue") points still match current points."""
     sweeps = bench.get("sweeps") if isinstance(bench, dict) else None
-    return [p for p in sweeps if isinstance(p, dict)] \
+    return [p for p in sweeps
+            if isinstance(p, dict) and p.get("transport", "queue") == "queue"] \
         if isinstance(sweeps, list) else []
 
 
@@ -275,13 +278,13 @@ def point_key(pt):
 
 def series_key(pt):
     """Everything but P and N: one scaling curve."""
-    return tuple(pt.get(a) for a in SWEEP_AXES[:5])
+    return tuple(pt.get(a) for a in SWEEP_AXES[:4])
 
 
 def series_label(key):
-    _, mode, transport, steal, grain = key
+    _, mode, steal, grain = key
     steal_s = "steal" if steal else "nosteal"
-    return f"{mode}/{transport}/{steal_s}/g:{grain}"
+    return f"{mode}/{steal_s}/g:{grain}"
 
 
 def warn_efficiency_regressions(bench, kernel, skey, spts, ps, prev_pts):

@@ -52,11 +52,10 @@ def table_bench(seconds, mops=1.0, columns=("locations", "run_s", "mops")):
     }
 
 
-def sweep_point(kernel="for_each", mode="strong", transport="queue",
-                steal=True, grain="auto", p=1, n=1000, seconds=1.0,
-                efficiency=1.0):
+def sweep_point(kernel="for_each", mode="strong", steal=True, grain="auto",
+                p=1, n=1000, seconds=1.0, efficiency=1.0):
     return {
-        "kernel": kernel, "mode": mode, "transport": transport,
+        "kernel": kernel, "mode": mode,
         "steal": steal, "grain": grain, "p": p, "n": n,
         "seconds": seconds, "efficiency": efficiency,
         "metrics": {"rmi.rmis_sent": 10},
@@ -285,6 +284,27 @@ def test_curve_matching_by_axes():
         assert cells[2] == "+0.0%"
         assert cells[3] == "–"
         assert cells[4] != "–"
+
+
+def test_legacy_second_transport_points_ignored():
+    """Older artifacts also swept a second transport; only their queue
+    points match, so a slow legacy series neither warns nor shifts deltas."""
+    prev_b, cur_b = curve_fixture(eff_p4_cur=0.83)
+    for pt in prev_b["sweeps"]:
+        pt["transport"] = "queue"
+    prev_b["sweeps"] += [dict(pt, transport="direct", seconds=9.0,
+                              efficiency=0.1) for pt in prev_b["sweeps"]]
+    with tempfile.TemporaryDirectory() as prev, \
+            tempfile.TemporaryDirectory() as cur:
+        write_bench(prev, "scaling", prev_b)
+        write_bench(cur, "scaling", cur_b)
+        rc, out, err = run_main([prev, cur])
+        assert rc == 0
+        assert "::warning" not in err
+        row = next(line for line in out.splitlines()
+                   if "Δseconds" in line)
+        cells = [c.strip() for c in row.strip("|").split("|")]
+        assert cells[2:] == ["+0.0%", "+0.0%", "+0.4%"]  # vs queue points
 
 
 def test_efficiency_regression_at_largest_p_warns():
