@@ -227,18 +227,13 @@ agg_result run_zipf_steal(unsigned aggregation)
                    expected_hits, aggregation);
       std::abort();
     }
-    auto const& st = my_stats();
-    auto const m = allreduce(st.msgs_sent, std::plus<std::uint64_t>{});
-    auto const b = allreduce(st.agg_batches, std::plus<std::uint64_t>{});
-    auto const bb =
-        allreduce(st.agg_batch_bytes, std::plus<std::uint64_t>{});
-    auto const tstolen = tg.global_stats().tasks_stolen;
+    auto const g = metrics::global_snapshot();
     if (this_location() == 0) {
       sec.store(s);
-      msgs.store(m);
-      batches.store(b);
-      bytes.store(bb);
-      stolen.store(tstolen);
+      msgs.store(g.at("rmi.msgs_sent"));
+      batches.store(g.at("coll.agg_batches"));
+      bytes.store(g.at("coll.agg_bytes"));
+      stolen.store(g.at("tg.tasks_stolen"));
     }
     rmi_fence(); // sink destruction is collective
   });

@@ -82,6 +82,7 @@ sched_result run_chunks(std::vector<std::size_t> const& sizes,
                         std::vector<location_id> const& owner, bool steal)
 {
   sched_result res;
+  metrics::reset_all();
   task_graph<char> tg;
   tg.set_stealing(steal);
   for (std::size_t r = 0; r < sizes.size(); ++r) {
@@ -104,9 +105,9 @@ sched_result run_chunks(std::vector<std::size_t> const& sizes,
         {}, stealable);
   }
   res.seconds = bench::timed_kernel([&] { tg.execute(); });
-  auto const stats = tg.global_stats();
-  res.stolen = stats.tasks_stolen;
-  res.steal_fail = stats.steal_fail;
+  auto const g = metrics::global_snapshot();
+  res.stolen = g.at("tg.tasks_stolen");
+  res.steal_fail = g.at("tg.steal_fail");
   return res;
 }
 

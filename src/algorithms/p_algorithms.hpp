@@ -67,17 +67,13 @@ void apply_element(View& v, typename View::gid_type g, F& f)
 } // namespace algo_detail
 
 // ---------------------------------------------------------------------------
-// Mutating map patterns (chunked map_func factories)
+// Mutating map patterns (chunked per-element factories)
 // ---------------------------------------------------------------------------
 
-/// Applies `wf` to every element of the view.  Collective.
-template <typename View, typename WF>
-void p_for_each(View v, WF wf, exec_policy pol = {})
-{
-  map_func(std::move(wf), std::move(v), pol);
-}
-
-/// Applies `wf(gid, element&)` to every element.  Collective.
+/// Applies `wf(gid, element&)` to every element as chunk tasks (many per
+/// location; the Ch. VII.A elementary factory, coarsened).  Each location
+/// shares one `wf` instance across its chunks.  Collective; ends with a
+/// fence and the view's post_execute.
 template <typename View, typename WF>
 void p_for_each_gid(View v, WF wf, exec_policy pol = {})
 {
@@ -88,6 +84,15 @@ void p_for_each_gid(View v, WF wf, exec_policy pol = {})
         algo_detail::apply_element(v, g, f);
       });
   v.post_execute();
+}
+
+/// Applies `wf(element&)` to every element.  Collective.
+template <typename View, typename WF>
+void p_for_each(View v, WF wf, exec_policy pol = {})
+{
+  p_for_each_gid(
+      std::move(v),
+      [wf = std::move(wf)](auto const&, auto& x) mutable { wf(x); }, pol);
 }
 
 /// Assigns `gen()` to every element.  Collective.

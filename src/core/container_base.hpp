@@ -411,8 +411,7 @@ class p_container_base : public p_object {
   void invoke(std::size_t method, gid_type gid, Action action)
   {
     // For async routes this measures the initiation (resolve + enqueue)
-    // cost; completion latency is covered by the rmi.sync / serve.op
-    // families.
+    // cost only; the rmi.sync family times synchronous round trips.
     latency::timed_op lat_scope(latency::op::container_apply);
     if (m_dynamic) {
       rmi_handle const h = this->get_handle();

@@ -26,7 +26,7 @@
 // Transport: collectives do not ride the RMI layer.  Each location owns a
 // small array of `coll_cell`s (runtime.hpp); a publish stores a data
 // pointer then an operation token into the cell's `seq`, the single
-// designated reader spins on `seq` (driving `poll_once` so RMI traffic
+// designated reader spins on `seq` (through `poll_until`, so RMI traffic
 // keeps progressing), copies the value out, and acks.  Publishers await
 // the ack before reusing or destroying the published data.  The token is
 // the per-location count of tree collectives — identical everywhere by
@@ -71,7 +71,7 @@ void set_flat_threshold(unsigned p) noexcept;
 
 namespace coll_detail {
 
-using runtime_detail::poll_once;
+using runtime_detail::poll_until;
 using runtime_detail::rt;
 using runtime_detail::tl_location;
 
@@ -145,13 +145,9 @@ inline void publish(unsigned cell, std::uint64_t token, void const* data)
                                                std::uint64_t token)
 {
   auto& c = rt().loc(peer).cells[cell];
-  runtime_detail::deadline_backoff bo("coll.publish");
-  while (c.seq.load(std::memory_order_acquire) != token) {
-    if (poll_once())
-      bo.reset();
-    else
-      bo.pause();
-  }
+  poll_until("coll.publish", [&] {
+    return c.seq.load(std::memory_order_acquire) == token;
+  });
   return c.data;
 }
 
@@ -165,13 +161,9 @@ inline void ack(location_id peer, unsigned cell, std::uint64_t token) noexcept
 inline void await_ack(unsigned cell, std::uint64_t token)
 {
   auto& c = rt().loc(tl_location).cells[cell];
-  runtime_detail::deadline_backoff bo("coll.ack");
-  while (c.ack.load(std::memory_order_acquire) != token) {
-    if (poll_once())
-      bo.reset();
-    else
-      bo.pause();
-  }
+  poll_until("coll.ack", [&] {
+    return c.ack.load(std::memory_order_acquire) == token;
+  });
 }
 
 /// Binomial-tree broadcast from `root` (MPICH shape): relative rank v
@@ -526,24 +518,6 @@ namespace latency {
 }
 
 } // namespace latency
-
-namespace metrics {
-
-/// Collective window capture: merges every location's cumulative counters
-/// and latency histograms and pushes one sample into `s` on location 0
-/// (the sampler lives wherever the bench declared it; only location 0
-/// touches it).  Call at window boundaries from all locations — typically
-/// right after the quiescing work of the window, never from per-location
-/// timers (the merge is a collective and needs everyone).
-inline void sample_global(sampler& s, std::string const& label = {})
-{
-  auto const counters = global_snapshot();
-  auto const hists = latency::global_histograms();
-  if (this_location() == 0)
-    s.push(counters, hists, label);
-}
-
-} // namespace metrics
 
 } // namespace stapl
 

@@ -339,9 +339,10 @@ void watchdog_fire(char const* what)
   robust::tl().watchdog_dumps += 1;
   STAPL_TRACE(trace::event_kind::watchdog);
 
-  // Build the report from cross-thread-safe state only: atomics (inbox
-  // counts, deferred-depth gauges, collective cell seq/ack) and the trace
-  // registry (its own mutex).  Other locations' plain counters are theirs.
+  // Build the report from cross-thread-safe state only: atomics (fence
+  // counters, inbox counts, deferred-depth gauges, collective cell seq/ack)
+  // and the trace registry (its own mutex).  Other locations' plain
+  // counters are theirs.
   std::ostringstream r;
   location_id const me = tl_location;
   r << "==== STAPL watchdog ====\n"
@@ -349,9 +350,8 @@ void watchdog_fire(char const* what)
     << "' past " << watchdog_ms() << "ms\n";
   if (g_runtime != nullptr) {
     auto& impl = *g_runtime;
-    r << "pending RMIs: sent="
-      << impl.total_sent.load(std::memory_order_acquire) << " executed="
-      << impl.total_executed.load(std::memory_order_acquire) << "\n";
+    auto const [sent, executed] = impl.rmi_totals();
+    r << "pending RMIs: sent=" << sent << " executed=" << executed << "\n";
     for (location_id l = 0; l < impl.num_locations(); ++l) {
       auto& ls = impl.loc(l);
       r << "  loc " << l << ": inbox_depth=" << ls.in.size()

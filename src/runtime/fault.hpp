@@ -85,7 +85,7 @@ inline constexpr unsigned act_alloc_fail = 16u; ///< fail an allocation path
 /// the seeded per-(site, location, hit) hash.  `only_location` restricts
 /// the plan to one location (straggler emulation); `gate` (when nonzero)
 /// additionally requires the matching bit in the global gate mask
-/// (`set_gate`) — how bench_serve scopes delay storms to labelled windows.
+/// (`set_gate`) — how a run scopes a storm or a straggler to one window.
 struct plan {
   site where = site::rmi_enqueue;
   unsigned actions = 0;

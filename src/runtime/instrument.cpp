@@ -18,7 +18,6 @@ namespace trace {
 
 namespace instrument_detail {
 std::atomic<bool> g_trace_enabled{false};
-std::atomic<std::uint64_t> g_kind_mask{all_kinds};
 } // namespace instrument_detail
 
 namespace {
@@ -71,80 +70,12 @@ std::chrono::steady_clock::time_point g_epoch{};
 
 thread_local ring* tl_ring = nullptr;
 
-/// Streaming sink state.  g_stream_mutex serializes file writes across
-/// location threads; the lock order is g_ring_mutex before g_stream_mutex
-/// (stream_close), never the reverse — ring-full flushes from the writer
-/// thread take only g_stream_mutex.
-std::mutex g_stream_mutex;
-std::unique_ptr<std::ofstream> g_stream;
-std::atomic<bool> g_streaming{false};
-std::atomic<std::uint64_t> g_streamed{0};
-bool g_stream_first = true;               ///< no event object written yet
-std::ofstream::pos_type g_stream_tail{};  ///< where the trailing "]}" starts
-std::vector<location_id> g_stream_named;  ///< lanes with metadata written
-
 ring* find_ring(location_id id)
 {
   for (auto const& r : g_rings)
     if (r->loc == id)
       return r.get();
   return nullptr;
-}
-
-/// One event as a Chrome trace-event JSON object (shared by dump and the
-/// streaming sink).
-void write_event_json(std::ostream& out, event const& e)
-{
-  out << R"({"name":")" << name_of(e.kind) << R"(","pid":1,"tid":)" << e.loc
-      << R"(,"ts":)" << e.ts_us;
-  if (is_scope(e.kind))
-    out << R"(,"ph":"X","dur":)" << e.dur_us;
-  else
-    out << R"(,"ph":"i","s":"t")";
-  out << R"(,"args":{"v":)" << e.arg << "}}";
-}
-
-/// Appends one JSON object slot to the stream (comma/newline bookkeeping).
-/// Requires g_stream_mutex held and the tail rewound.
-void stream_sep()
-{
-  if (!g_stream_first)
-    *g_stream << ",";
-  g_stream_first = false;
-  *g_stream << "\n";
-}
-
-/// Re-seals the file so it stays a well-formed JSON document between
-/// flushes.  Requires g_stream_mutex held.
-void stream_seal()
-{
-  g_stream_tail = g_stream->tellp();
-  *g_stream << "\n]}";
-  g_stream->flush();
-}
-
-/// Flushes `r`'s current contents to the open sink and restarts it empty.
-/// Requires g_stream_mutex held; safe only from `r`'s writer thread or
-/// after the writer quiesced (stream_close).
-void flush_ring_to_stream(ring& r)
-{
-  if (!g_stream)
-    return;
-  g_stream->seekp(g_stream_tail);
-  if (std::find(g_stream_named.begin(), g_stream_named.end(), r.loc) ==
-      g_stream_named.end()) {
-    stream_sep();
-    *g_stream << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << r.loc
-              << R"(,"args":{"name":"location )" << r.loc << R"("}})";
-    g_stream_named.push_back(r.loc);
-  }
-  for (event const& e : r.ordered()) {
-    stream_sep();
-    write_event_json(*g_stream, e);
-    g_streamed.fetch_add(1, std::memory_order_relaxed);
-  }
-  r.size.store(0, std::memory_order_release);
-  stream_seal();
 }
 
 } // namespace
@@ -174,14 +105,12 @@ char const* name_of(event_kind k) noexcept
   return "unknown";
 }
 
-void enable(std::size_t capacity_per_location, bool keep_last,
-            std::uint64_t kind_mask)
+void enable(std::size_t capacity_per_location, bool keep_last)
 {
   std::lock_guard lock(g_ring_mutex);
   g_capacity = std::max<std::size_t>(1, capacity_per_location);
   g_keep_last = keep_last;
   g_epoch = std::chrono::steady_clock::now();
-  instrument_detail::g_kind_mask.store(kind_mask, std::memory_order_relaxed);
   instrument_detail::g_trace_enabled.store(true, std::memory_order_release);
 }
 
@@ -231,16 +160,7 @@ void record(event const& e) noexcept
   ring* r = tl_ring;
   if (r == nullptr || !enabled())
     return;
-  if ((kind_mask() & kind_bit(e.kind)) == 0)
-    return; // filtered at emit: one mask test, not recorded, not a drop
-  std::size_t n = r->size.load(std::memory_order_relaxed);
-  if (n >= r->buf.size() && g_streaming.load(std::memory_order_acquire)) {
-    // Streaming sink open: retire the full ring to disk and restart it —
-    // no drops while streaming.  We are this ring's only writer.
-    std::lock_guard lock(g_stream_mutex);
-    flush_ring_to_stream(*r);
-    n = 0;
-  }
+  std::size_t const n = r->size.load(std::memory_order_relaxed);
   if (r->keep_last) {
     r->buf[n % r->buf.size()] = e;
     if (n >= r->buf.size())
@@ -347,7 +267,13 @@ bool dump(std::string const& path)
   for (auto const& r : g_rings) {
     for (event const& e : r->ordered()) {
       sep();
-      write_event_json(out, e);
+      out << R"({"name":")" << name_of(e.kind) << R"(","pid":1,"tid":)"
+          << e.loc << R"(,"ts":)" << e.ts_us;
+      if (is_scope(e.kind))
+        out << R"(,"ph":"X","dur":)" << e.dur_us;
+      else
+        out << R"(,"ph":"i","s":"t")";
+      out << R"(,"args":{"v":)" << e.arg << "}}";
     }
     std::uint64_t const drops = r->drops.load(std::memory_order_acquire);
     if (drops != 0) {
@@ -360,58 +286,6 @@ bool dump(std::string const& path)
 
   out << "\n]}\n";
   return static_cast<bool>(out);
-}
-
-bool stream_to(std::string const& path)
-{
-  std::lock_guard lock(g_stream_mutex);
-  auto f = std::make_unique<std::ofstream>(path);
-  if (!*f)
-    return false;
-  g_stream = std::move(f);
-  g_stream_first = true;
-  g_stream_named.clear();
-  g_streamed.store(0, std::memory_order_relaxed);
-  *g_stream << "{\"traceEvents\":[";
-  stream_sep();
-  *g_stream << R"({"name":"process_name","ph":"M","pid":1,"args":)"
-            << R"({"name":"stapl"}})";
-  stream_seal();
-  g_streaming.store(true, std::memory_order_release);
-  return true;
-}
-
-void stream_close()
-{
-  std::lock_guard rlock(g_ring_mutex);
-  std::lock_guard slock(g_stream_mutex);
-  if (!g_stream)
-    return;
-  g_streaming.store(false, std::memory_order_release);
-  for (auto const& r : g_rings)
-    flush_ring_to_stream(*r);
-  g_stream->seekp(g_stream_tail);
-  for (auto const& r : g_rings) {
-    std::uint64_t const drops = r->drops.load(std::memory_order_acquire);
-    if (drops != 0) {
-      stream_sep();
-      *g_stream << R"({"name":"dropped_events","ph":"i","s":"t","pid":1,)"
-                << R"("tid":)" << r->loc << R"(,"ts":)" << now_us()
-                << R"(,"args":{"v":)" << drops << "}}";
-    }
-  }
-  stream_seal();
-  g_stream.reset();
-}
-
-bool streaming()
-{
-  return g_streaming.load(std::memory_order_acquire);
-}
-
-std::uint64_t streamed_events()
-{
-  return g_streamed.load(std::memory_order_relaxed);
 }
 
 } // namespace trace

@@ -13,8 +13,9 @@
 //     task run, steal probe/grant/nack, payload forward, migration,
 //     rebalance wave, epoch advance).  Disabled cost is one relaxed atomic
 //     load behind the STAPL_TRACE macro; enabled cost is one ring slot
-//     write.  `trace::dump(path)` exports Chrome trace-event JSON with one
-//     pid/tid lane per location, loadable directly in Perfetto.
+//     write.  Rings stay in memory; `trace::dump(path)` exports them once,
+//     at the end, as Chrome trace-event JSON with one pid/tid lane per
+//     location, loadable directly in Perfetto.
 //
 //   * metrics:: — a named-counter registry.  Stats producers (the RTS
 //     location counters, task-graph executors, directories, the load
@@ -22,9 +23,6 @@
 //     location thread; `metrics::snapshot()` folds all of them plus the
 //     finals of already-destroyed contributors into one map, and
 //     `metrics::reset_all()` resets every family through the same hooks.
-//     The legacy accessors (`my_stats()`, `task_graph::global_stats()`,
-//     `directory::stats()`) remain as thin compatibility shims over the
-//     same underlying counters.
 //
 // Layering: this header depends only on types.hpp (plus the standard
 // library) because it is included *by* runtime.hpp — emit sites live in the
@@ -95,7 +93,6 @@ struct event {
 
 namespace instrument_detail {
 extern std::atomic<bool> g_trace_enabled;
-extern std::atomic<std::uint64_t> g_kind_mask;
 } // namespace instrument_detail
 
 /// Whether tracing is on.  This is the only cost paid at every emit site
@@ -105,30 +102,6 @@ extern std::atomic<std::uint64_t> g_kind_mask;
   return instrument_detail::g_trace_enabled.load(std::memory_order_relaxed);
 }
 
-/// Mask bit of one event kind (for composing `enable` kind masks).
-[[nodiscard]] constexpr std::uint64_t kind_bit(event_kind k) noexcept
-{
-  return std::uint64_t{1} << static_cast<unsigned>(k);
-}
-
-/// Mask selecting every event kind (the `enable` default).
-inline constexpr std::uint64_t all_kinds =
-    (std::uint64_t{1} << static_cast<unsigned>(event_kind::kind_count_)) - 1;
-
-/// The active emit filter.  Events whose kind bit is clear are skipped at
-/// the emit site (not recorded, not counted as dropped).
-[[nodiscard]] inline std::uint64_t kind_mask() noexcept
-{
-  return instrument_detail::g_kind_mask.load(std::memory_order_relaxed);
-}
-
-/// Whether events of kind `k` are currently recorded — the hot-path test:
-/// one relaxed load when disabled, plus one mask test when enabled.
-[[nodiscard]] inline bool recording(event_kind k) noexcept
-{
-  return enabled() && (kind_mask() & kind_bit(k)) != 0;
-}
-
 /// Turns tracing on.  Rings are created lazily at `attach` with
 /// `capacity_per_location` slots each; call outside (or between) SPMD
 /// executions so every location attaches with tracing visible.
@@ -136,15 +109,11 @@ inline constexpr std::uint64_t all_kinds =
 /// Overflow policy: with `keep_last == false` (default) a full ring keeps
 /// the *first* `capacity` events and drops the tail; with `keep_last ==
 /// true` the ring is circular — new events overwrite the oldest, so long
-/// steady-state runs (serving loops, scaling sweeps) retain the most
-/// recent window instead of the warm-up.  Drop counts are exact in both
-/// modes: a keep-last overwrite counts the displaced event as dropped.
-///
-/// `kind_mask` filters at emit: only kinds whose `kind_bit` is set are
-/// recorded (one mask test on the hot path), so a long serving run can
-/// trace rebalance waves and fences without drowning in per-op rmi_send.
+/// steady-state runs (scaling sweeps) retain the most recent window
+/// instead of the warm-up.  Drop counts are exact in both modes: a
+/// keep-last overwrite counts the displaced event as dropped.
 void enable(std::size_t capacity_per_location = std::size_t{1} << 16,
-            bool keep_last = false, std::uint64_t kind_mask = all_kinds);
+            bool keep_last = false);
 
 /// Turns tracing off.  Recorded events remain readable until `clear()`.
 void disable();
@@ -195,35 +164,12 @@ void emit_complete(event_kind k, std::uint64_t ts_us, std::uint64_t dur_us,
 /// chrome://tracing.  Returns false if the file cannot be written.
 bool dump(std::string const& path);
 
-/// Opens an incremental streaming sink: from now on, whenever a ring
-/// fills, its events are flushed to `path` (Chrome trace-event JSON) and
-/// the ring restarts empty — so a long run's trace lands on disk during
-/// the run instead of dump-at-end, with no events dropped while the sink
-/// is open.  Call `stream_close()` to flush the remaining ring contents
-/// and finalize the file (the file is also valid mid-run: the array is
-/// kept well-formed after every flush).  Returns false if the file cannot
-/// be opened.  Streaming composes with the kind mask; `keep_last` rings
-/// flush the same way (the circular window is linearized on flush).
-bool stream_to(std::string const& path);
-
-/// Flushes all rings and finalizes the streaming sink opened by
-/// `stream_to`.  No-op when no sink is open.
-void stream_close();
-
-/// Whether a streaming sink is currently open.
-[[nodiscard]] bool streaming();
-
-/// Events written to the streaming sink so far (across all flushes).
-[[nodiscard]] std::uint64_t streamed_events();
-
 /// RAII timer emitting one scope event from construction to destruction.
-/// Near-zero cost when tracing is disabled (one relaxed load).  A kind
-/// masked out by `enable` deactivates the scope at construction, skipping
-/// both clock reads.
+/// Near-zero cost when tracing is disabled (one relaxed load).
 class trace_scope {
  public:
   explicit trace_scope(event_kind k, std::uint64_t arg = 0) noexcept
-      : m_kind(k), m_arg(arg), m_active(recording(k))
+      : m_kind(k), m_arg(arg), m_active(enabled())
   {
     if (m_active)
       m_start = now_us();
@@ -314,9 +260,9 @@ void add(std::string const& name, std::uint64_t delta);
 
 /// Resets every live contributor and clears the accumulated finals —
 /// the one-call replacement for the per-family piecemeal resets.  Also
-/// bumps the latency reset epoch, clearing every location's latency
-/// recorders (lazily) and re-baselining armed samplers, so back-to-back
-/// bench sections don't bleed quantiles into each other.
+/// clears every location's latency recorders (lazily, see
+/// latency::reset), so back-to-back bench sections don't bleed quantiles
+/// into each other.
 void reset_all();
 
 /// Per-thread idle-time counters fed by the runtime's wait loops

@@ -57,7 +57,6 @@ char const* name_of(op o) noexcept
     case op::tg_task:         return "tg.task";
     case op::container_apply: return "container.apply";
     case op::lb_wave_stall:   return "lb.wave_stall";
-    case op::serve_op:        return "serve.op";
     case op::op_count_:       break;
   }
   return "unknown";
@@ -71,11 +70,6 @@ void enable() noexcept
 void disable() noexcept
 {
   latency_detail::g_enabled.store(false, std::memory_order_release);
-}
-
-std::uint64_t reset_epoch() noexcept
-{
-  return g_reset_epoch.load(std::memory_order_relaxed);
 }
 
 void reset()

@@ -1,50 +1,32 @@
 #ifndef STAPL_RUNTIME_LATENCY_HPP
 #define STAPL_RUNTIME_LATENCY_HPP
 
-// Tail-latency observability: per-operation HDR-style histograms and the
-// steady-state time-series sampler.
+// Tail-latency observability: lock-free per-location latency recorders.
 //
-//   * latency:: — lock-free per-location latency recorders.  Each location
-//     (a thread in this RTS) owns one log-bucketed histogram per named
-//     operation family; recording is a single-writer bucket increment, so
-//     the instrumented hot paths take no locks.  Buckets subdivide every
-//     power-of-two octave into 2^sub_bits linear sub-buckets (HdrHistogram
-//     style), covering ~1 ns to ~18 minutes in ~9 KB per histogram with a
-//     bounded relative error of 1/2^sub_bits; count and sum are exact.
-//     Histograms are plain mergeable value types: snapshots add bucket-wise,
-//     so a collective merge (latency::global_histogram, defined with the
-//     other collectives in runtime.hpp) equals a histogram that recorded
-//     every location's samples directly.
+// Each location (a thread in this RTS) owns one log-bucketed histogram per
+// named operation family; recording is a single-writer bucket increment, so
+// the instrumented hot paths take no locks.  Buckets subdivide every
+// power-of-two octave into 2^sub_bits linear sub-buckets (HdrHistogram
+// style), covering ~1 ns to ~18 minutes in ~9 KB per histogram with a
+// bounded relative error of 1/2^sub_bits; count and sum are exact.
+// Histograms are plain mergeable value types: snapshots add bucket-wise, so
+// a collective merge (latency::global_histogram, defined with the other
+// collectives in collectives.hpp) equals a histogram that recorded every
+// location's samples directly.
 //
-//     The RAII `timed_op` scope is the emit site: when recording is
-//     disabled (the default) its cost is one relaxed atomic load — the
-//     same contract as the STAPL_TRACE sites.
+// The RAII `timed_op` scope is the emit site: when recording is disabled
+// (the default) its cost is one relaxed atomic load — the same contract as
+// the STAPL_TRACE sites.
 //
-//   * metrics::sampler — a time-series sampler for long steady-state runs.
-//     A serving bench arms one and periodically feeds it *cumulative*
-//     global state (counters + histograms); the sampler subtracts the
-//     previous sample bucket-wise and stores one timestamped window delta:
-//     counter deltas plus per-family window quantiles.  The series exports
-//     as the "timeseries" JSON array, turning an end-of-run number into a
-//     latency-over-time curve.
-//
-// Layering: like instrument.hpp this header depends only on types.hpp,
-// instrument.hpp and the standard library, because the timed-op sites live
-// in runtime.hpp itself (sync_rmi).  Collective wrappers
-// (latency::global_histogram, metrics::sample_global) are defined at the
-// bottom of runtime.hpp next to metrics::global_snapshot.  Mutable global
-// state lives in latency.cpp.
-
-#include "instrument.hpp"
-#include "types.hpp"
+// Layering: this header depends only on the standard library, because the
+// timed-op sites live in the runtime core itself (runtime.hpp includes
+// it).  Mutable global state lives in latency.cpp.
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace stapl {
 
@@ -58,7 +40,6 @@ enum class op : std::uint8_t {
   container_apply,  ///< container element-method execution (invoke paths)
   lb_wave_stall,    ///< one rebalance() wave, entry to exit (the stall it
                     ///< imposes on concurrent traffic)
-  serve_op,         ///< serving-bench operation (intended-start corrected)
   op_count_         ///< sentinel, keep last
 };
 
@@ -187,33 +168,6 @@ struct histogram {
   [[nodiscard]] std::uint64_t p99() const noexcept { return quantile(0.99); }
   [[nodiscard]] std::uint64_t p999() const noexcept { return quantile(0.999); }
   [[nodiscard]] std::uint64_t max() const noexcept { return max_ns; }
-
-  /// Window delta of two cumulative snapshots (cur recorded everything old
-  /// did plus the window): bucket-wise subtraction, clamped at zero so a
-  /// reset between snapshots degrades to "cur is the window".  The window
-  /// max is approximated by the highest non-empty delta bucket's upper
-  /// bound, clamped by cur's exact max.
-  [[nodiscard]] static histogram delta(histogram const& cur,
-                                       histogram const& old) noexcept
-  {
-    histogram d;
-    std::size_t top = n_buckets; // no non-empty bucket yet
-    for (std::size_t i = 0; i != n_buckets; ++i) {
-      std::uint64_t const c = cur.counts[i];
-      std::uint64_t const o = old.counts[i];
-      d.counts[i] = c > o ? c - o : 0;
-      if (d.counts[i] != 0) {
-        d.count += d.counts[i];
-        top = i;
-      }
-    }
-    d.sum_ns = cur.sum_ns > old.sum_ns ? cur.sum_ns - old.sum_ns : 0;
-    if (top != n_buckets) {
-      std::uint64_t const hi = bucket_upper(top);
-      d.max_ns = hi < cur.max_ns ? hi : cur.max_ns;
-    }
-    return d;
-  }
 };
 
 using histogram_set = std::array<histogram, op_count>;
@@ -238,13 +192,10 @@ extern std::atomic<bool> g_enabled;
 void enable() noexcept;
 void disable() noexcept;
 
-/// Global reset epoch: bumping it (metrics::reset_all does) lazily clears
-/// every thread's recorders and re-baselines armed samplers, so
-/// back-to-back bench sections do not bleed quantiles into each other.
-[[nodiscard]] std::uint64_t reset_epoch() noexcept;
-
-/// Bumps the reset epoch and clears the process-wide accumulator.  Called
-/// by metrics::reset_all(); also callable directly.
+/// Clears every thread's recorders (lazily, on their next touch) and the
+/// process-wide accumulator, so back-to-back bench sections do not bleed
+/// quantiles into each other.  Called by metrics::reset_all(); also
+/// callable directly.
 void reset();
 
 /// Records one sample into the calling thread's histogram for `o`.
@@ -307,163 +258,6 @@ class timed_op {
 };
 
 } // namespace latency
-
-// ---------------------------------------------------------------------------
-// metrics::sampler — steady-state time series of snapshot deltas
-// ---------------------------------------------------------------------------
-
-namespace metrics {
-
-/// One captured window.
-struct sample_point {
-  std::uint64_t t_ms = 0;  ///< milliseconds since arm()
-  std::string label;       ///< caller-supplied window tag (steady/wave/...)
-
-  /// Window quantiles of one operation family.
-  struct op_window {
-    std::uint64_t count = 0;
-    std::uint64_t p50_ns = 0;
-    std::uint64_t p90_ns = 0;
-    std::uint64_t p99_ns = 0;
-    std::uint64_t p999_ns = 0;
-    std::uint64_t max_ns = 0;
-  };
-  std::array<op_window, latency::op_count> ops{};
-
-  counter_map counters;  ///< counter deltas over the window (non-zero only)
-};
-
-/// Captures timestamped deltas of cumulative global state into an
-/// in-memory time series.  The caller owns the cadence: arm() once, then
-/// feed push() one cumulative (counters, histograms) pair per window —
-/// the collective wrapper metrics::sample_global (runtime.hpp) gathers
-/// those globally and pushes on location 0.  A metrics::reset_all()
-/// between pushes re-baselines instead of producing negative windows.
-class sampler {
- public:
-  /// Clears the series, stamps t0 and zeroes the baselines.
-  void arm()
-  {
-    m_armed = true;
-    m_epoch = latency::reset_epoch();
-    m_t0 = std::chrono::steady_clock::now();
-    m_last_counters.clear();
-    for (auto& h : m_last_hists)
-      h.clear();
-    m_series.clear();
-  }
-
-  [[nodiscard]] bool armed() const noexcept { return m_armed; }
-
-  /// Appends one window: deltas of `cumulative_counters` and
-  /// `cumulative_hists` against the previous push (or the arm() baseline).
-  void push(counter_map const& cumulative_counters,
-            latency::histogram_set const& cumulative_hists,
-            std::string label = {})
-  {
-    if (!m_armed)
-      arm();
-    if (m_epoch != latency::reset_epoch()) {
-      // A reset_all() intervened: the cumulative state restarted from
-      // zero, so restart the baseline too instead of clamping everything.
-      m_epoch = latency::reset_epoch();
-      m_last_counters.clear();
-      for (auto& h : m_last_hists)
-        h.clear();
-    }
-
-    sample_point p;
-    p.t_ms = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - m_t0)
-            .count());
-    p.label = std::move(label);
-
-    for (auto const& [k, v] : cumulative_counters) {
-      if (k.rfind("lat.", 0) == 0)
-        continue; // families are reported through p.ops, properly merged
-      auto const it = m_last_counters.find(k);
-      std::uint64_t const old = it == m_last_counters.end() ? 0 : it->second;
-      if (v > old)
-        p.counters[k] = v - old;
-    }
-
-    for (std::size_t i = 0; i != latency::op_count; ++i) {
-      auto const w =
-          latency::histogram::delta(cumulative_hists[i], m_last_hists[i]);
-      p.ops[i] = {w.count, w.p50(), w.p90(), w.p99(), w.p999(), w.max()};
-    }
-
-    m_last_counters = cumulative_counters;
-    m_last_hists = cumulative_hists;
-    m_series.push_back(std::move(p));
-  }
-
-  [[nodiscard]] std::vector<sample_point> const& series() const noexcept
-  {
-    return m_series;
-  }
-
-  /// The "timeseries" JSON array: one object per window with timestamp,
-  /// label, per-family window quantiles (families with samples only) and
-  /// non-zero counter deltas.
-  [[nodiscard]] std::string to_json() const
-  {
-    auto quote = [](std::string const& s) {
-      std::string out = "\"";
-      for (char c : s) {
-        if (c == '"' || c == '\\')
-          out += '\\';
-        out += c;
-      }
-      return out + "\"";
-    };
-    std::string out = "[";
-    bool first = true;
-    for (auto const& p : m_series) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "    {\"t_ms\": " + std::to_string(p.t_ms) +
-             ", \"label\": " + quote(p.label) + ", \"ops\": {";
-      bool fo = true;
-      for (std::size_t i = 0; i != latency::op_count; ++i) {
-        auto const& w = p.ops[i];
-        if (w.count == 0)
-          continue;
-        if (!fo)
-          out += ", ";
-        fo = false;
-        out += quote(latency::name_of(static_cast<latency::op>(i))) +
-               ": {\"count\": " + std::to_string(w.count) +
-               ", \"p50_ns\": " + std::to_string(w.p50_ns) +
-               ", \"p90_ns\": " + std::to_string(w.p90_ns) +
-               ", \"p99_ns\": " + std::to_string(w.p99_ns) +
-               ", \"p999_ns\": " + std::to_string(w.p999_ns) +
-               ", \"max_ns\": " + std::to_string(w.max_ns) + "}";
-      }
-      out += "}, \"counters\": {";
-      bool fc = true;
-      for (auto const& [k, v] : p.counters) {
-        if (!fc)
-          out += ", ";
-        fc = false;
-        out += quote(k) + ": " + std::to_string(v);
-      }
-      out += "}}";
-    }
-    return out + "\n  ]";
-  }
-
- private:
-  bool m_armed = false;
-  std::uint64_t m_epoch = 0;
-  std::chrono::steady_clock::time_point m_t0{};
-  counter_map m_last_counters;
-  latency::histogram_set m_last_hists{};
-  std::vector<sample_point> m_series;
-};
-
-} // namespace metrics
 
 } // namespace stapl
 

@@ -29,12 +29,11 @@ void rmi_fence()
     // A location that has not yet seen that barrier release may still start
     // a poll that executes or sends RMIs.  The second barrier passes only
     // once every location has left its polling loop, and nobody polls again
-    // before the third, so all locations read the same frozen counters and
-    // take the same verdict.
+    // before the third, so all locations sum the same frozen per-location
+    // counters and take the same verdict.
     impl.barrier().arrive_and_wait();
-    bool const quiesced =
-        impl.total_sent.load(std::memory_order_acquire) ==
-        impl.total_executed.load(std::memory_order_acquire);
+    auto const [sent, executed] = impl.rmi_totals();
+    bool const quiesced = sent == executed;
     impl.barrier().arrive_and_wait();
     if (quiesced)
       return;

@@ -90,30 +90,6 @@ struct location_stats {
   std::uint64_t agg_batch_bytes = 0; ///< payload bytes of those batches
   std::uint64_t inbox_depth = 0;    ///< deepest inbox seen (gauge, max-merged)
   std::uint64_t deferred_hw = 0;    ///< deepest deferred queue (gauge)
-
-  location_stats& operator+=(location_stats const& o) noexcept
-  {
-    rmis_sent += o.rmis_sent;
-    rmis_executed += o.rmis_executed;
-    local_rmis += o.local_rmis;
-    msgs_sent += o.msgs_sent;
-    sync_rmis += o.sync_rmis;
-    fences += o.fences;
-    rmi_bytes += o.rmi_bytes;
-    msg_bytes += o.msg_bytes;
-    coll_ops += o.coll_ops;
-    coll_rounds += o.coll_rounds;
-    if (coll_depth < o.coll_depth)
-      coll_depth = o.coll_depth; // gauge, not additive
-    coll_flat += o.coll_flat;
-    agg_batches += o.agg_batches;
-    agg_batch_bytes += o.agg_batch_bytes;
-    if (inbox_depth < o.inbox_depth)
-      inbox_depth = o.inbox_depth; // gauge
-    if (deferred_hw < o.deferred_hw)
-      deferred_hw = o.deferred_hw; // gauge
-    return *this;
-  }
 };
 
 namespace runtime_detail {
@@ -368,6 +344,12 @@ struct location_state {
   /// marshaled payload bytes pending in each aggregation buffer
   std::vector<std::uint64_t> agg_bytes;
   location_stats stats;
+  /// Fence termination counters: RMIs this location sent (self-posts and
+  /// injected duplicates included) and executed.  Only the owner writes
+  /// them; metrics::reset_all never resets them.  rmi_fence sums them
+  /// across locations while every location waits in a barrier.
+  std::atomic<std::uint64_t> sent{0};
+  std::atomic<std::uint64_t> executed{0};
   /// scratch slot for collective operations (flat value-exchange protocol)
   void const* slot = nullptr;
   /// tree-collective cells: index 0 is the remainder pre-fold, 1+r is
@@ -412,8 +394,19 @@ class runtime_impl {
   }
   [[nodiscard]] spmd_barrier& barrier() noexcept { return m_barrier; }
 
-  std::atomic<std::uint64_t> total_sent{0};
-  std::atomic<std::uint64_t> total_executed{0};
+  /// {sent, executed} summed over every location's fence counters; the
+  /// pair balances once every sent RMI has executed.  Exact only while no
+  /// location polls.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t>
+  rmi_totals() const noexcept
+  {
+    std::uint64_t sent = 0, executed = 0;
+    for (auto const& l : m_locs) {
+      sent += l->sent.load(std::memory_order_relaxed);
+      executed += l->executed.load(std::memory_order_relaxed);
+    }
+    return {sent, executed};
+  }
 
  private:
   runtime_config m_cfg;
@@ -430,6 +423,13 @@ extern thread_local location_id tl_location;
 {
   assert(g_runtime != nullptr && "stapl API used outside stapl::execute()");
   return *g_runtime;
+}
+
+/// Bumps one of the calling location's fence counters.  The owner is the
+/// only writer, so a relaxed load and store replace a read-modify-write.
+inline void count_one(std::atomic<std::uint64_t>& c) noexcept
+{
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
 } // namespace runtime_detail
@@ -456,20 +456,6 @@ void execute(unsigned p, std::function<void()> spmd);
 [[nodiscard]] inline unsigned num_locations() noexcept
 {
   return runtime_detail::rt().num_locations();
-}
-
-/// Statistics of the calling location.  Compatibility shim: the same
-/// counters surface through `metrics::snapshot()` under the "rmi." keys.
-[[nodiscard]] inline location_stats const& my_stats() noexcept
-{
-  return runtime_detail::rt().loc(this_location()).stats;
-}
-
-/// Resets only the runtime family; `metrics::reset_all()` resets every
-/// registered stats family in one call.
-inline void reset_my_stats() noexcept
-{
-  runtime_detail::rt().loc(this_location()).stats = {};
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +534,7 @@ inline bool poll_once()
         progressed = true;
         self.stats.rmis_executed += 1;
         STAPL_TRACE(trace::event_kind::rmi_execute);
-        rt().total_executed.fetch_add(1, std::memory_order_acq_rel);
+        count_one(self.executed);
       } else {
         still.push_back(std::move(r));
       }
@@ -566,7 +552,7 @@ inline bool poll_once()
       progressed = true;
       self.stats.rmis_executed += 1;
       STAPL_TRACE(trace::event_kind::rmi_execute);
-      rt().total_executed.fetch_add(1, std::memory_order_acq_rel);
+      count_one(self.executed);
     } else {
       self.deferred.push_back(std::move(r));
     }
@@ -586,6 +572,22 @@ inline bool poll_once()
     }
   }
   return progressed;
+}
+
+/// The polling wait loop of the RTS: drives communication progress until
+/// `done()` holds, backing off while polls find no work.  `what` names the
+/// wait in watchdog dumps.  Barriers, futures, sync replies and collective
+/// cells all wait here, so a wake-on-arrival wait replaces one loop.
+template <typename Done>
+void poll_until(char const* what, Done done)
+{
+  deadline_backoff bo(what);
+  while (!done()) {
+    if (poll_once())
+      bo.reset();
+    else
+      bo.pause();
+  }
 }
 
 /// Marshaled size of one RMI argument: `packed_size` when the typer knows
@@ -613,7 +615,7 @@ inline void enqueue_remote(location_id dest, request r, std::size_t bytes = 0)
   self.stats.rmis_sent += 1;
   self.stats.rmi_bytes += bytes;
   STAPL_TRACE(trace::event_kind::rmi_send, bytes);
-  rt().total_sent.fetch_add(1, std::memory_order_acq_rel);
+  count_one(self.sent);
 
   if (rt().sequenced()) {
     // Sequenced delivery: wrap the request with this sender's next sequence
@@ -641,7 +643,7 @@ inline void enqueue_remote(location_id dest, request r, std::size_t bytes = 0)
     // The duplicate is a full pending RMI for termination purposes: it was
     // "sent", and its suppressed delivery will count as executed.
     self.stats.rmis_sent += 1;
-    rt().total_sent.fetch_add(1, std::memory_order_acq_rel);
+    count_one(self.sent);
     self.agg[dest].push_back(r); // copy; the original continues below
   }
   if (fo.actions & fault::act_delay) {
@@ -709,7 +711,7 @@ void post_to_self(F f)
   using namespace runtime_detail;
   auto& self = rt().loc(this_location());
   self.stats.rmis_sent += 1;
-  rt().total_sent.fetch_add(1, std::memory_order_acq_rel);
+  count_one(self.sent);
   self.in.push([f = std::move(f)]() mutable -> bool {
     if constexpr (std::is_same_v<std::invoke_result_t<F&>, bool>) {
       return f();
@@ -729,13 +731,7 @@ inline void polling_barrier_wait()
 {
   auto& b = rt().barrier();
   unsigned const gen = b.arrive();
-  deadline_backoff bo("rmi.barrier");
-  while (!b.passed(gen)) {
-    if (poll_once())
-      bo.reset();
-    else
-      bo.pause();
-  }
+  poll_until("rmi.barrier", [&] { return b.passed(gen); });
 }
 
 } // namespace runtime_detail
@@ -840,13 +836,9 @@ class pc_future {
   [[nodiscard]] R get()
   {
     assert(valid());
-    runtime_detail::deadline_backoff bo("rmi.future");
-    while (!m_state->ready.load(std::memory_order_acquire)) {
-      if (runtime_detail::poll_once())
-        bo.reset();
-      else
-        bo.pause();
-    }
+    runtime_detail::poll_until("rmi.future", [this] {
+      return m_state->ready.load(std::memory_order_acquire);
+    });
     return std::move(*m_state->value);
   }
 
@@ -949,13 +941,8 @@ template <typename Obj, typename F, typename... Args>
                  },
                  bytes);
   runtime_detail::flush_aggregation();
-  runtime_detail::deadline_backoff bo("rmi.sync");
-  while (!st.done.load(std::memory_order_acquire)) {
-    if (runtime_detail::poll_once())
-      bo.reset();
-    else
-      bo.pause();
-  }
+  runtime_detail::poll_until(
+      "rmi.sync", [&st] { return st.done.load(std::memory_order_acquire); });
   return std::move(*st.value);
 }
 

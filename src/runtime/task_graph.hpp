@@ -269,16 +269,6 @@ class task_graph : public p_object {
     return out;
   }
 
-  /// Field-wise sum of every location's counters.  Collective.
-  [[nodiscard]] task_graph_stats global_stats() const
-  {
-    return allreduce(m_stats, [](task_graph_stats a,
-                                 task_graph_stats const& b) {
-      a += b;
-      return a;
-    });
-  }
-
   /// Runs the graph to completion.  Collective; one-shot; ends with a
   /// fence.  Task work functions may invoke element methods (including
   /// synchronous ones — the executor polls) but must not fence.
@@ -928,14 +918,6 @@ struct exec_policy {
 
 namespace tg_detail {
 
-/// View whose elements have a local fast path (chunks of such views stay on
-/// their owner unless the caller opts in — remote fallback access would
-/// dominate stolen-chunk runtime for cheap work functions).
-template <typename V>
-concept locality_bound_view = requires(V v, typename V::gid_type g) {
-  { v.try_local_ref(g) };
-};
-
 /// Result type of a map functor invocable as mapf(gid, value) or
 /// mapf(value).
 template <typename Map, typename G, typename V>
@@ -1190,33 +1172,6 @@ void chunked_for_each_gid(View const& v, exec_policy pol, PerGid body)
 }
 
 } // namespace tg_detail
-
-// ---------------------------------------------------------------------------
-// map_func — the Ch. VII.A elementary factory, coarsened
-// ---------------------------------------------------------------------------
-
-/// Applies `wf` to every element of the view as chunk tasks (many per
-/// location).  Collective; ends with a fence and the view's post_execute.
-template <typename WF, typename View>
-void map_func(WF wf, View v, exec_policy pol = {})
-{
-  auto shared_wf = std::make_shared<WF>(std::move(wf));
-  tg_detail::chunked_for_each_gid(
-      v, pol, [shared_wf, v](typename View::gid_type g) mutable {
-        auto f = [&](auto& x) { (*shared_wf)(x); };
-        if constexpr (tg_detail::locality_bound_view<View>) {
-          if (auto* p = v.try_local_ref(g)) {
-            f(*p);
-            return;
-          }
-        }
-        auto x = v.read(g);
-        f(x);
-        if constexpr (requires { v.write(g, x); })
-          v.write(g, x);
-      });
-  v.post_execute();
-}
 
 // ---------------------------------------------------------------------------
 // tree_reduce — map_reduce as a dependence tree (no intermediate fences)

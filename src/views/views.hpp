@@ -47,11 +47,12 @@ namespace stapl {
 
 namespace view_detail {
 
-/// Single definition lives with the executor (tg_detail::
-/// locality_bound_view) — it drives default chunk stealability there and
-/// the element fast path here, and must never diverge.
+/// View whose elements have a local fast path: element access tries the
+/// direct reference before the shared-object read/write path.
 template <typename V>
-concept has_local_ref = tg_detail::locality_bound_view<V>;
+concept has_local_ref = requires(V v, typename V::gid_type g) {
+  { v.try_local_ref(g) };
+};
 
 /// Descriptor producer of container-backed views: wraps the ordered GID
 /// sequence into ~grain-element chunk_descriptors owned by this location

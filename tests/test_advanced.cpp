@@ -96,7 +96,7 @@ TEST(Executor, MapFuncAppliesWorkFunction)
   execute(4, [] {
     p_array<long> pa(200, 1);
     array_1d_view v(pa);
-    map_func([](long& x) { x *= 5; }, v);
+    p_for_each(v, [](long& x) { x *= 5; });
     EXPECT_EQ(p_accumulate(v, 0L), 1000L);
     rmi_fence();
   });

@@ -248,13 +248,13 @@ TEST(Collectives, AggregationByteThresholdFlushes)
   cfg.agg_max_bytes = 1; // every enqueue trips the byte cap
   execute(cfg, [&] {
     sink_object sink;
-    std::uint64_t const msgs_before = my_stats().msgs_sent;
+    metrics::reset_all();
     if (this_location() == 0)
       for (int i = 0; i < 8; ++i)
         async_rmi<sink_object>(1, sink.get_handle(), &sink_object::hit, i);
     rmi_fence();
     if (this_location() == 0) {
-      EXPECT_GE(my_stats().msgs_sent - msgs_before, 8u);
+      EXPECT_GE(metrics::snapshot().at("rmi.msgs_sent"), 8u);
     } else {
       EXPECT_EQ(sink.count(), 8u);
     }
@@ -272,12 +272,11 @@ TEST(Collectives, TreeRoundsMatchLogP)
         static_cast<unsigned>(std::lround(std::log2(p)));
     std::atomic<bool> ok{true};
     execute(p, [&] {
-      auto const before = my_stats();
+      metrics::reset_all();
       (void)allreduce(1, std::plus<>{});
-      auto const after = my_stats();
-      if (after.coll_rounds - before.coll_rounds != logp ||
-          after.coll_ops - before.coll_ops != 1 ||
-          after.coll_depth < logp)
+      auto const after = metrics::snapshot();
+      if (after.at("coll.rounds") != logp || after.at("coll.ops") != 1 ||
+          after.at("coll.tree_depth") < logp)
         ok.store(false);
     });
     EXPECT_TRUE(ok.load()) << "p=" << p;
@@ -292,18 +291,18 @@ TEST(Collectives, AutoSelectCountsFlatFallbacks)
   unsigned const thresh = coll::flat_threshold();
   ASSERT_GE(thresh, 2u);
   execute(2, [&] {
-    auto const before = my_stats();
+    metrics::reset_all();
     (void)allreduce(1, std::plus<>{});
-    auto const after = my_stats();
-    EXPECT_EQ(after.coll_flat - before.coll_flat, 1u);
-    EXPECT_EQ(after.coll_ops, before.coll_ops); // flat path: no tree op
+    auto const after = metrics::snapshot();
+    EXPECT_EQ(after.at("coll.flat_fallbacks"), 1u);
+    EXPECT_EQ(after.at("coll.ops"), 0u); // flat path: no tree op
   });
   execute(thresh + 1, [&] {
-    auto const before = my_stats();
+    metrics::reset_all();
     (void)allreduce(1, std::plus<>{});
-    auto const after = my_stats();
-    EXPECT_EQ(after.coll_flat, before.coll_flat);
-    EXPECT_EQ(after.coll_ops - before.coll_ops, 1u);
+    auto const after = metrics::snapshot();
+    EXPECT_EQ(after.at("coll.flat_fallbacks"), 0u);
+    EXPECT_EQ(after.at("coll.ops"), 1u);
   });
 }
 

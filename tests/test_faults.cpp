@@ -247,6 +247,118 @@ TEST(Faults, MigrationExactlyOnceUnderStorm)
   }
 }
 
+// ---------------------------------------------------------------------------
+// Live rebalancing under gated chaos windows
+// ---------------------------------------------------------------------------
+
+inline constexpr std::uint64_t gate_storm = 1;     ///< delay + duplicate
+inline constexpr std::uint64_t gate_straggler = 2; ///< last location stalls
+
+// A P=4 p_hash_map serves three windows of a find/apply/insert mix aimed at
+// the keys location 0 holds, with one rebalance() wave in the middle of
+// each window: a clean window, a message storm and a straggler.  Location
+// 0 opens each window's gate between barriers, so every location serves
+// the whole window under the same regime.
+TEST(Faults, RebalanceUnderGatedStormAndStraggler)
+{
+  fault_guard guard;
+  auto delay = make_plan(fault::site::rmi_enqueue, fault::act_delay);
+  delay.probability = 0.05;
+  delay.gate = gate_storm;
+  auto dup = make_plan(fault::site::rmi_enqueue, fault::act_duplicate);
+  dup.probability = 0.05;
+  dup.gate = gate_storm;
+  auto stall = make_plan(fault::site::rmi_poll, fault::act_stall);
+  stall.every_n = 1;
+  stall.stall_us = 500;
+  stall.only_location = 3;
+  stall.gate = gate_straggler;
+  fault::add_plan(delay);
+  fault::add_plan(dup);
+  fault::add_plan(stall);
+  fault::arm(base_seed());
+
+  auto before = metrics::process_totals();
+  execute(4, [] {
+    long const keys = 512;
+    long const stride = 1L << 32; // value = key * stride + applies
+    int const ops = 1000;         // per location and window
+    location_id const me = this_location();
+    p_hash_map<long, long> kv;
+    for (long k = me; k < keys; k += num_locations())
+      kv.insert_async(k, k * stride);
+    rmi_fence();
+    kv.enable_load_balancing();
+
+    std::uint64_t rng = base_seed() * 0x9E3779B97F4A7C15ull + me + 1;
+    long applies = 0;
+    long inserts = 0;
+    for (std::uint64_t const gate : {std::uint64_t{0}, gate_storm,
+                                     gate_straggler}) {
+      if (me == 0)
+        fault::set_gate(gate);
+      location_barrier();
+      // All traffic targets the stable keys location 0 holds at the start
+      // of the window, so every wave has an overloaded owner to drain.
+      auto const held =
+          allgather(me == 0 ? kv.local_gids() : std::vector<long>{});
+      std::vector<long> hot;
+      for (long k : held[0])
+        if (k < keys)
+          hot.push_back(k);
+      ASSERT_FALSE(hot.empty()) << "gate " << gate;
+      for (int i = 0; i < ops; ++i) {
+        if (i == ops / 2) {
+          auto const wave = kv.rebalance();
+          EXPECT_GT(wave.moves, 0u) << "gate " << gate;
+        }
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        long const k = hot[(rng >> 33) % hot.size()];
+        switch ((rng >> 20) % 10) {
+          case 0: case 1: case 2: case 3: case 4: case 5: {
+            auto const [v, found] = kv.find_val(k);
+            EXPECT_TRUE(found) << "key " << k << ", gate " << gate;
+            EXPECT_EQ(v / stride, k) << "gate " << gate;
+            break;
+          }
+          case 6: case 7: case 8:
+            kv.apply_async(k, [](long& v) { v += 1; });
+            ++applies;
+            break;
+          default: {
+            long const fresh =
+                keys + inserts++ * static_cast<long>(num_locations()) + me;
+            kv.insert_async(fresh, fresh * stride);
+            break;
+          }
+        }
+      }
+      rmi_fence();
+    }
+    if (me == 0)
+      fault::set_gate(0);
+
+    // Exactly once: the stable keys' values hold every issued apply, and
+    // no key was lost or duplicated by the waves.
+    long applied = 0;
+    kv.for_each_local([&](long k, long& v) {
+      if (k < keys)
+        applied += v - k * stride;
+    });
+    auto const sum = [](long a, long b) { return a + b; };
+    EXPECT_EQ(allreduce(applied, sum), allreduce(applies, sum));
+    EXPECT_EQ(kv.size(),
+              static_cast<std::size_t>(keys + allreduce(inserts, sum)));
+    rmi_fence();
+  });
+  auto after = metrics::process_totals();
+  EXPECT_EQ(after["robust.watchdog_dumps"], before["robust.watchdog_dumps"]);
+  EXPECT_GT(after["fault.dups"], before["fault.dups"])
+      << "the storm window duplicated nothing";
+  EXPECT_GT(after["fault.stalls"], before["fault.stalls"])
+      << "the straggler window never stalled";
+}
+
 TEST(Faults, PayloadForwardExactlyOnceUnderStorm)
 {
   fault_guard guard;
@@ -455,6 +567,7 @@ TEST(Faults, StealAllocFailureDegradesToNacks)
   fault::add_plan(alloc);
   fault::arm(base_seed());
   execute(4, [] {
+    metrics::reset_all();
     task_graph<long> tg;
     task_options stealable;
     stealable.stealable = true;
@@ -479,8 +592,7 @@ TEST(Faults, StealAllocFailureDegradesToNacks)
     for (auto t : work)
       tg.add_dependence(t, sink);
     tg.execute();
-    auto const stats = tg.global_stats();
-    EXPECT_EQ(stats.steal_grants, 0u)
+    EXPECT_EQ(metrics::global_snapshot().at("tg.steal_grants"), 0u)
         << "every grant allocation was failed: only nacks may flow";
     if (this_location() == 0)
       EXPECT_EQ(tg.result_of(sink), expect);
@@ -579,7 +691,7 @@ TEST(Faults, PostToSelfRetryParksUntilReady)
     });
     rmi_fence();
     EXPECT_EQ(executed.load(), 1);
-    EXPECT_GT(my_stats().deferred_hw, 0u);
+    EXPECT_GT(metrics::snapshot().at("rmi.deferred_depth"), 0u);
     rmi_fence();
   });
 }
@@ -605,10 +717,7 @@ TEST(Faults, InboxDepthGaugeObservesBacklog)
     rmi_fence();
     if (this_location() == 0) {
       EXPECT_EQ(r.seen().size(), 200u * (num_locations() - 1));
-      EXPECT_GT(my_stats().inbox_depth, 0u);
-      auto const snap = metrics::snapshot();
-      auto const it = snap.find("rmi.inbox_depth");
-      EXPECT_TRUE(it != snap.end() && it->second > 0);
+      EXPECT_GT(metrics::snapshot().at("rmi.inbox_depth"), 0u);
     }
     rmi_fence();
   });

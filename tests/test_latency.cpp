@@ -2,9 +2,8 @@
 // bucket math round-trips at every boundary, merge equals recording the
 // union, quantiles are monotone and bounded by the configured relative
 // error, a P=4 global_histogram() matches a single recorder that saw every
-// location's samples, the sampler's window deltas subtract correctly (and
-// re-baseline across metrics::reset_all()), disabled timed_op sites record
-// nothing, and reset_all() clears latency recorders.
+// location's samples, disabled timed_op sites record nothing, and
+// reset_all() clears latency recorders.
 
 #include "algorithms/p_algorithms.hpp"
 #include "containers/p_array.hpp"
@@ -195,32 +194,32 @@ TEST(LatencyTest, EnabledRunRecordsRuntimeFamiliesIntoProcessAccumulator)
 TEST(LatencyTest, SnapshotSurfacesLatKeysAndResetAllClearsThem)
 {
   latency_guard guard;
-  latency::record_ns(latency::op::serve_op, 1'000);
-  latency::record_ns(latency::op::serve_op, 2'000);
+  latency::record_ns(latency::op::lb_wave_stall, 1'000);
+  latency::record_ns(latency::op::lb_wave_stall, 2'000);
 
   auto const snap = metrics::snapshot();
-  ASSERT_NE(snap.find("lat.serve.op.count"), snap.end());
-  EXPECT_EQ(snap.at("lat.serve.op.count"), 2u);
-  EXPECT_EQ(snap.at("lat.serve.op.sum_ns"), 3'000u);
-  EXPECT_NE(snap.find("lat.serve.op.p99_ns"), snap.end());
-  EXPECT_EQ(snap.at("lat.serve.op.max_ns"), 2'000u);
+  ASSERT_NE(snap.find("lat.lb.wave_stall.count"), snap.end());
+  EXPECT_EQ(snap.at("lat.lb.wave_stall.count"), 2u);
+  EXPECT_EQ(snap.at("lat.lb.wave_stall.sum_ns"), 3'000u);
+  EXPECT_NE(snap.find("lat.lb.wave_stall.p99_ns"), snap.end());
+  EXPECT_EQ(snap.at("lat.lb.wave_stall.max_ns"), 2'000u);
 
-  // The satellite fix: reset_all() bumps the latency epoch too, so the
-  // recorders of *every* thread clear (lazily) along with the counters.
+  // reset_all() clears the latency recorders of *every* thread too
+  // (lazily), along with the counters.
   metrics::reset_all();
-  EXPECT_TRUE(latency::local_snapshot(latency::op::serve_op).empty());
+  EXPECT_TRUE(latency::local_snapshot(latency::op::lb_wave_stall).empty());
   auto const zeroed = metrics::snapshot();
-  EXPECT_EQ(zeroed.find("lat.serve.op.count"), zeroed.end());
+  EXPECT_EQ(zeroed.find("lat.lb.wave_stall.count"), zeroed.end());
 }
 
 TEST(LatencyTest, GaugeKeysMergeByMaxNotSum)
 {
   EXPECT_TRUE(metrics::sums_on_merge("rmi.rmis_sent"));
-  EXPECT_TRUE(metrics::sums_on_merge("lat.serve.op.count"));
-  EXPECT_TRUE(metrics::sums_on_merge("lat.serve.op.sum_ns"));
-  EXPECT_FALSE(metrics::sums_on_merge("lat.serve.op.p50_ns"));
-  EXPECT_FALSE(metrics::sums_on_merge("lat.serve.op.p999_ns"));
-  EXPECT_FALSE(metrics::sums_on_merge("lat.serve.op.max_ns"));
+  EXPECT_TRUE(metrics::sums_on_merge("lat.lb.wave_stall.count"));
+  EXPECT_TRUE(metrics::sums_on_merge("lat.lb.wave_stall.sum_ns"));
+  EXPECT_FALSE(metrics::sums_on_merge("lat.lb.wave_stall.p50_ns"));
+  EXPECT_FALSE(metrics::sums_on_merge("lat.lb.wave_stall.p999_ns"));
+  EXPECT_FALSE(metrics::sums_on_merge("lat.lb.wave_stall.max_ns"));
 }
 
 // ---------------------------------------------------------------------------
@@ -238,10 +237,10 @@ TEST(LatencyTest, GlobalHistogramMatchesSingleRecorderGroundTruth)
       for (std::uint64_t j = 0; j < 500; ++j)
         truth.record((l + 1) * 1'000 + j * 17);
     for (std::uint64_t j = 0; j < 500; ++j)
-      latency::record_ns(latency::op::serve_op,
+      latency::record_ns(latency::op::lb_wave_stall,
                          (this_location() + 1) * 1'000 + j * 17);
 
-    auto const g = latency::global_histogram(latency::op::serve_op);
+    auto const g = latency::global_histogram(latency::op::lb_wave_stall);
     EXPECT_EQ(g.count, truth.count);
     EXPECT_EQ(g.sum_ns, truth.sum_ns);
     EXPECT_EQ(g.max_ns, truth.max_ns);
@@ -250,106 +249,6 @@ TEST(LatencyTest, GlobalHistogramMatchesSingleRecorderGroundTruth)
       EXPECT_EQ(g.quantile(q), truth.quantile(q));
     rmi_fence();
   });
-}
-
-// ---------------------------------------------------------------------------
-// Sampler delta math
-// ---------------------------------------------------------------------------
-
-TEST(LatencyTest, SamplerWindowsAreCumulativeDeltas)
-{
-  latency_guard guard;
-  metrics::sampler s;
-  s.arm();
-
-  latency::histogram_set cum{};
-  auto& h = cum[static_cast<std::size_t>(latency::op::serve_op)];
-  metrics::counter_map counters;
-
-  // Window 1: 100 samples at 1000ns, 50 ops.
-  for (int i = 0; i < 100; ++i)
-    h.record(1'000);
-  counters["serve.ops"] = 50;
-  s.push(counters, cum, "steady");
-
-  // Window 2 (cumulative!): +10 samples at 1'000'000ns, +25 ops.
-  for (int i = 0; i < 10; ++i)
-    h.record(1'000'000);
-  counters["serve.ops"] = 75;
-  s.push(counters, cum, "wave");
-
-  ASSERT_EQ(s.series().size(), 2u);
-  auto const op_i = static_cast<std::size_t>(latency::op::serve_op);
-
-  auto const& w1 = s.series()[0];
-  EXPECT_EQ(w1.label, "steady");
-  EXPECT_EQ(w1.ops[op_i].count, 100u);
-  EXPECT_EQ(w1.counters.at("serve.ops"), 50u);
-  EXPECT_LE(w1.ops[op_i].p99_ns, 1'032u); // one bucket above 1000ns
-  EXPECT_GE(w1.ops[op_i].p99_ns, 969u);
-
-  auto const& w2 = s.series()[1];
-  EXPECT_EQ(w2.label, "wave");
-  EXPECT_EQ(w2.ops[op_i].count, 10u) << "window must be the delta";
-  EXPECT_EQ(w2.counters.at("serve.ops"), 25u);
-  // All 10 window samples are ~1ms: the window p50 reflects the slow
-  // window, not the cumulative distribution (which is 100:10).
-  EXPECT_GT(w2.ops[op_i].p50_ns, 900'000u);
-  EXPECT_GT(w2.ops[op_i].max_ns, 900'000u);
-
-  // Timestamps are monotone.
-  EXPECT_GE(w2.t_ms, w1.t_ms);
-
-  // The exported timeseries is the acceptance surface: both windows with
-  // quantiles, parsable shape checked in test_instrument's JSON parser
-  // (here: structural substrings).
-  std::string const json = s.to_json();
-  EXPECT_NE(json.find("\"label\": \"wave\""), std::string::npos);
-  EXPECT_NE(json.find("\"serve.op\""), std::string::npos);
-  EXPECT_NE(json.find("\"p999_ns\""), std::string::npos);
-}
-
-TEST(LatencyTest, SamplerRebaselinesAcrossResetAll)
-{
-  latency_guard guard;
-  metrics::sampler s;
-  s.arm();
-
-  latency::histogram_set cum{};
-  auto& h = cum[static_cast<std::size_t>(latency::op::serve_op)];
-  for (int i = 0; i < 100; ++i)
-    h.record(500);
-  s.push({}, cum, "before");
-
-  // A reset between windows restarts the cumulative state from zero; the
-  // sampler must re-baseline instead of clamping the whole window away.
-  metrics::reset_all();
-  latency::histogram_set fresh{};
-  auto& h2 = fresh[static_cast<std::size_t>(latency::op::serve_op)];
-  for (int i = 0; i < 30; ++i)
-    h2.record(700);
-  s.push({}, fresh, "after");
-
-  auto const op_i = static_cast<std::size_t>(latency::op::serve_op);
-  ASSERT_EQ(s.series().size(), 2u);
-  EXPECT_EQ(s.series()[0].ops[op_i].count, 100u);
-  EXPECT_EQ(s.series()[1].ops[op_i].count, 30u)
-      << "window after reset_all must be measured against a fresh baseline";
-}
-
-TEST(LatencyTest, HistogramDeltaApproximatesWindowMax)
-{
-  histogram old_h, cur_h;
-  old_h.record(1'000);
-  cur_h.record(1'000);
-  cur_h.record(50'000); // the window's only sample
-  auto const d = histogram::delta(cur_h, old_h);
-  EXPECT_EQ(d.count, 1u);
-  EXPECT_EQ(d.sum_ns, 50'000u);
-  // Window max is the top delta bucket's upper bound clamped by the exact
-  // cumulative max: within one bucket of the true 50'000.
-  EXPECT_GE(d.max_ns, 50'000u * 31 / 32);
-  EXPECT_LE(d.max_ns, 50'000u + 50'000u / 16);
 }
 
 } // namespace

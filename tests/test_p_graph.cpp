@@ -67,6 +67,9 @@ TEST_P(PGraphStatic, VertexProperties)
     rmi_fence();
     for (vertex_descriptor v = 0; v < 16; ++v)
       EXPECT_EQ(g.get_vertex_property(v), static_cast<int>(v * 10));
+    // A slower location may still be reading vertex 3 above: fence before
+    // mutating it.
+    rmi_fence();
     // apply_vertex mutates in place.
     if (this_location() == 0)
       g.apply_vertex(3, [](auto& rec) { rec.property += 1; });

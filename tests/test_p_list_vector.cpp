@@ -75,7 +75,7 @@ TEST_P(PListTest, PushAnywhereIsLocalAndBalanced)
     for (int i = 0; i < 50; ++i)
       pl.push_anywhere_async(i);
     // Anywhere-insertion must not communicate.
-    EXPECT_EQ(my_stats().rmis_sent, 0u);
+    EXPECT_EQ(metrics::snapshot().at("rmi.rmis_sent"), 0u);
     rmi_fence();
     EXPECT_EQ(pl.local_size(), 50u);
     EXPECT_EQ(pl.size(), 50u * num_locations());

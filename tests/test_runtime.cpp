@@ -252,13 +252,13 @@ TEST(Runtime, AggregationReducesMessageCount)
     std::atomic<std::uint64_t> msgs{0};
     execute(cfg, [&] {
       counter_object c;
-      reset_my_stats();
+      metrics::reset_all();
       if (this_location() == 0)
         for (int i = 0; i < 1000; ++i)
           async_rmi<counter_object>(1, c.get_handle(), &counter_object::add, 1);
       rmi_fence();
       if (this_location() == 0)
-        msgs.fetch_add(my_stats().msgs_sent);
+        msgs.fetch_add(metrics::snapshot().at("rmi.msgs_sent"));
       if (this_location() == 1)
         EXPECT_EQ(c.get(), 1000);
       rmi_fence();

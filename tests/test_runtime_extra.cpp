@@ -13,39 +13,45 @@ namespace {
 
 using namespace stapl;
 
+/// One counter of the calling location's metrics snapshot.
+std::uint64_t counter(char const* key)
+{
+  return metrics::snapshot().at(key);
+}
+
 TEST(Instrumentation, CountersTrackTrafficClasses)
 {
   execute(2, [] {
     p_array<int> pa(2);
     rmi_fence();
-    reset_my_stats();
+    metrics::reset_all();
 
     // Local op: counted as local, no messages.
     gid1d const mine = this_location();
     pa.set_element(mine, 1);
-    EXPECT_EQ(my_stats().local_rmis, 1u);
-    EXPECT_EQ(my_stats().rmis_sent, 0u);
+    EXPECT_EQ(counter("rmi.local_rmis"), 1u);
+    EXPECT_EQ(counter("rmi.rmis_sent"), 0u);
 
     // Remote async: counted as sent.
     pa.set_element(1 - mine, 2);
-    EXPECT_EQ(my_stats().rmis_sent, 1u);
+    EXPECT_EQ(counter("rmi.rmis_sent"), 1u);
 
     // Remote sync read through the container: counted as a sent RMI (the
     // container's synchronous methods ride the split-phase machinery);
     // a raw sync_rmi moves the sync counter.
-    auto const before_sent = my_stats().rmis_sent;
+    auto const before_sent = counter("rmi.rmis_sent");
     (void)pa.get_element(1 - mine);
-    EXPECT_GT(my_stats().rmis_sent, before_sent);
-    auto const before_sync = my_stats().sync_rmis;
+    EXPECT_GT(counter("rmi.rmis_sent"), before_sent);
+    auto const before_sync = counter("rmi.sync_rmis");
     (void)sync_rmi<p_array<int>>(1 - mine, pa.get_handle(),
                                  [](p_array<int> const& c) {
                                    return c.local_size();
                                  });
-    EXPECT_GT(my_stats().sync_rmis, before_sync);
+    EXPECT_GT(counter("rmi.sync_rmis"), before_sync);
 
-    auto const fences_before = my_stats().fences;
+    auto const fences_before = counter("rmi.fences");
     rmi_fence();
-    EXPECT_EQ(my_stats().fences, fences_before + 1);
+    EXPECT_EQ(counter("rmi.fences"), fences_before + 1);
     rmi_fence();
   });
 }
@@ -58,13 +64,13 @@ TEST(Instrumentation, AggregationBatchesCounted)
   execute(cfg, [] {
     p_array<int> pa(2);
     rmi_fence();
-    reset_my_stats();
+    metrics::reset_all();
     for (int i = 0; i < 100; ++i)
       pa.set_element(1 - this_location(), i);
     rmi_fence();
-    EXPECT_EQ(my_stats().rmis_sent, 100u);
+    EXPECT_EQ(counter("rmi.rmis_sent"), 100u);
     // 100 RMIs in batches of 10 -> exactly 10 messages.
-    EXPECT_EQ(my_stats().msgs_sent, 10u);
+    EXPECT_EQ(counter("rmi.msgs_sent"), 10u);
     rmi_fence();
   });
 }

@@ -103,7 +103,7 @@ TEST(task_graph_test, ChunkedMapAppliesEveryElementOnce)
     // Tiny grain: many chunk tasks per location.
     exec_policy pol;
     pol.grain = 64;
-    map_func([](long& x) { x += 41; }, v, pol);
+    p_for_each(v, [](long& x) { x += 41; }, pol);
     EXPECT_EQ(p_accumulate(v, 0L), static_cast<long>(n) * 42);
     rmi_fence();
   });
@@ -176,10 +176,12 @@ TEST(task_graph_test, TreeReduceEmptyViewIsNullopt)
 
 /// Builds a deliberately imbalanced graph: every stealable task is owned
 /// by location 0 and simulates a latency-bound chunk (sleep), returning a
-/// known value into a per-location sink.
-long run_imbalanced(bool steal, task_graph_stats* agg = nullptr,
+/// known value into a per-location sink.  `agg` (when given) receives the
+/// run's global metrics, whose "tg.*" keys are this graph's counters.
+long run_imbalanced(bool steal, metrics::counter_map* agg = nullptr,
                     int tasks = 24)
 {
+  metrics::reset_all();
   task_graph<long> tg;
   tg.set_stealing(steal);
   using tid = task_graph<long>::task_id;
@@ -207,7 +209,7 @@ long run_imbalanced(bool steal, task_graph_stats* agg = nullptr,
   }
   tg.execute();
   if (agg)
-    *agg = tg.global_stats();
+    *agg = metrics::global_snapshot();
   return tg.result_of(sinks[this_location()]);
 }
 
@@ -218,22 +220,22 @@ TEST(task_graph_test, StealingPreservesResultsNotSchedules)
     for (int i = 0; i < 24; ++i)
       expect += static_cast<long>(i) * i;
 
-    task_graph_stats stolen_stats;
-    long const with_steal = run_imbalanced(true, &stolen_stats);
+    metrics::counter_map stolen;
+    long const with_steal = run_imbalanced(true, &stolen);
     EXPECT_EQ(with_steal, expect);
     // Every task ran exactly once somewhere (24 work + P sinks).
-    EXPECT_EQ(stolen_stats.tasks_run, 24u + num_locations());
+    EXPECT_EQ(stolen["tg.tasks_run"], 24u + num_locations());
     // The all-on-location-0 layout with sleeping tasks gives idle peers
     // ample time to pull work over.
-    EXPECT_GT(stolen_stats.tasks_stolen, 0u)
+    EXPECT_GT(stolen["tg.tasks_stolen"], 0u)
         << "no task was stolen from the overloaded location";
-    EXPECT_EQ(stolen_stats.tasks_stolen, stolen_stats.tasks_lost);
+    EXPECT_EQ(stolen["tg.tasks_stolen"], stolen["tg.tasks_lost"]);
 
-    task_graph_stats pinned_stats;
-    long const without_steal = run_imbalanced(false, &pinned_stats);
+    metrics::counter_map pinned;
+    long const without_steal = run_imbalanced(false, &pinned);
     EXPECT_EQ(without_steal, expect) << "result depends on the schedule";
-    EXPECT_EQ(pinned_stats.tasks_stolen, 0u);
-    EXPECT_EQ(pinned_stats.tasks_lost, 0u);
+    EXPECT_EQ(pinned["tg.tasks_stolen"], 0u);
+    EXPECT_EQ(pinned["tg.tasks_lost"], 0u);
     rmi_fence();
   });
 }
@@ -247,16 +249,16 @@ TEST(task_graph_test, StealHalfGrantsBatchesAndPreservesResults)
     long expect = 0;
     for (int i = 0; i < 32; ++i)
       expect += static_cast<long>(i) * i;
-    task_graph_stats stats;
+    metrics::counter_map stats;
     long const got = run_imbalanced(true, &stats, 32);
     EXPECT_EQ(got, expect);
-    EXPECT_EQ(stats.tasks_run, 32u + num_locations());
-    EXPECT_GT(stats.tasks_stolen, 0u);
-    EXPECT_EQ(stats.tasks_stolen, stats.tasks_lost);
+    EXPECT_EQ(stats["tg.tasks_run"], 32u + num_locations());
+    EXPECT_GT(stats["tg.tasks_stolen"], 0u);
+    EXPECT_EQ(stats["tg.tasks_stolen"], stats["tg.tasks_lost"]);
     // Every grant carries at least one task, and with a 32-task backlog
     // the first grants carry many — batching is visible as more tasks
     // stolen than probe round trips that returned work.
-    EXPECT_GE(stats.tasks_stolen, stats.steal_grants);
+    EXPECT_GE(stats["tg.tasks_stolen"], stats["tg.steal_grants"]);
     rmi_fence();
   });
 }
@@ -332,6 +334,7 @@ TEST(task_graph_test, TwoVictimStealPrefersCacheWarmVictim)
 TEST(task_graph_test, NonStealableTasksStayHome)
 {
   execute(4, [] {
+    metrics::reset_all();
     task_graph<long> tg; // stealing on, but nothing is marked stealable
     for (int i = 0; i < 8; ++i) {
       tg.add_task(0, [](std::vector<long> const&, char const&) {
@@ -340,9 +343,9 @@ TEST(task_graph_test, NonStealableTasksStayHome)
       });
     }
     tg.execute();
-    auto const stats = tg.global_stats();
-    EXPECT_EQ(stats.tasks_stolen, 0u);
-    EXPECT_EQ(stats.tasks_run, 8u);
+    auto const stats = metrics::global_snapshot();
+    EXPECT_EQ(stats.at("tg.tasks_stolen"), 0u);
+    EXPECT_EQ(stats.at("tg.tasks_run"), 8u);
     rmi_fence();
   });
 }
@@ -451,6 +454,7 @@ TEST(task_graph_test, ChunkTasksExactlyOnceUnderConcurrentMigration)
     // descriptor deliberately owned by the *next* location over, each
     // payload must be forwarded producer→owner while the migration churn
     // runs.
+    metrics::reset_all();
     task_graph<char, gid_sequence<gid1d>> tg;
     auto local = tg_detail::make_descriptors(
         tg_detail::chunk_gids(pa.local_gids(), 16), sizeof(long));
@@ -489,10 +493,10 @@ TEST(task_graph_test, ChunkTasksExactlyOnceUnderConcurrentMigration)
       EXPECT_EQ(pa.get_element(g), 1) << "gid " << g;
 
     // Every chunk's payload crossed producer→owner exactly once.
-    auto const stats = tg.global_stats();
+    auto const stats = metrics::global_snapshot();
     auto const total_chunks = allreduce(my_chunks, std::plus<>{});
-    EXPECT_EQ(stats.payload_forwards, total_chunks);
-    EXPECT_GT(stats.spawn_bytes, 0u);
+    EXPECT_EQ(stats.at("tg.payload_forwards"), total_chunks);
+    EXPECT_GT(stats.at("tg.spawn_bytes"), 0u);
 
     // And the traversal after the dust settles covers the domain exactly.
     auto const total = allreduce(pa.local_gids().size(), std::plus<>{});

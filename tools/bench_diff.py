@@ -21,9 +21,6 @@ exit 0.
 Benches carrying a ``"latency"`` section (per-op-family histogram
 quantiles, see bench_common.hpp) get a latency table — p50/p99/p999/max
 are unambiguously lower-is-better, so growth past REGRESSION_PCT warns.
-Benches carrying a ``"timeseries"`` array (bench_serve) additionally
-compare the median steady-window serve.op p99 against the previous main
-artifact and warn past SERVE_REGRESSION_PCT.
 
 Benches carrying a scaling sweep (a top-level ``"sweeps"`` array, see
 bench/scaling_harness.hpp) get curve-aware treatment: points are matched
@@ -48,7 +45,6 @@ import sys
 from pathlib import Path
 
 REGRESSION_PCT = 10.0
-SERVE_REGRESSION_PCT = 15.0  # steady-window serve p99 vs previous main
 
 LOWER_IS_BETTER_SUFFIXES = ("_s", "_bytes", "_ns", "_us")
 LOWER_IS_BETTER_NAMES = {
@@ -214,51 +210,6 @@ def diff_latency(name, prev_bench, cur_bench):
          "| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
         + lines + ["", "</details>", ""]
     )
-
-
-def steady_p99(bench, family="serve.op"):
-    """Median p99 of the bench's steady-labelled timeseries windows."""
-    ts = bench.get("timeseries")
-    if not isinstance(ts, list):
-        return None
-    vals = []
-    for w in ts:
-        if not isinstance(w, dict) or w.get("label") != "steady":
-            continue
-        op = w.get("ops", {}).get(family) if isinstance(w.get("ops"), dict) \
-            else None
-        if isinstance(op, dict) and isinstance(op.get("p99_ns"), (int, float)):
-            vals.append(op["p99_ns"])
-    if not vals:
-        return None
-    vals.sort()
-    return vals[len(vals) // 2]
-
-
-def diff_timeseries(name, prev_bench, cur_bench):
-    """Compares the serving timeseries' steady-state p99 against the
-    previous main artifact: the serve-smoke tail-latency signal.  Uses the
-    median of steady windows (waves and flash crowds excluded) so one
-    noisy window doesn't trip the warning; threshold SERVE_REGRESSION_PCT,
-    still non-gating."""
-    old, new = steady_p99(prev_bench), steady_p99(cur_bench)
-    if old is None or new is None:
-        return []
-    bench = name.removeprefix("BENCH_")
-    delta = fmt_delta(old, new)
-    lines = [f"**{bench}** — steady-window serve.op p99: "
-             f"{old} → {new} ns ({delta if delta is not None else 'n/a'})",
-             ""]
-    if old > 0:
-        pct = 100.0 * (new - old) / old
-        if pct > SERVE_REGRESSION_PCT:
-            print(
-                f"::warning title=Serve p99 regression ({bench})::"
-                f"steady-window serve.op p99 {pct:+.1f}% vs previous main "
-                f"run (threshold {SERVE_REGRESSION_PCT:.0f}%, non-blocking)",
-                file=sys.stderr,
-            )
-    return lines
 
 
 def sweep_points(bench):
@@ -520,10 +471,6 @@ def main(argv=None):
         latency_lines = diff_latency(name, prev[name], cur[name])
         if latency_lines:
             print("\n".join(latency_lines))
-            printed += 1
-        ts_lines = diff_timeseries(name, prev[name], cur[name])
-        if ts_lines:
-            print("\n".join(ts_lines))
             printed += 1
         curve_lines = render_curves(name, cur[name], prev[name])
         if curve_lines:

@@ -150,31 +150,13 @@ def test_metrics_direction_warning():
 
 
 # ---------------------------------------------------------------------------
-# Latency quantiles and the serving timeseries
+# Latency quantiles
 # ---------------------------------------------------------------------------
 
 def latency_section(p99=5000, p999=20000):
-    return {"serve.op": {"count": 1000, "sum_ns": 2_000_000, "p50_ns": 1500,
+    return {"rmi.sync": {"count": 1000, "sum_ns": 2_000_000, "p50_ns": 1500,
                          "p90_ns": 3000, "p99_ns": p99, "p999_ns": p999,
                          "max_ns": p999 * 2}}
-
-
-def timeseries(steady_p99s, wave_p99=400_000):
-    ts = []
-    for i, p99 in enumerate(steady_p99s):
-        ts.append({"t_ms": 100 * i, "label": "steady",
-                   "ops": {"serve.op": {"count": 500, "p50_ns": 1000,
-                                        "p90_ns": 2000, "p99_ns": p99,
-                                        "p999_ns": p99 * 4,
-                                        "max_ns": p99 * 10}},
-                   "counters": {}})
-    ts.append({"t_ms": 100 * len(steady_p99s), "label": "wave",
-               "ops": {"serve.op": {"count": 500, "p50_ns": 1500,
-                                    "p90_ns": 10_000, "p99_ns": wave_p99,
-                                    "p999_ns": wave_p99 * 2,
-                                    "max_ns": wave_p99 * 3}},
-               "counters": {}})
-    return ts
 
 
 def test_latency_table_renders_and_tail_regression_warns():
@@ -183,12 +165,12 @@ def test_latency_table_renders_and_tail_regression_warns():
         a, b = table_bench(seconds=1.0), table_bench(seconds=1.0)
         a["latency"] = latency_section(p99=5000)
         b["latency"] = latency_section(p99=9000)  # +80% p99
-        write_bench(prev, "serve", a)
-        write_bench(cur, "serve", b)
+        write_bench(prev, "lat", a)
+        write_bench(cur, "lat", b)
         rc, out, err = run_main([prev, cur])
         assert rc == 0
         assert "latency quantiles" in out
-        assert "serve.op" in out
+        assert "rmi.sync" in out
         assert "::warning" in err and "p99_ns" in err
 
 
@@ -198,49 +180,12 @@ def test_latency_improvement_does_not_warn():
         a, b = table_bench(seconds=1.0), table_bench(seconds=1.0)
         a["latency"] = latency_section(p99=9000)
         b["latency"] = latency_section(p99=5000)  # got faster
-        write_bench(prev, "serve", a)
-        write_bench(cur, "serve", b)
+        write_bench(prev, "lat", a)
+        write_bench(cur, "lat", b)
         rc, out, err = run_main([prev, cur])
         assert rc == 0
         assert "latency quantiles" in out
         assert "p99_ns" not in err
-
-
-def test_serve_steady_p99_regression_warns_at_15_pct():
-    with tempfile.TemporaryDirectory() as prev, \
-            tempfile.TemporaryDirectory() as cur:
-        a, b = table_bench(seconds=1.0), table_bench(seconds=1.0)
-        a["timeseries"] = timeseries([5000, 5200, 5100])
-        b["timeseries"] = timeseries([6500, 6400, 6600])  # ~ +25% median
-        write_bench(prev, "serve", a)
-        write_bench(cur, "serve", b)
-        rc, out, err = run_main([prev, cur])
-        assert rc == 0
-        assert "steady-window serve.op p99" in out
-        assert "Serve p99 regression" in err
-
-
-def test_serve_steady_p99_uses_median_and_ignores_waves():
-    """One noisy steady window must not trip the warning (median), and the
-    huge wave-window p99 must be excluded from the comparison."""
-    with tempfile.TemporaryDirectory() as prev, \
-            tempfile.TemporaryDirectory() as cur:
-        a, b = table_bench(seconds=1.0), table_bench(seconds=1.0)
-        a["timeseries"] = timeseries([5000, 5200, 5100])
-        # Median of [5100, 5150, 90000] is 5150: +1% vs prev median 5100.
-        b["timeseries"] = timeseries([5100, 90_000, 5150],
-                                     wave_p99=10_000_000)
-        write_bench(prev, "serve", a)
-        write_bench(cur, "serve", b)
-        rc, out, err = run_main([prev, cur])
-        assert rc == 0
-        assert "Serve p99 regression" not in err
-
-
-def test_steady_p99_helper_handles_missing_data():
-    assert bench_diff.steady_p99({}) is None
-    assert bench_diff.steady_p99({"timeseries": []}) is None
-    assert bench_diff.steady_p99({"timeseries": [{"label": "wave"}]}) is None
 
 
 # ---------------------------------------------------------------------------
