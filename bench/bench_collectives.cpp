@@ -8,11 +8,11 @@
 //      oversubscribed thread-backed locations.
 //   2. tree/flat crossover summary — smallest measured P at which the tree
 //      beats the flat exchange per primitive.
-//   3. sender-side aggregation on the steal-heavy Zipf workload at P=8:
-//      the same imbalanced chunk graph run with aggregation disabled
-//      (aggregation=1) vs the default batching (16 RMIs or
-//      agg_max_bytes per message), comparing wall time, messages sent,
-//      and the coll.agg_* batching counters.
+//   3. sender-side aggregation on a Zipf chunk workload at P=8: the same
+//      owner-pinned chunk graph run with aggregation disabled
+//      (aggregation=1) vs the default batching (16 RMIs or agg_max_bytes
+//      per message), comparing wall time, messages sent, and the
+//      coll.agg_* batching counters.
 //
 // Run with --json to also write BENCH_collectives.json.
 // --pmax N caps the swept location counts (default 64).
@@ -114,8 +114,7 @@ primitive const primitives[] = {
     {"allgather", run_allgather},
 };
 
-/// Work units of `chunks` Zipf(s=1)-sized chunks totalling ~`total` (the
-/// bench_taskgraph adversarial placement: the whole head on location 0).
+/// Work units of `chunks` Zipf(s=1)-sized chunks totalling ~`total`.
 std::vector<std::size_t> zipf_sizes(std::size_t chunks, std::size_t total)
 {
   double h = 0.0;
@@ -134,7 +133,6 @@ struct agg_result {
   std::uint64_t msgs = 0;
   std::uint64_t batches = 0;
   std::uint64_t batch_bytes = 0;
-  std::uint64_t stolen = 0;
 };
 
 /// Per-location accumulator for the scattered per-unit results.
@@ -155,15 +153,16 @@ class result_sink : public p_object {
   std::atomic<long> m_sum{0};
 };
 
-/// The steal-heavy Zipf chunk graph at P=8 under a given aggregation
-/// setting.  Each chunk finishes by scattering one small per-unit result
+/// The Zipf chunk graph at P=8 under a given aggregation setting: chunks
+/// are dealt to locations in blocks, so the head lands on location 0.
+/// Each chunk finishes by scattering one small per-unit result
 /// RMI to the unit's home location (u mod P) — the fine-grained
 /// element-update pattern sender-side aggregation exists for.  The burst
 /// is emitted without polling, so with batching on, the per-destination
 /// buffers coalesce it into ~units/P-sized messages; with aggregation=1
 /// every update is its own message.  Exactly-once is asserted: the
 /// global hit count must equal the total unit count either way.
-agg_result run_zipf_steal(unsigned aggregation)
+agg_result run_zipf_chunks(unsigned aggregation)
 {
   std::chrono::microseconds const unit{100};
   std::size_t const chunks = 24;
@@ -175,7 +174,7 @@ agg_result run_zipf_steal(unsigned aggregation)
 
   agg_result res;
   std::atomic<double> sec{0.0};
-  std::atomic<std::uint64_t> msgs{0}, batches{0}, bytes{0}, stolen{0};
+  std::atomic<std::uint64_t> msgs{0}, batches{0}, bytes{0};
   execute(cfg, [&] {
     auto const sizes = zipf_sizes(chunks, total_units);
     std::size_t expected_hits = 0;
@@ -192,16 +191,11 @@ agg_result run_zipf_steal(unsigned aggregation)
     unsigned const p = static_cast<unsigned>(num_locations());
 
     task_graph<char> tg;
-    tg.set_stealing(true);
     for (std::size_t r = 0; r < chunks; ++r) {
-      task_options stealable;
-      stealable.stealable = true;
-      stealable.weight = sizes[r];
       std::size_t const units = sizes[r];
       tg.add_task(
           owner[r],
-          [units, unit, sink_handle, p, r](std::vector<char> const&,
-                                           char const&) {
+          [units, unit, sink_handle, p, r](std::vector<char> const&) {
             for (std::size_t u = 0; u < units; ++u) {
               std::this_thread::sleep_for(unit);
               rmi_poll();
@@ -213,8 +207,7 @@ agg_result run_zipf_steal(unsigned aggregation)
                   static_cast<location_id>(u % p), sink_handle,
                   &result_sink::note, static_cast<long>(r * 1000 + u));
             return char{};
-          },
-          {}, stealable);
+          });
     }
     double const s = bench::timed_kernel([&] { tg.execute(); });
     auto const delivered =
@@ -233,7 +226,6 @@ agg_result run_zipf_steal(unsigned aggregation)
       msgs.store(g.at("rmi.msgs_sent"));
       batches.store(g.at("coll.agg_batches"));
       bytes.store(g.at("coll.agg_bytes"));
-      stolen.store(g.at("tg.tasks_stolen"));
     }
     rmi_fence(); // sink destruction is collective
   });
@@ -241,7 +233,6 @@ agg_result run_zipf_steal(unsigned aggregation)
   res.msgs = msgs.load();
   res.batches = batches.load();
   res.batch_bytes = bytes.load();
-  res.stolen = stolen.load();
   return res;
 }
 
@@ -297,20 +288,19 @@ int main(int argc, char** argv)
     bench::endrow();
   }
 
-  // Aggregation win on the steal-heavy Zipf workload at P=8.  agg=1
+  // Aggregation win on the Zipf chunk workload at P=8.  agg=1
   // disables coalescing (every RMI is its own message); the default
   // batches up to 16 RMIs (or agg_max_bytes) per destination per flush.
-  bench::table_header("sender-side aggregation (Zipf steal workload, P=8)",
+  bench::table_header("sender-side aggregation (Zipf chunk workload, P=8)",
                       {"aggregation", "seconds", "msgs_sent", "agg_batches",
-                       "agg_bytes", "stolen"});
+                       "agg_bytes"});
   for (unsigned agg : {1u, 16u}) {
-    auto const r = run_zipf_steal(agg);
+    auto const r = run_zipf_chunks(agg);
     bench::cell(static_cast<std::size_t>(agg));
     bench::cell(r.seconds);
     bench::cell(static_cast<std::size_t>(r.msgs));
     bench::cell(static_cast<std::size_t>(r.batches));
     bench::cell(static_cast<std::size_t>(r.batch_bytes));
-    bench::cell(static_cast<std::size_t>(r.stolen));
     bench::endrow();
   }
   return 0;

@@ -108,7 +108,7 @@ inline void json_flush_table()
 
 /// Serializes the process-wide metrics accumulator (every counter family
 /// the runtime folded at the end of each execute()) as one JSON object, so
-/// comm volume and steal behaviour are regression-tracked next to the
+/// comm volume and task-graph counters are regression-tracked next to the
 /// timing tables.
 [[nodiscard]] inline std::string json_metrics()
 {

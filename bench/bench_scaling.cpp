@@ -1,5 +1,5 @@
 // Scaling & scenario suite: strong/weak scaling sweeps over the declared
-// harness axes (P, steal, grain) for six kernels — the core
+// harness axes (P, grain) for six kernels — the core
 // p_algorithms (for_each, map_reduce, partial_sum, sample_sort) plus the
 // two scenarios the paper's figures never stressed:
 //
@@ -11,7 +11,7 @@
 //     (synchronous find_val reads, insert_async writes, apply_async
 //     updates, one local scan per round).
 //
-// Default axes are the CI-smoke "lite" sweep (steal on, grain auto);
+// Default axes are the CI-smoke "lite" sweep (grain auto);
 // --full opts into the complete cross product; --pmax K caps the location
 // list (powers of two up to K).  With --json the per-point results land in
 // BENCH_scaling.json under "sweeps" (timing + efficiency + the per-point
@@ -36,7 +36,7 @@ using bench::scaling::sweep_point;
 
 stapl::exec_policy policy_of(sweep_point const& pt)
 {
-  return stapl::exec_policy{pt.grain, pt.steal, pt.steal};
+  return stapl::exec_policy{pt.grain};
 }
 
 /// p_for_each over a pArray: per-element arithmetic, the baseline
@@ -197,7 +197,6 @@ int main(int argc, char** argv)
 
   sc::axes ax;
   if (full) {
-    ax.steal = {true, false};
     ax.grains = {0, 256};
     ax.p_list = {1, 2, 4, 8};
   }

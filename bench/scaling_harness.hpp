@@ -5,7 +5,7 @@
 //
 // A *kernel* is a named SPMD body plus a base problem size; the harness
 // crosses it with the sweep axes — location count P, strong/weak scaling
-// mode, stealing on/off and grain auto/fixed — runs one stapl::execute per
+// mode and grain auto/fixed — runs one stapl::execute per
 // sweep point, and reports per-point wall time, parallel efficiency against
 // the P=1 point of the same series, and the `metrics::global_snapshot()`
 // delta of that execution (threads are fresh per execute, so the
@@ -16,7 +16,7 @@
 //   weak:    e(P) = t1 / tP         (fixed N per location: N = base_n * P)
 //
 // Output: tables through the bench_common row/column mirror (one table per
-// kernel x mode, rows keyed "steal/grain/pP" for the row-matching differ)
+// kernel x mode, rows keyed "g:<grain>/pP" for the row-matching differ)
 // plus a machine-first "sweeps" JSON array attached to
 // BENCH_scaling.json via bench::set_extra_json — the input of
 // bench_diff.py's curve-aware diffing.
@@ -45,7 +45,6 @@ enum class scale_mode { strong, weak };
 struct axes {
   std::vector<unsigned> p_list{1, 2, 4};
   std::vector<scale_mode> modes{scale_mode::strong, scale_mode::weak};
-  std::vector<bool> steal{true};
   std::vector<std::size_t> grains{0};  ///< 0 = auto (default_grain)
 };
 
@@ -53,7 +52,6 @@ struct axes {
 struct sweep_point {
   std::string kernel;
   scale_mode mode = scale_mode::strong;
-  bool steal = true;
   std::size_t grain = 0;  ///< 0 = auto
   unsigned p = 1;
   std::size_t n = 0;
@@ -83,8 +81,7 @@ struct sweep_point {
 /// computed within a series; the differ matches curves by this key + p.
 [[nodiscard]] inline std::string series_key(sweep_point const& pt)
 {
-  return pt.kernel + '/' + name(pt.mode) +
-         (pt.steal ? "/steal" : "/nosteal") + "/g:" +
+  return pt.kernel + '/' + name(pt.mode) + "/g:" +
          (pt.grain == 0 ? std::string("auto") : std::to_string(pt.grain));
 }
 
@@ -98,17 +95,16 @@ struct kernel_def {
 };
 
 /// All sweep points of one kernel, deterministically ordered:
-/// mode > steal > grain > p, with p ascending so the P=1
+/// mode > grain > p, with p ascending so the P=1
 /// baseline of every series precedes the rest of its curve.
 [[nodiscard]] inline std::vector<sweep_point>
 enumerate(std::string const& kernel, std::size_t base_n, axes const& ax)
 {
   std::vector<sweep_point> out;
   for (scale_mode m : ax.modes)
-    for (bool s : ax.steal)
-      for (std::size_t g : ax.grains)
-        for (unsigned p : ax.p_list)
-          out.push_back({kernel, m, s, g, p, problem_size(m, base_n, p)});
+    for (std::size_t g : ax.grains)
+      for (unsigned p : ax.p_list)
+        out.push_back({kernel, m, g, p, problem_size(m, base_n, p)});
   return out;
 }
 
@@ -242,7 +238,6 @@ metrics_json(stapl::metrics::counter_map const& m)
     first = false;
     out += "    {\"kernel\": " + detail::json_quote(r.pt.kernel) +
            ", \"mode\": " + detail::json_quote(name(r.pt.mode)) +
-           ", \"steal\": " + (r.pt.steal ? "true" : "false") +
            ", \"grain\": " +
            detail::json_quote(r.pt.grain == 0 ? "auto"
                                               : std::to_string(r.pt.grain)) +
@@ -258,7 +253,7 @@ metrics_json(stapl::metrics::counter_map const& m)
 }
 
 /// Prints one table per kernel x mode through the bench_common mirror.
-/// The row key ("steal/grain/pP") is unique within a table, so
+/// The row key ("g:<grain>/pP") is unique within a table, so
 /// the classic row-matching differ tracks every point too.
 inline void print_tables(std::vector<point_result> const& rs)
 {
@@ -271,7 +266,7 @@ inline void print_tables(std::vector<point_result> const& rs)
       bench::table_header(
           r.pt.kernel + " (" + name(r.pt.mode) + " scaling)",
           {"point", "n", "seconds", "efficiency"});
-    std::string key = std::string(r.pt.steal ? "steal" : "nosteal") + "/g:" +
+    std::string key = "g:" +
                       (r.pt.grain == 0 ? std::string("auto")
                                        : std::to_string(r.pt.grain)) +
                       "/p" + std::to_string(r.pt.p);

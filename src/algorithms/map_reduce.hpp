@@ -5,19 +5,14 @@
 // Ch. XII.C.1, Fig. 59: counting word occurrences across a corpus).
 //
 // The map phase runs as chunk tasks on the task-graph executor
-// (runtime/task_graph.hpp), coarsened through the view's chunk
-// descriptors (runtime/locality.hpp) like every chunked factory —
-// including the metadata-only spawn exchange: stealable map phases
-// replicate chunk wire forms only, never the GID runs.  Each
-// chunk maps its elements to (key, value) pairs and pre-combines them in
-// a location-local table (the classic combiner optimization) — one table
-// per location, shared by all of that location's chunk tasks, and by any
-// chunk a thief runs on its own replica, so stealing redistributes
-// combine work without changing the result.  After the map graph drains,
-// each location flushes its combined
-// pairs into the distributed pHashMap with asynchronous
-// accumulate-updates: the shuffle is one asynchronous RMI per distinct
-// (location, key) rather than per emitted pair.
+// (runtime/task_graph.hpp), coarsened like every chunked factory.  Each
+// chunk maps its elements to (key, value) pairs and pre-combines them in a
+// location-local table (the classic combiner optimization) — one table per
+// location, shared by all of that location's chunk tasks.  After the map
+// graph drains, each location flushes its combined pairs into the
+// distributed pHashMap with asynchronous accumulate-updates: the shuffle
+// is one asynchronous RMI per distinct (location, key) rather than per
+// emitted pair.
 
 #include <cstddef>
 #include <unordered_map>
@@ -33,7 +28,7 @@ namespace stapl {
 /// options for map_reduce_into
 struct map_reduce_options {
   bool use_combiner = true; ///< pre-combine locally before the shuffle
-  exec_policy policy = {};  ///< chunking/stealing of the map phase
+  exec_policy policy = {};  ///< chunking of the map phase
 };
 
 /// Runs MapReduce: for every element of `view`, `mapper(element, emit)` may
@@ -48,18 +43,16 @@ void map_reduce_into(View view, Mapper mapper, Reducer reducer,
   auto flush = [&out, reducer](K const& k, V const& v) {
     out.apply_async(k, [v, reducer](V& cur) { cur = reducer(cur, v); });
   };
-  auto shared_mapper = std::make_shared<Mapper>(std::move(mapper));
-
   if (opts.use_combiner) {
-    // One combiner table per location (chunk tasks executing here — owned
-    // or stolen — all fold into it; it is flushed below once the map graph
-    // has drained everywhere).
+    // One combiner table per location (every chunk task of this location
+    // folds into it; it is flushed below once the map graph has drained
+    // everywhere).
     std::unordered_map<K, V, Hash> combined;
     tg_detail::chunked_for_each_gid(
         view, opts.policy,
-        [shared_mapper, view, &combined,
+        [mapper = std::move(mapper), view, &combined,
          reducer](typename View::gid_type g) mutable {
-          (*shared_mapper)(view.read(g), [&](K k, V v) {
+          mapper(view.read(g), [&](K k, V v) {
             auto [it, inserted] = combined.emplace(std::move(k), v);
             if (!inserted)
               it->second = reducer(it->second, v);
@@ -70,9 +63,9 @@ void map_reduce_into(View view, Mapper mapper, Reducer reducer,
   } else {
     tg_detail::chunked_for_each_gid(
         view, opts.policy,
-        [shared_mapper, view, flush](typename View::gid_type g) mutable {
-          (*shared_mapper)(view.read(g),
-                           [&](K k, V v) { flush(k, v); });
+        [mapper = std::move(mapper), view,
+         flush](typename View::gid_type g) mutable {
+          mapper(view.read(g), [&](K k, V v) { flush(k, v); });
         });
   }
   rmi_fence();

@@ -4,21 +4,12 @@
 // Generic pAlgorithms (dissertation Ch. III, VIII.C), expressed as
 // task-graph factories (runtime/task_graph.hpp).
 //
-// Every algorithm coarsens its view into chunk *descriptors* (GID run +
-// owning location + cached-at hint + byte estimate; runtime/locality.hpp)
-// — many per location, granularity from exec_policy, or from
-// default_grain filtered through the container's adaptive grain hint —
-// and runs them on the distributed executor, which places each chunk task
-// on its descriptor's owner and schedules steals against the locality
-// annotations.  No algorithm call site handles raw GID vectors: the
-// descriptor carries the locality metadata end-to-end, and on stealable
-// paths only its compact wire form is replicated — the run-encoded GID
-// payload stays with its producer (attached locally or forwarded
-// point-to-point to a remote owner; see task_graph.hpp).  Element access
-// takes the direct-reference fast path when local (native/aligned views)
-// and the shared-object read/write path otherwise, so chunk tasks are
-// location-transparent: opting a chunk into stealing
-// (exec_policy::stealable) changes where it runs, never what it computes.
+// Every algorithm coarsens its view into chunk tasks — many per location,
+// ~grain elements each (exec_policy, or default_grain) — and runs them on
+// the task-graph executor, each chunk on the location whose bView it
+// covers.  Element access takes the direct-reference fast path when local
+// (native/aligned views) and the shared-object read/write path otherwise,
+// so repartitioning views compute the same result as aligned ones.
 // Reductions and scans chain partial results through value-carrying
 // dependence edges instead of allgather+fence rounds.  Every algorithm
 // still ends at a fence (inside task_graph::execute) and the views'
@@ -29,7 +20,6 @@
 #include <cassert>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -77,10 +67,9 @@ void apply_element(View& v, typename View::gid_type g, F& f)
 template <typename View, typename WF>
 void p_for_each_gid(View v, WF wf, exec_policy pol = {})
 {
-  auto shared_wf = std::make_shared<WF>(std::move(wf));
   tg_detail::chunked_for_each_gid(
-      v, pol, [shared_wf, v](typename View::gid_type g) mutable {
-        auto f = [&](auto& x) { (*shared_wf)(g, x); };
+      v, pol, [wf = std::move(wf), v](typename View::gid_type g) mutable {
+        auto f = [&](auto& x) { wf(g, x); };
         algo_detail::apply_element(v, g, f);
       });
   v.post_execute();
@@ -261,7 +250,6 @@ void p_partial_sum(InC& in, OutC& out, Op op = {})
 
   std::size_t const nparts = in.partition().size();
   task_graph<EV> tg;
-  tg.set_stealing(false);  // every task touches owner-local bContainers
   using tid = typename task_graph<EV>::task_id;
 
   std::vector<tid> chain(nparts);
@@ -269,7 +257,7 @@ void p_partial_sum(InC& in, OutC& out, Op op = {})
     location_id const loc = in.mapper().map(b);
     // Leaf: fold this block's elements.
     tid const fold = tg.add_task(
-        loc, [&in, b, op](std::vector<EV> const& /*ins*/, char const&) {
+        loc, [&in, b, op](std::vector<EV> const& /*ins*/) {
           auto const& bc = in.bc(b);
           EV acc{T{}, false};
           for (std::size_t i = 0; i != bc.size(); ++i)
@@ -279,7 +267,7 @@ void p_partial_sum(InC& in, OutC& out, Op op = {})
         });
     // Chain: running total through block b (inputs: previous total, fold).
     chain[b] = tg.add_task(
-        loc, [op](std::vector<EV> const& ins, char const&) {
+        loc, [op](std::vector<EV> const& ins) {
           EV acc{T{}, false};
           for (auto const& x : ins) {
             if (!x.second)
@@ -293,7 +281,7 @@ void p_partial_sum(InC& in, OutC& out, Op op = {})
     tg.add_dependence(fold, chain[b]);
     // Rescan: rewrite block b with the prefix before it as offset.
     tid const rescan = tg.add_task(
-        loc, [&in, &out, b, op](std::vector<EV> const& ins, char const&) {
+        loc, [&in, &out, b, op](std::vector<EV> const& ins) {
           EV const off = ins.empty() ? EV{T{}, false} : ins[0];
           auto const& ibc = in.bc(b);
           T run = off.first;

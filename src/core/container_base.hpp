@@ -39,13 +39,11 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
 
-#include "../runtime/locality.hpp"
 #include "../runtime/runtime.hpp"
 #include "directory.hpp"
 #include "load_balancer.hpp"
@@ -288,83 +286,6 @@ class p_container_base : public p_object {
   [[nodiscard]] unsigned epoch_interval() const noexcept
   {
     return m_lb_interval;
-  }
-
-  // -------------------------------------------------------------------------
-  // Locality pipeline (runtime/locality.hpp): per-container feedback state
-  // shared between the views (which produce chunk descriptors), the
-  // task-graph executor (which reports where chunks ran and how much they
-  // moved) and the load balancer (which folds the executor's counters into
-  // its load model).
-  // -------------------------------------------------------------------------
-
-  /// Chunking grain for this container: the executor's default scaled by
-  /// the adaptive factor fed back from previous graphs' steal/idle
-  /// counters.  Views forward their tuned_grain here.
-  [[nodiscard]] std::size_t tuned_grain(std::size_t base) const
-  {
-    std::lock_guard lock(m_locality_mutex);
-    return m_grain.apply(base);
-  }
-
-  /// Current adaptive grain multiplier (1.0 until feedback arrives).
-  [[nodiscard]] double grain_factor() const
-  {
-    std::lock_guard lock(m_locality_mutex);
-    return m_grain.factor();
-  }
-
-  /// Executor feedback: adapts the grain factor and accumulates the
-  /// epoch's task-graph counters — the load balancer's second signal
-  /// alongside the directory's access counts.
-  void note_task_graph_stats(task_graph_stats const& s)
-  {
-    std::lock_guard lock(m_locality_mutex);
-    m_grain.note(s);
-    m_tg_epoch += s;
-  }
-
-  /// Task-graph counters accumulated since the last reset_task_stats().
-  [[nodiscard]] task_graph_stats epoch_task_stats() const
-  {
-    std::lock_guard lock(m_locality_mutex);
-    return m_tg_epoch;
-  }
-
-  /// Ends the task-stats measurement epoch (rebalance() calls this next to
-  /// directory::reset_epoch, so both signals measure the same window).
-  void reset_task_stats()
-  {
-    std::lock_guard lock(m_locality_mutex);
-    m_tg_epoch = {};
-  }
-
-  /// Placement feedback: a chunk covering GID digests [lo, hi] executed at
-  /// `where` in the previous graph — its data is warm there.
-  void note_chunk_placement(std::uint64_t lo, std::uint64_t hi,
-                            location_id where)
-  {
-    std::lock_guard lock(m_locality_mutex);
-    m_affinity.note(lo, hi, where);
-  }
-
-  /// Cached-at hint for chunks covering [lo, hi] (invalid_location when no
-  /// placement has been observed).  Views stamp descriptors with this.
-  [[nodiscard]] location_id chunk_affinity(std::uint64_t lo,
-                                           std::uint64_t hi) const
-  {
-    std::lock_guard lock(m_locality_mutex);
-    return m_affinity.lookup(lo, hi);
-  }
-
-  /// Same lookup off a descriptor's wire form — the digest bounds peers
-  /// and the executor's placement feedback actually see, so the hint a
-  /// view stamps and the hint a thief's victim ranking reads cannot
-  /// diverge.
-  [[nodiscard]] location_id chunk_affinity(chunk_wire const& w) const
-  {
-    return w.has_digest ? chunk_affinity(w.digest_lo, w.digest_hi)
-                        : invalid_location;
   }
 
   /// Framework-internal: drops the dynamic-resolution bookkeeping of an
@@ -683,12 +604,6 @@ class p_container_base : public p_object {
   unsigned m_lb_interval = 1;    ///< effective interval (auto-tuned)
   unsigned m_lb_countdown = 0;   ///< epochs until the next wave (0 = never)
   double m_lb_last_imbalance = 1.0;
-  /// Locality-pipeline feedback state (mutex-guarded, like the
-  /// directory's state).
-  mutable std::mutex m_locality_mutex;
-  grain_tuner m_grain;
-  task_graph_stats m_tg_epoch;
-  chunk_affinity_table m_affinity;
   /// bCID of migrated-in elements that do not belong to a local bContainer
   /// per the closed-form partition (value == migrated_bcid when the element
   /// lives in m_migrated).

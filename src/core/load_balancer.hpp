@@ -33,7 +33,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -42,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "../runtime/locality.hpp"
 #include "../runtime/runtime.hpp"
 #include "directory.hpp"
 #include "migration.hpp"
@@ -81,13 +79,6 @@ struct load_balancer_config {
   /// (weight-compensated), leaving the hot path a single relaxed atomic
   /// increment — measurement stops serializing the path it measures.
   unsigned access_sample = 1;
-  /// Weight of the task-graph placement signal in the load model: each
-  /// location's epoch load becomes its directory access count plus
-  /// task_stats_weight * (tasks_lost - tasks_stolen) scaled to access
-  /// units — a location whose chunks were carried off by thieves is
-  /// hotter than its access count shows, and one that pulled work in has
-  /// spare capacity.  0 disables the second signal.
-  double task_stats_weight = 1.0;
 };
 
 /// Outcome of one rebalance() wave (identical on every location).
@@ -165,21 +156,13 @@ struct planned_move {
 /// small one of equal hotness, and `max_wave_bytes` (0 = unlimited) caps
 /// the wave's total payload.  Deterministic: called with identical
 /// arguments on every location, it yields the same plan everywhere (ties
-/// break toward the lower location id).  Locations flagged in
-/// `demoted_mask` (stragglers demoted by the steal-probe detector) are
-/// skipped as receivers for the wave — piling migrated elements onto a
-/// stalled location would convert a slow peer into a hot spot — but still
-/// drain as donors.
+/// break toward the lower location id).
 template <typename GID, typename Hash = std::hash<GID>>
 [[nodiscard]] std::vector<planned_move<GID>>
 greedy_plan(std::vector<std::uint64_t> const& loads,
             std::vector<std::vector<hot_candidate<GID>>> const& hot,
-            std::size_t max_moves, std::uint64_t max_wave_bytes = 0,
-            std::uint64_t demoted_mask = 0)
+            std::size_t max_moves, std::uint64_t max_wave_bytes = 0)
 {
-  auto const is_demoted = [demoted_mask](location_id l) {
-    return l < 64 && (demoted_mask & (std::uint64_t{1} << l)) != 0;
-  };
   unsigned const p = static_cast<unsigned>(loads.size());
   std::uint64_t total = 0;
   for (auto l : loads)
@@ -230,7 +213,7 @@ greedy_plan(std::vector<std::uint64_t> const& loads,
         continue;
       location_id r = d;
       for (location_id l = 0; l < p; ++l)
-        if (l != d && !is_demoted(l) && (r == d || cur[l] < cur[r]))
+        if (l != d && (r == d || cur[l] < cur[r]))
           r = l;
       if (r == d)
         break;
@@ -295,37 +278,9 @@ rebalance_report rebalance(C& c, load_balancer_config const& cfg)
   rmi_fence();
 
   rebalance_report rep;
-  auto loads = allgather(dir.epoch_accesses());
+  auto const loads = allgather(dir.epoch_accesses());
   for (auto l : loads)
     rep.total_load += l;
-
-  // Second signal: the task-graph executor's verdict on chunk placement.
-  // tasks_lost says thieves had to carry this location's chunks away (it
-  // is hotter than its access count shows); tasks_stolen says it had the
-  // slack to pull work in.  Tasks convert into access units at the
-  // epoch's global mean accesses-per-task, so both signals share a scale
-  // and the adjusted loads stay identical on every location.
-  if constexpr (requires { c.epoch_task_stats(); }) {
-    if (cfg.task_stats_weight > 0.0) {
-      auto const tstats = allgather(c.epoch_task_stats());
-      std::uint64_t total_tasks = 0;
-      for (auto const& s : tstats)
-        total_tasks += s.tasks_run;
-      if (total_tasks != 0 && rep.total_load != 0) {
-        double const unit = static_cast<double>(rep.total_load) /
-                            static_cast<double>(total_tasks);
-        for (location_id l = 0; l < loads.size(); ++l) {
-          double const shift =
-              cfg.task_stats_weight * unit *
-              (static_cast<double>(tstats[l].tasks_lost) -
-               static_cast<double>(tstats[l].tasks_stolen));
-          double const adjusted =
-              std::max(0.0, static_cast<double>(loads[l]) + shift);
-          loads[l] = static_cast<std::uint64_t>(std::llround(adjusted));
-        }
-      }
-    }
-  }
 
   rep.imbalance_before = lb_detail::imbalance_of(loads);
   rep.imbalance_after = rep.imbalance_before;
@@ -344,14 +299,8 @@ rebalance_report rebalance(C& c, load_balancer_config const& cfg)
   auto const hot = allgather(my_hot);
   std::size_t const max_moves =
       cfg.max_moves != 0 ? cfg.max_moves : cfg.hot_k * num_locations();
-  // The demotion registry is per-process atomics read at slightly
-  // different instants per location; OR-reducing the views gives every
-  // location the identical mask the deterministic plan requires.
-  std::uint64_t const demoted = allreduce(
-      robust::demoted_mask(),
-      [](std::uint64_t a, std::uint64_t b) { return a | b; });
   auto const plan = lb_detail::greedy_plan<gid_type>(
-      loads, hot, max_moves, cfg.max_wave_bytes, demoted);
+      loads, hot, max_moves, cfg.max_wave_bytes);
 
   rep.triggered = true;
   rep.moves = plan.size();
@@ -379,8 +328,6 @@ rebalance_report rebalance(C& c, load_balancer_config const& cfg)
   rmi_fence(); // the wave (and every request it re-routed) completes
 
   dir.reset_epoch(); // next epoch measures fresh, post-move traffic
-  if constexpr (requires { c.reset_task_stats(); })
-    c.reset_task_stats(); // both signals measure the same window
   rmi_fence();
   return rep;
 }

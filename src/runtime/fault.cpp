@@ -91,8 +91,6 @@ char const* name_of(site s) noexcept
     case site::rmi_poll:    return "rmi.poll";
     case site::coll_cell:   return "coll.cell";
     case site::dir_forward: return "dir.forward";
-    case site::tg_steal:    return "tg.steal";
-    case site::tg_payload:  return "tg.payload";
     case site::migration:   return "migration";
     case site::site_count_: break;
   }
@@ -406,69 +404,4 @@ std::string last_watchdog_report()
 
 } // namespace fault
 
-namespace robust {
-
-namespace {
-std::atomic<std::uint64_t> g_demoted{0};
-std::atomic<std::uint64_t> g_probe_timeout_us{100000};
-std::atomic<unsigned> g_demote_after{3};
-
-[[nodiscard]] constexpr std::uint64_t bit_of(location_id l) noexcept
-{
-  return l < 64 ? (std::uint64_t{1} << l) : 0;
-}
-} // namespace
-
-bool demote(location_id l) noexcept
-{
-  std::uint64_t const b = bit_of(l);
-  if (b == 0)
-    return false;
-  return (g_demoted.fetch_or(b, std::memory_order_acq_rel) & b) == 0;
-}
-
-bool promote(location_id l) noexcept
-{
-  std::uint64_t const b = bit_of(l);
-  if (b == 0)
-    return false;
-  return (g_demoted.fetch_and(~b, std::memory_order_acq_rel) & b) != 0;
-}
-
-bool is_demoted(location_id l) noexcept
-{
-  return (g_demoted.load(std::memory_order_acquire) & bit_of(l)) != 0;
-}
-
-std::uint64_t demoted_mask() noexcept
-{
-  return g_demoted.load(std::memory_order_acquire);
-}
-
-void reset_demotions() noexcept
-{
-  g_demoted.store(0, std::memory_order_release);
-}
-
-std::uint64_t probe_timeout_us() noexcept
-{
-  return g_probe_timeout_us.load(std::memory_order_relaxed);
-}
-
-void set_probe_timeout_us(std::uint64_t us) noexcept
-{
-  g_probe_timeout_us.store(us, std::memory_order_relaxed);
-}
-
-unsigned demote_after() noexcept
-{
-  return g_demote_after.load(std::memory_order_relaxed);
-}
-
-void set_demote_after(unsigned strikes) noexcept
-{
-  g_demote_after.store(strikes == 0 ? 1 : strikes, std::memory_order_relaxed);
-}
-
-} // namespace robust
 } // namespace stapl

@@ -12,21 +12,19 @@
 //
 //   * fault::  — a seeded, deterministic injection registry.  Named sites
 //     (`STAPL_FAULT(site)`) inside the RMI enqueue/flush/poll paths, the
-//     collective cell protocol, directory forwarding, steal grants, payload
-//     forwards and migration consult the registry; a `fault::plan` arms a
-//     site with an action (message delay through a held-then-delivered
-//     queue, duplication, reordering, allocation failure, or a location
-//     stall) triggered every Nth hit or with a seeded probability.
+//     collective cell protocol, directory forwarding and migration consult
+//     the registry; a `fault::plan` arms a site with an action (message
+//     delay through a held-then-delivered queue, duplication, reordering,
+//     allocation failure, or a location stall) triggered every Nth hit or
+//     with a seeded probability.
 //     Decisions are a pure function of (seed, site, location, per-site hit
 //     count), so an identical seed + plan replays an identical per-location
 //     injection trace regardless of thread interleaving.  Disabled cost is
 //     one relaxed atomic load per site, exactly like STAPL_TRACE.
 //
-//   * robust:: — counters and registries of the hardening machinery: the
-//     deadline-aware backoff's retry escalations, receiver-side duplicate
-//     suppression, hang-watchdog dumps, and the straggler demotion set fed
-//     by steal-probe timeouts (consumed by steal_victim_order and the load
-//     balancer, re-promoted when the straggler answers again).
+//   * robust:: — counters of the hardening machinery: the deadline-aware
+//     backoff's retry escalations, receiver-side duplicate suppression and
+//     hang-watchdog dumps.
 //
 // Configuration: programmatic (`fault::add_plan` + `fault::arm(seed)`,
 // outside stapl::execute) or via `STAPL_FAULTS=` in the environment, e.g.
@@ -58,8 +56,6 @@ enum class site : std::uint8_t {
   rmi_poll,     ///< runtime.hpp poll_once: location stall (straggler nap)
   coll_cell,    ///< collectives.hpp cell publish: stall
   dir_forward,  ///< directory.hpp send_forward: stall
-  tg_steal,     ///< task_graph.hpp handle_steal_request: stall / alloc fail
-  tg_payload,   ///< task_graph.hpp forward_payload: stall
   migration,    ///< migration.hpp migrate(): stall
   site_count_   ///< sentinel, keep last
 };
@@ -224,7 +220,7 @@ void watchdog_fire(char const* what);
 } // namespace fault
 
 // ---------------------------------------------------------------------------
-// robust — hardening counters, knobs and the straggler demotion registry
+// robust — hardening counters
 // ---------------------------------------------------------------------------
 
 namespace robust {
@@ -234,9 +230,6 @@ struct counters {
   std::uint64_t retries = 0;          ///< deadline-backoff escalations
   std::uint64_t dups_suppressed = 0;  ///< duplicate deliveries suppressed
   std::uint64_t watchdog_dumps = 0;
-  std::uint64_t probe_timeouts = 0;   ///< steal probes given up on
-  std::uint64_t demotions = 0;        ///< straggler demotions
-  std::uint64_t repromotions = 0;     ///< demoted locations that recovered
 };
 
 [[nodiscard]] inline counters& tl() noexcept
@@ -244,28 +237,6 @@ struct counters {
   thread_local counters c;
   return c;
 }
-
-/// Straggler demotion registry: a process-global bitmask over the first 64
-/// locations (more than this RTS ever runs in one process).  Demoted
-/// locations rank last in steal_victim_order and are skipped as rebalance
-/// receivers for the epoch; a demoted location that answers a probe again
-/// is re-promoted.  demote/promote return whether the bit changed, so
-/// callers count each transition once.
-bool demote(location_id l) noexcept;
-bool promote(location_id l) noexcept;
-[[nodiscard]] bool is_demoted(location_id l) noexcept;
-[[nodiscard]] std::uint64_t demoted_mask() noexcept;
-void reset_demotions() noexcept;
-
-/// Steal-probe timeout: a probe unanswered for this long counts a strike
-/// against the victim; `demote_after` strikes demote it.  0 disables the
-/// detector.  Generous default (100ms) so scheduler hiccups on
-/// oversubscribed hosts do not demote healthy peers.
-[[nodiscard]] std::uint64_t probe_timeout_us() noexcept;
-void set_probe_timeout_us(std::uint64_t us) noexcept;
-
-[[nodiscard]] unsigned demote_after() noexcept;
-void set_demote_after(unsigned strikes) noexcept;
 
 } // namespace robust
 

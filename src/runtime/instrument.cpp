@@ -88,18 +88,12 @@ char const* name_of(event_kind k) noexcept
     case event_kind::msg_flush:       return "msg_flush";
     case event_kind::fence:           return "fence";
     case event_kind::task_run:        return "task_run";
-    case event_kind::steal_probe:     return "steal_probe";
-    case event_kind::steal_grant:     return "steal_grant";
-    case event_kind::steal_nack:      return "steal_nack";
-    case event_kind::payload_forward: return "payload_forward";
     case event_kind::migration:       return "migration";
     case event_kind::rebalance_wave:  return "rebalance_wave";
     case event_kind::epoch_advance:   return "epoch_advance";
     case event_kind::tg_execute:      return "tg_execute";
     case event_kind::fault_inject:    return "fault_inject";
     case event_kind::watchdog:        return "watchdog";
-    case event_kind::demotion:        return "demotion";
-    case event_kind::repromotion:     return "repromotion";
     case event_kind::kind_count_:     break;
   }
   return "unknown";

@@ -10,8 +10,7 @@
 //
 //   * trace::   — a per-location, single-writer ring-buffer event tracer
 //     with typed events (RMI send/execute, aggregated message flush, fence,
-//     task run, steal probe/grant/nack, payload forward, migration,
-//     rebalance wave, epoch advance).  Disabled cost is one relaxed atomic
+//     task run, migration, rebalance wave, epoch advance).  Disabled cost is one relaxed atomic
 //     load behind the STAPL_TRACE macro; enabled cost is one ring slot
 //     write.  Rings stay in memory; `trace::dump(path)` exports them once,
 //     at the end, as Chrome trace-event JSON with one pid/tid lane per
@@ -57,18 +56,12 @@ enum class event_kind : std::uint8_t {
   msg_flush,        ///< aggregation buffer flushed (arg: requests in message)
   fence,            ///< rmi_fence, entry to exit (scope)
   task_run,         ///< one task-graph task body (scope; arg: task id)
-  steal_probe,      ///< steal request sent (arg: victim location)
-  steal_grant,      ///< steal request granted (arg: tasks granted)
-  steal_nack,       ///< steal request declined (arg: thief location)
-  payload_forward,  ///< owner-side chunk payload forward (arg: bytes)
   migration,        ///< element migration arrived here (arg: gid)
   rebalance_wave,   ///< one load-balancer wave (scope; arg: moves planned)
   epoch_advance,    ///< container epoch advance (arg: new epoch)
   tg_execute,       ///< task-graph execution phase (scope; arg: tasks run)
   fault_inject,     ///< fault-layer injection (arg: site<<8 | action bits)
   watchdog,         ///< hang watchdog fired on this location (arg: 0)
-  demotion,         ///< straggler demoted from steal/balance (arg: location)
-  repromotion,      ///< demoted straggler recovered (arg: location)
   kind_count_       ///< sentinel, keep last
 };
 
@@ -266,8 +259,8 @@ void add(std::string const& name, std::uint64_t delta);
 void reset_all();
 
 /// Per-thread idle-time counters fed by the runtime's wait loops
-/// (deadline_backoff) and the task-graph executor naps, folded into
-/// snapshots by the runtime contributor.
+/// (deadline_backoff) and injected fault stalls, folded into snapshots by
+/// the runtime contributor.
 struct idle_counters {
   std::uint64_t spins = 0;   ///< yield-phase backoff iterations
   std::uint64_t sleeps = 0;  ///< sleep-phase backoff iterations

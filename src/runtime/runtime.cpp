@@ -47,10 +47,8 @@ void execute(runtime_config const& cfg, std::function<void()> spmd)
   assert(cfg.num_locations >= 1);
 
   // Environment-driven fault arming must precede construction: the impl
-  // latches sequenced delivery off fault::armed().  Straggler demotions do
-  // not survive across executions.
+  // latches sequenced delivery off fault::armed().
   fault::init_from_env();
-  robust::reset_demotions();
 
   runtime_impl impl(cfg);
   g_runtime = &impl;
@@ -64,7 +62,7 @@ void execute(runtime_config const& cfg, std::function<void()> spmd)
     fault::attach(id);
     // The runtime itself is the first metrics contributor on every
     // location: the RTS communication counters plus the idle-time counters
-    // fed by deadline_backoff and the executor naps.
+    // fed by deadline_backoff and injected fault stalls.
     auto const runtime_contributor = metrics::register_contributor(
         [id](metrics::counter_map& m) {
           location_stats const& s = rt().loc(id).stats;
@@ -102,9 +100,6 @@ void execute(runtime_config const& cfg, std::function<void()> spmd)
           m["robust.retries"] += r.retries;
           m["robust.dups_suppressed"] += r.dups_suppressed;
           m["robust.watchdog_dumps"] += r.watchdog_dumps;
-          m["robust.probe_timeouts"] += r.probe_timeouts;
-          m["robust.demotions"] += r.demotions;
-          m["robust.repromotions"] += r.repromotions;
         },
         [id] {
           rt().loc(id).stats = {};

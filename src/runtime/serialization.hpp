@@ -270,126 +270,6 @@ template <typename T>
   return t;
 }
 
-// ---------------------------------------------------------------------------
-// Run-length-encoded GID sequences (the spawn path's payload currency)
-// ---------------------------------------------------------------------------
-
-/// One maximal run of consecutive integral GIDs: first, first+1, ...,
-/// first+count-1.
-struct gid_run {
-  std::uint64_t first = 0;
-  std::uint64_t count = 0;
-
-  friend bool operator==(gid_run const&, gid_run const&) = default;
-};
-
-/// An ordered GID sequence stored run-length encoded when that pays off.
-///
-/// Chunk payloads and steal grants carry GID runs of coarsened chunks; the
-/// common case — a dense slice of an integral index space — is one
-/// `gid_run{first, count}` regardless of how many elements the chunk
-/// holds, so marshaling such a payload costs O(runs) instead of
-/// O(elements).  Encoding falls back to the raw vector when it cannot
-/// compress (sparse integral sequences whose runs are mostly singletons)
-/// and always for non-integral GID types, where "consecutive" has no
-/// meaning the container layer guarantees.
-template <typename G>
-class gid_sequence {
- public:
-  /// Whether G can be run-encoded at all.
-  static constexpr bool run_capable = std::is_integral_v<G>;
-
-  gid_sequence() = default;
-  explicit gid_sequence(std::vector<G> gids) { assign(std::move(gids)); }
-
-  /// Re-encodes from an ordered GID vector: maximal +1 runs, kept only
-  /// when they beat the raw representation byte-wise.
-  void assign(std::vector<G> gids)
-  {
-    m_runs.clear();
-    m_raw.clear();
-    m_size = gids.size();
-    if constexpr (run_capable) {
-      std::vector<gid_run> runs;
-      for (G const& g : gids) {
-        auto const v = static_cast<std::uint64_t>(g);
-        if (!runs.empty() && runs.back().first + runs.back().count == v)
-          runs.back().count += 1;
-        else
-          runs.push_back({v, 1});
-      }
-      if (runs.size() * sizeof(gid_run) < gids.size() * sizeof(G)) {
-        m_runs = std::move(runs);
-        return;
-      }
-    }
-    m_raw = std::move(gids);
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return m_size; }
-  [[nodiscard]] bool empty() const noexcept { return m_size == 0; }
-
-  /// True when the sequence is stored as runs (dense integral case).
-  [[nodiscard]] bool run_encoded() const noexcept { return !m_runs.empty(); }
-  [[nodiscard]] std::vector<gid_run> const& runs() const noexcept
-  {
-    return m_runs;
-  }
-
-  [[nodiscard]] G front() const
-  {
-    if constexpr (run_capable)
-      if (run_encoded())
-        return static_cast<G>(m_runs.front().first);
-    return m_raw.front();
-  }
-  [[nodiscard]] G back() const
-  {
-    if constexpr (run_capable)
-      if (run_encoded())
-        return static_cast<G>(m_runs.back().first + m_runs.back().count -
-                              1);
-    return m_raw.back();
-  }
-
-  /// Visits every GID in sequence order.
-  template <typename F>
-  void for_each(F&& f) const
-  {
-    if constexpr (run_capable) {
-      if (run_encoded()) {
-        for (gid_run const& r : m_runs)
-          for (std::uint64_t i = 0; i != r.count; ++i)
-            f(static_cast<G>(r.first + i));
-        return;
-      }
-    }
-    for (G const& g : m_raw)
-      f(g);
-  }
-
-  /// Materializes the sequence (tests and compatibility paths).
-  [[nodiscard]] std::vector<G> to_vector() const
-  {
-    std::vector<G> out;
-    out.reserve(m_size);
-    for_each([&](G const& g) { out.push_back(g); });
-    return out;
-  }
-
-  void define_type(typer& t)
-  {
-    t.member(m_size);
-    t.member(m_runs);
-    t.member(m_raw);
-  }
-
- private:
-  std::size_t m_size = 0;
-  std::vector<gid_run> m_runs;  ///< active when run-encoded
-  std::vector<G> m_raw;         ///< fallback representation
-};
-
 } // namespace stapl
 
 #endif

@@ -20,28 +20,13 @@
 // (the locality fast path); repartitioning views (balanced over a different
 // distribution, strided, ...) fall back to shared-object reads and writes —
 // exactly the performance distinction Ch. III.A draws.
-//
-// Locality pipeline (runtime/locality.hpp): every chunk-producing view
-// coarsens its bView into chunk_descriptors — a run-encoded GID payload
-// plus the wire-form metadata (owner, cached-at hint, digest bounds,
-// byte/element counts) — which the task-graph executor consumes for
-// placement and locality-aware stealing.  Only the wire form is ever
-// replicated between locations; payloads stay with their producer.  Container-backed views also
-// forward the feedback hooks: tuned_grain (the container's adaptive grain
-// hint), note_task_graph_stats (steal/idle counters tune that hint) and
-// note_chunk_placement / chunk_affinity (where chunks ran last graph,
-// stamped as the next graph's cached-at hints).  Wrapper views forward the
-// hooks to their base, translating coordinates where their GID space
-// differs (strided, overlap).
 
 #include <cstddef>
-#include <cstdint>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "../core/container_base.hpp"
-#include "../runtime/task_graph.hpp"
 
 namespace stapl {
 
@@ -54,94 +39,6 @@ concept has_local_ref = requires(V v, typename V::gid_type g) {
   { v.try_local_ref(g) };
 };
 
-/// Descriptor producer of container-backed views: wraps the ordered GID
-/// sequence into ~grain-element chunk_descriptors owned by this location
-/// and stamps each with the container's cached-at hint (the location that
-/// executed an overlapping chunk last graph, if any).  The affinity
-/// lookup reads off the descriptor's wire form — the same digest bounds
-/// peers and the placement feedback see.
-template <typename C, typename G>
-[[nodiscard]] std::vector<chunk_descriptor<G>>
-container_chunks(C& c, std::vector<G> gids, std::size_t grain)
-{
-  auto out = tg_detail::make_descriptors(
-      tg_detail::chunk_gids(std::move(gids), grain),
-      sizeof(typename C::value_type));
-  for (auto& d : out)
-    d.cached_at = c.chunk_affinity(d.wire());
-  return out;
-}
-
-/// CRTP mixin: the locality-pipeline hook block of container-backed views
-/// whose GID space matches the container's — forwarded unchanged to
-/// Derived::container() (see p_container_base): adaptive grain,
-/// steal/idle counters, placement feedback, cached-at lookup.  Views
-/// whose coordinates differ (strided, overlap) translate by hand instead.
-template <typename Derived>
-class container_locality_hooks {
- public:
-  [[nodiscard]] std::size_t tuned_grain(std::size_t base) const
-  {
-    return c().tuned_grain(base);
-  }
-  void note_task_graph_stats(task_graph_stats const& s) const
-  {
-    c().note_task_graph_stats(s);
-  }
-  void note_chunk_placement(std::uint64_t lo, std::uint64_t hi,
-                            location_id where) const
-  {
-    c().note_chunk_placement(lo, hi, where);
-  }
-  [[nodiscard]] location_id chunk_affinity(std::uint64_t lo,
-                                           std::uint64_t hi) const
-  {
-    return c().chunk_affinity(lo, hi);
-  }
-
- private:
-  [[nodiscard]] auto& c() const
-  {
-    return static_cast<Derived const&>(*this).container();
-  }
-};
-
-/// CRTP mixin of wrapper views: forwards the hooks to Derived::base()
-/// when the wrapped view has them (requires-gated, mirroring the
-/// executor's detection).  A wrapper whose GID space differs from its
-/// base's shadows the affected method with a coordinate-translating one.
-template <typename Derived, typename V>
-class wrapper_locality_hooks {
- public:
-  [[nodiscard]] std::size_t tuned_grain(std::size_t base) const
-    requires requires(V const& v, std::size_t n) { v.tuned_grain(n); }
-  {
-    return b().tuned_grain(base);
-  }
-  void note_task_graph_stats(task_graph_stats const& s) const
-    requires requires(V const& v, task_graph_stats const& x) {
-      v.note_task_graph_stats(x);
-    }
-  {
-    b().note_task_graph_stats(s);
-  }
-  void note_chunk_placement(std::uint64_t lo, std::uint64_t hi,
-                            location_id where) const
-    requires requires(V const& v) {
-      v.note_chunk_placement(std::uint64_t{}, std::uint64_t{},
-                             location_id{});
-    }
-  {
-    b().note_chunk_placement(lo, hi, where);
-  }
-
- private:
-  [[nodiscard]] V const& b() const
-  {
-    return static_cast<Derived const&>(*this).base();
-  }
-};
-
 } // namespace view_detail
 
 // ---------------------------------------------------------------------------
@@ -151,8 +48,7 @@ class wrapper_locality_hooks {
 /// Identity view over an indexed pContainer: domain and distribution follow
 /// the container (the container's native pView).
 template <typename C>
-class array_1d_view
-    : public view_detail::container_locality_hooks<array_1d_view<C>> {
+class array_1d_view {
  public:
   using container_type = C;
   using value_type = typename C::value_type;
@@ -184,14 +80,6 @@ class array_1d_view
     return (*m_c)[g];
   }
 
-  /// This location's bView coarsened into ~grain-element chunk descriptors
-  /// (the locality pipeline's coarsening API; see runtime/locality.hpp).
-  [[nodiscard]] std::vector<chunk_descriptor<gid_type>> chunks(
-      std::size_t grain) const
-  {
-    return view_detail::container_chunks(*m_c, local_gids(), grain);
-  }
-
   /// Refreshes container metadata after a parallel phase (Ch. VII.H).
   void post_execute() {}
 
@@ -201,8 +89,7 @@ class array_1d_view
 
 /// Read-only variant (Table II array_1d_ro_pview).
 template <typename C>
-class array_1d_ro_view
-    : public view_detail::container_locality_hooks<array_1d_ro_view<C>> {
+class array_1d_ro_view {
  public:
   using container_type = C;
   using value_type = typename C::value_type;
@@ -224,13 +111,6 @@ class array_1d_ro_view
   {
     return m_c->local_element_ptr(g);
   }
-  /// This location's bView coarsened into ~grain-element chunk descriptors
-  /// (the locality pipeline's coarsening API; see runtime/locality.hpp).
-  [[nodiscard]] std::vector<chunk_descriptor<gid_type>> chunks(
-      std::size_t grain) const
-  {
-    return view_detail::container_chunks(*m_c, local_gids(), grain);
-  }
 
   void post_execute() {}
 
@@ -246,8 +126,7 @@ class array_1d_ro_view
 /// underlying distribution (Table II balanced_pview).  Used to balance work;
 /// accesses outside the local storage go through the shared-object view.
 template <typename C>
-class balanced_view
-    : public view_detail::container_locality_hooks<balanced_view<C>> {
+class balanced_view {
  public:
   using container_type = C;
   using value_type = typename C::value_type;
@@ -281,22 +160,6 @@ class balanced_view
   [[nodiscard]] value_type* try_local_ref(gid_type g)
   {
     return m_c->local_element_ptr(g);
-  }
-  /// This location's deal coarsened into chunk descriptors.  The balanced
-  /// deal crosses the storage distribution, so each descriptor's owner is
-  /// the location actually *storing* the chunk's head element (closed-form
-  /// lookup; dynamic containers keep the dealing location — resolving
-  /// ownership per chunk would need communication): the executor then
-  /// spawns the chunk task where the data lives instead of where the deal
-  /// happened to land it.
-  [[nodiscard]] std::vector<chunk_descriptor<gid_type>> chunks(
-      std::size_t grain) const
-  {
-    auto out = view_detail::container_chunks(*m_c, local_gids(), grain);
-    if (!m_c->is_dynamic())
-      for (auto& d : out)
-        d.owner = m_c->lookup(d.gids.front());
-    return out;
   }
 
   void post_execute() {}
@@ -357,37 +220,6 @@ class strided_1d_view {
     return m_c->local_element_ptr(map(i));
   }
 
-  /// This location's bView coarsened into chunk descriptors.  Descriptor
-  /// GIDs are *view* indices (read/write expect them); the locality
-  /// metadata is translated into container coordinates through map(), so
-  /// the affinity table shared with other views of the same container
-  /// stays in one coordinate space.
-  [[nodiscard]] std::vector<chunk_descriptor<gid_type>> chunks(
-      std::size_t grain) const
-  {
-    auto out = tg_detail::make_descriptors(
-        tg_detail::chunk_gids(local_gids(), grain), sizeof(value_type));
-    for (auto& d : out)
-      d.cached_at = m_c->chunk_affinity(map(d.gids.front()),
-                                        map(d.gids.back()));
-    return out;
-  }
-
-  /// Locality-pipeline feedback hooks (container coordinates via map()).
-  [[nodiscard]] std::size_t tuned_grain(std::size_t base) const
-  {
-    return m_c->tuned_grain(base);
-  }
-  void note_task_graph_stats(task_graph_stats const& s) const
-  {
-    m_c->note_task_graph_stats(s);
-  }
-  void note_chunk_placement(std::uint64_t lo, std::uint64_t hi,
-                            location_id where) const
-  {
-    m_c->note_chunk_placement(map(lo), map(hi), where);
-  }
-
   void post_execute() {}
 
  private:
@@ -403,8 +235,7 @@ class strided_1d_view {
 /// Overrides the read operation with a user function of the underlying value
 /// (read-only).
 template <typename V, typename F>
-class transform_view
-    : public view_detail::wrapper_locality_hooks<transform_view<V, F>, V> {
+class transform_view {
  public:
   using base_view = V;
   using gid_type = typename V::gid_type;
@@ -413,21 +244,12 @@ class transform_view
 
   transform_view(V v, F f) : m_v(std::move(v)), m_f(std::move(f)) {}
 
-  [[nodiscard]] V const& base() const noexcept { return m_v; }
   [[nodiscard]] std::size_t size() const { return m_v.size(); }
   [[nodiscard]] std::vector<gid_type> local_gids() const
   {
     return m_v.local_gids();
   }
   [[nodiscard]] value_type read(gid_type g) const { return m_f(m_v.read(g)); }
-
-  /// Chunk descriptors of the underlying view (same GID space): the
-  /// transform only changes what read() returns, not where data lives.
-  [[nodiscard]] std::vector<chunk_descriptor<gid_type>> chunks(
-      std::size_t grain) const
-  {
-    return tg_detail::view_chunks(m_v, grain);
-  }
 
   void post_execute() {}
 
@@ -445,16 +267,13 @@ transform_view(V, F) -> transform_view<V, F>;
 
 /// Restricts a view's domain to GIDs satisfying a predicate on the GID.
 template <typename V, typename Pred>
-class filtered_view
-    : public view_detail::wrapper_locality_hooks<filtered_view<V, Pred>, V> {
+class filtered_view {
  public:
   using base_view = V;
   using gid_type = typename V::gid_type;
   using value_type = typename V::value_type;
 
   filtered_view(V v, Pred p) : m_v(std::move(v)), m_pred(std::move(p)) {}
-
-  [[nodiscard]] V const& base() const noexcept { return m_v; }
 
   [[nodiscard]] std::vector<gid_type> local_gids() const
   {
@@ -476,23 +295,6 @@ class filtered_view
     requires view_detail::has_local_ref<V>
   {
     return m_v.try_local_ref(g);
-  }
-
-  /// Filtered chunk descriptors: runs of the matching GIDs, annotated with
-  /// the base view's cached-at knowledge when it exposes any (the filter
-  /// keeps the base's GID space, so digests line up).
-  [[nodiscard]] std::vector<chunk_descriptor<gid_type>> chunks(
-      std::size_t grain) const
-  {
-    auto out = tg_detail::make_descriptors(
-        tg_detail::chunk_gids(local_gids(), grain), sizeof(value_type));
-    if constexpr (requires(V const& v) {
-                    v.chunk_affinity(std::uint64_t{}, std::uint64_t{});
-                  }) {
-      for (auto& d : out)
-        d.cached_at = m_v.chunk_affinity(d.digest_lo(), d.digest_hi());
-    }
-    return out;
   }
 
   void post_execute() {}
@@ -533,15 +335,6 @@ class counting_view {
   {
     return m_start + static_cast<T>(g);
   }
-  /// Chunk descriptors of the generated domain.  Values are computed, not
-  /// stored, so every chunk is locality-free: owner is the dealing
-  /// location and no cached-at hint applies.
-  [[nodiscard]] std::vector<chunk_descriptor<gid_type>> chunks(
-      std::size_t grain) const
-  {
-    return tg_detail::make_descriptors(
-        tg_detail::chunk_gids(local_gids(), grain), sizeof(T));
-  }
 
   void post_execute() {}
 
@@ -577,8 +370,7 @@ class overlap_subrange {
 };
 
 template <typename V>
-class overlap_view
-    : public view_detail::wrapper_locality_hooks<overlap_view<V>, V> {
+class overlap_view {
  public:
   using base_view = V;
   using gid_type = gid1d;
@@ -590,8 +382,6 @@ class overlap_view
   {
     assert(c > 0);
   }
-
-  [[nodiscard]] V const& base() const noexcept { return m_v; }
 
   /// Number of window elements: windows span c*i .. c*i + (l+c+r-1).
   [[nodiscard]] std::size_t size() const
@@ -619,36 +409,6 @@ class overlap_view
     return out;
   }
 
-  /// Window index `i` spans underlying elements [c*i, c*i + l+c+r-1]; the
-  /// locality metadata is translated into that element space so it lines
-  /// up with the other views of the same container.
-  [[nodiscard]] std::vector<chunk_descriptor<gid_type>> chunks(
-      std::size_t grain) const
-  {
-    std::size_t const window = m_l + m_c + m_r;
-    auto out = tg_detail::make_descriptors(
-        tg_detail::chunk_gids(local_gids(), grain),
-        m_c * sizeof(typename V::value_type)); // ~c fresh elements per window
-    if constexpr (requires(V const& v) {
-                    v.chunk_affinity(std::uint64_t{}, std::uint64_t{});
-                  }) {
-      for (auto& d : out)
-        d.cached_at = m_v.chunk_affinity(
-            m_c * d.gids.front(), m_c * d.gids.back() + window - 1);
-    }
-    return out;
-  }
-
-  /// Placement feedback arrives in window coordinates; shadow the mixin's
-  /// plain forward with the element-space translation.
-  void note_chunk_placement(std::uint64_t lo, std::uint64_t hi,
-                            location_id where) const
-    requires requires(V const& v) { v.note_chunk_placement(lo, hi, where); }
-  {
-    m_v.note_chunk_placement(m_c * lo, m_c * hi + m_l + m_c + m_r - 1,
-                             where);
-  }
-
   void post_execute() {}
 
  private:
@@ -663,8 +423,7 @@ class overlap_view
 /// Exposes the container's own partition as the view partition
 /// (Table II native_pview): all references are local by construction.
 template <typename C>
-class native_view
-    : public view_detail::container_locality_hooks<native_view<C>> {
+class native_view {
  public:
   using container_type = C;
   using value_type = typename C::value_type;
@@ -693,13 +452,6 @@ class native_view
   void for_each_local(F&& f)
   {
     m_c->for_each_local(std::forward<F>(f));
-  }
-  /// This location's bView coarsened into ~grain-element chunk descriptors
-  /// (the locality pipeline's coarsening API; see runtime/locality.hpp).
-  [[nodiscard]] std::vector<chunk_descriptor<gid_type>> chunks(
-      std::size_t grain) const
-  {
-    return view_detail::container_chunks(*m_c, local_gids(), grain);
   }
 
   void post_execute() {}

@@ -32,7 +32,7 @@ using namespace stapl;
 template <typename F>
 task_graph<char>::work_fn void_task(F f)
 {
-  return [f](std::vector<char> const&, char const&) {
+  return [f](std::vector<char> const&) {
     f();
     return char{};
   };
@@ -43,7 +43,6 @@ TEST(Executor, DiamondDependenceOrder)
   execute(4, [] {
     p_array<int> results(4, -1);
     task_graph<char> tg;
-    tg.set_stealing(false); // every task runs on its owner
     // Diamond: t0 -> {t1, t2} -> t3, spread over locations.
     auto t0 = tg.add_task(0, void_task([&] { results.set_element(0, 1); }));
     auto t1 = tg.add_task(1 % num_locations(), void_task([&] {
@@ -74,7 +73,6 @@ TEST(Executor, ChainAcrossLocations)
   execute(4, [] {
     p_array<int> acc(1, 0);
     task_graph<char> tg;
-    tg.set_stealing(false);
     std::size_t prev = static_cast<std::size_t>(-1);
     for (int i = 0; i < 12; ++i) {
       auto t = tg.add_task(static_cast<location_id>(i % num_locations()),

@@ -1,8 +1,8 @@
 // Chaos suite for the deterministic fault-injection layer and the runtime
 // hardening behind it (runtime/fault.hpp): same-seed replay, exactly-once
 // delivery under duplication/reordering/delay storms, fence and collective
-// completion under injected stalls, the hang watchdog, straggler demotion,
-// and the deferred-queue / inbox-depth observability satellites.
+// completion under injected stalls, the hang watchdog, and the
+// deferred-queue / inbox-depth observability satellites.
 //
 // The base seed comes from STAPL_FAULT_SEED (default 42) so the CI chaos
 // lane replays the whole binary under several seeds.
@@ -45,9 +45,6 @@ struct fault_guard {
     fault::clear_events();
     fault::set_gate(0);
     fault::set_watchdog_ms(30000);
-    robust::set_probe_timeout_us(100000);
-    robust::set_demote_after(3);
-    robust::reset_demotions();
   }
 };
 
@@ -359,45 +356,50 @@ TEST(Faults, RebalanceUnderGatedStormAndStraggler)
       << "the straggler window never stalled";
 }
 
-TEST(Faults, PayloadForwardExactlyOnceUnderStorm)
+TEST(Faults, ValueEdgesExactlyOnceUnderStorm)
 {
   fault_guard guard;
   arm_dup_reorder_delay_storm();
-  auto payload_stall = make_plan(fault::site::tg_payload, fault::act_stall);
-  payload_stall.every_n = 2;
-  payload_stall.stall_us = 100;
-  fault::add_plan(payload_stall);
-  fault::arm(base_seed());
   for (unsigned p : {4u, 8u}) {
+    auto before = metrics::process_totals()["robust.dups_suppressed"];
     execute(p, [] {
-      task_graph<long, long> tg;
-      using tid = task_graph<long, long>::task_id;
-      task_options pending;
-      pending.payload_pending = true;
-      // Every location owns one payload-gated task per peer; each peer
-      // produces and forwards the payload.  The owner-side results prove
-      // exactly-once payload delivery.
-      std::vector<std::pair<tid, long>> mine;
-      for (location_id owner = 0; owner < num_locations(); ++owner)
-        for (location_id src = 0; src < num_locations(); ++src) {
-          tid const t = tg.add_task(
-              owner,
-              [](std::vector<long> const&, long const& pay) { return pay; },
-              0L, src == owner ? task_options{} : pending);
-          if (src != owner && owner == this_location())
-            mine.emplace_back(t, static_cast<long>(owner * 1000 + src));
+      // Every location owns one sink fed by a source task on each peer;
+      // each source's value names its (source, sink owner) pair, so the
+      // sink's input slots prove exactly-once, in-slot delivery of the
+      // executor's dependence values under the storm.
+      std::vector<long> got;
+      task_graph<long> tg;
+      using tid = task_graph<long>::task_id;
+      std::vector<tid> sinks;
+      for (location_id dst = 0; dst < num_locations(); ++dst)
+        sinks.push_back(tg.add_task(dst, [&got](std::vector<long> const& ins) {
+          got = ins;
+          return static_cast<long>(ins.size());
+        }));
+      for (location_id src = 0; src < num_locations(); ++src)
+        for (location_id dst = 0; dst < num_locations(); ++dst) {
+          if (src == dst)
+            continue;
+          tid const t = tg.add_task(src, [src, dst](std::vector<long> const&) {
+            return static_cast<long>(dst * 1000 + src);
+          });
+          tg.add_dependence(t, sinks[dst]);
         }
-      // Forward payloads for the tasks this location is the source of.
-      tid t = 0;
-      for (location_id owner = 0; owner < num_locations(); ++owner)
-        for (location_id src = 0; src < num_locations(); ++src, ++t)
-          if (src == this_location() && src != owner)
-            tg.forward_payload(t, static_cast<long>(owner * 1000 + src));
       tg.execute();
-      for (auto const& [id, expect] : mine)
-        EXPECT_EQ(tg.result_of(id), expect);
+      location_id const me = this_location();
+      EXPECT_EQ(tg.result_of(sinks[me]),
+                static_cast<long>(num_locations() - 1));
+      ASSERT_EQ(got.size(), num_locations() - 1u);
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        location_id const src = k < me ? k : k + 1; // slots skip me
+        EXPECT_EQ(got[k], static_cast<long>(me * 1000 + src)) << "slot " << k;
+      }
       rmi_fence();
     });
+    auto after = metrics::process_totals()["robust.dups_suppressed"];
+    EXPECT_GT(after, before)
+        << "storm never duplicated: exactly-once was not exercised (P=" << p
+        << ")";
   }
 }
 
@@ -483,122 +485,8 @@ TEST(Faults, WatchdogNamesTheBlockedSite)
 }
 
 // ---------------------------------------------------------------------------
-// Straggler demotion and recovery
-// ---------------------------------------------------------------------------
-
-TEST(Faults, VictimOrderRanksDemotedLast)
-{
-  std::vector<std::size_t> owned = {4, 9, 2, 7};
-  std::vector<std::size_t> warmth = {0, 5, 0, 0};
-  // Without a mask: warmth first (1), then load (3, 0), tie rules.
-  auto order = steal_victim_order(2, owned, warmth, 0);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1u);
-  EXPECT_EQ(order[1], 3u);
-  EXPECT_EQ(order[2], 0u);
-  // Demoting the warmth leader pushes it strictly last.
-  order = steal_victim_order(2, owned, warmth, std::uint64_t{1} << 1);
-  EXPECT_EQ(order[0], 3u);
-  EXPECT_EQ(order[1], 0u);
-  EXPECT_EQ(order[2], 1u);
-}
-
-TEST(Faults, DemotionRegistryTransitions)
-{
-  robust::reset_demotions();
-  EXPECT_FALSE(robust::is_demoted(3));
-  EXPECT_TRUE(robust::demote(3));
-  EXPECT_FALSE(robust::demote(3)) << "second demotion is not a transition";
-  EXPECT_TRUE(robust::is_demoted(3));
-  EXPECT_EQ(robust::demoted_mask(), std::uint64_t{1} << 3);
-  EXPECT_TRUE(robust::promote(3));
-  EXPECT_FALSE(robust::promote(3));
-  EXPECT_EQ(robust::demoted_mask(), 0u);
-  // Locations past the 64-bit registry are never demoted.
-  EXPECT_FALSE(robust::demote(64));
-  EXPECT_FALSE(robust::is_demoted(64));
-}
-
-TEST(Faults, StragglerDemotionVisibleInStats)
-{
-  fault_guard guard;
-  robust::set_probe_timeout_us(2000);
-  robust::set_demote_after(1);
-  // Location 3 stalls 5ms on every poll: probes at it time out, thieves
-  // strike it, and with demote_after=1 the first timeout demotes.
-  auto stall = make_plan(fault::site::rmi_poll, fault::act_stall);
-  stall.every_n = 1;
-  stall.stall_us = 5000;
-  stall.only_location = 3;
-  fault::add_plan(stall);
-  fault::arm(base_seed());
-
-  auto before = metrics::process_totals();
-  execute(4, [] {
-    task_graph<long> tg;
-    task_options stealable;
-    stealable.stealable = true;
-    // All work owned by the straggler, so every thief probes it.
-    for (int i = 0; i < 12; ++i)
-      tg.add_task(
-          3,
-          [i](std::vector<long> const&, char const&) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            return static_cast<long>(i);
-          },
-          {}, stealable);
-    tg.execute();
-    rmi_fence();
-  });
-  auto after = metrics::process_totals();
-  EXPECT_GT(after["robust.probe_timeouts"], before["robust.probe_timeouts"]);
-  EXPECT_GT(after["robust.demotions"], before["robust.demotions"]);
-}
-
-// ---------------------------------------------------------------------------
 // Injected allocation failure
 // ---------------------------------------------------------------------------
-
-TEST(Faults, StealAllocFailureDegradesToNacks)
-{
-  fault_guard guard;
-  auto alloc = make_plan(fault::site::tg_steal, fault::act_alloc_fail);
-  alloc.every_n = 1;
-  fault::add_plan(alloc);
-  fault::arm(base_seed());
-  execute(4, [] {
-    metrics::reset_all();
-    task_graph<long> tg;
-    task_options stealable;
-    stealable.stealable = true;
-    long expect = 0;
-    std::vector<task_graph<long>::task_id> work;
-    for (int i = 0; i < 16; ++i) {
-      work.push_back(tg.add_task(
-          0,
-          [i](std::vector<long> const&, char const&) {
-            return static_cast<long>(i);
-          },
-          {}, stealable));
-      expect += i;
-    }
-    auto const sink = tg.add_task(
-        0, [](std::vector<long> const& ins, char const&) {
-          long s = 0;
-          for (long v : ins)
-            s += v;
-          return s;
-        });
-    for (auto t : work)
-      tg.add_dependence(t, sink);
-    tg.execute();
-    EXPECT_EQ(metrics::global_snapshot().at("tg.steal_grants"), 0u)
-        << "every grant allocation was failed: only nacks may flow";
-    if (this_location() == 0)
-      EXPECT_EQ(tg.result_of(sink), expect);
-    rmi_fence();
-  });
-}
 
 TEST(Faults, EnqueueAllocFailureForcesFlushes)
 {

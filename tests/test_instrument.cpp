@@ -1,7 +1,8 @@
 // Tests for the runtime instrumentation layer (runtime/instrument.hpp):
 // the disabled tracer records nothing and metrics::reset_all() zeroes the
-// runtime counters; an enabled P=4 steal run yields probe→grant→run chains
-// with monotonic timestamps per location; ring overflow reports an exact
+// runtime counters; an enabled P=4 value-edge task graph traces every task
+// exactly once, on its owner, with monotonic timestamps per location; ring
+// overflow reports an exact
 // drop count; the Chrome trace-event exporter's output round-trips through
 // a JSON parser, also for a traced P=4 rebalance run; and
 // metrics::global_snapshot() surfaces all four stats families plus the
@@ -14,14 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace {
@@ -41,37 +40,40 @@ struct trace_guard {
   }
 };
 
-/// An imbalanced stealable graph: every work task starts on location 0 and
-/// sleeps, so idle peers have ample time to pull chunks over (the same
-/// regime as the task-graph stealing tests).  Callers run no other task
-/// graph in the same execution, so the global tg.* keys are this graph's.
-void run_imbalanced_steal_graph(int tasks)
+/// Tasks per location in run_value_edge_graph.
+constexpr int tasks_per_location = 6;
+
+/// A cross-location value-edge graph: every location owns
+/// tasks_per_location work tasks (ids l * tasks_per_location + i), each
+/// feeding one sink on location 0 (the last id), so every location runs
+/// tasks and all but location 0 ship dependence values.  Callers run no
+/// other task graph in the same execution, so the global tg.* keys are
+/// this graph's.
+void run_value_edge_graph()
 {
   task_graph<long> tg;
-  tg.set_stealing(true);
   using tid = task_graph<long>::task_id;
-  task_options stealable;
-  stealable.stealable = true;
   std::vector<tid> work;
-  for (int i = 0; i < tasks; ++i) {
-    work.push_back(tg.add_task(
-        0,
-        [i](std::vector<long> const&, char const&) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          return static_cast<long>(i);
-        },
-        {}, stealable));
-  }
-  tid const sink = tg.add_task(
-      0, [](std::vector<long> const& ins, char const&) {
-        return std::accumulate(ins.begin(), ins.end(), 0L);
-      });
+  long expect = 0;
+  for (location_id l = 0; l < num_locations(); ++l)
+    for (int i = 0; i < tasks_per_location; ++i) {
+      work.push_back(tg.add_task(l, [i](std::vector<long> const&) {
+        return static_cast<long>(i);
+      }));
+      expect += i;
+    }
+  tid const sink = tg.add_task(0, [](std::vector<long> const& ins) {
+    return std::accumulate(ins.begin(), ins.end(), 0L);
+  });
   for (tid const t : work)
     tg.add_dependence(t, sink);
   tg.execute();
+  if (this_location() == 0)
+    EXPECT_EQ(tg.result_of(sink), expect);
   auto const g = metrics::global_snapshot();
-  EXPECT_EQ(g.at("tg.tasks_run"), static_cast<std::uint64_t>(tasks) + 1u);
-  EXPECT_GT(g.at("tg.tasks_stolen"), 0u);
+  std::uint64_t const p = num_locations();
+  EXPECT_EQ(g.at("tg.tasks_run"), p * tasks_per_location + 1);
+  EXPECT_EQ(g.at("tg.values_sent"), (p - 1) * tasks_per_location);
 }
 
 /// Minimal recursive-descent JSON acceptor, enough to round-trip the
@@ -239,21 +241,22 @@ TEST(InstrumentTest, ResetAllZeroesRuntimeCounters)
 }
 
 // ---------------------------------------------------------------------------
-// Enabled P=4 steal run: probe→grant→run chains, monotonic per location
+// Enabled P=4 value-edge run: every task traced once, monotonic per location
 // ---------------------------------------------------------------------------
 
-TEST(InstrumentTest, EnabledStealRunHasProbeGrantRunChains)
+TEST(InstrumentTest, EnabledValueEdgeRunTracesEveryTaskOnce)
 {
   trace_guard guard;
   trace::enable();
-  execute(4, [] { run_imbalanced_steal_graph(24); });
+  execute(4, [] { run_value_edge_graph(); });
 
   auto const locs = trace::traced_locations();
   ASSERT_EQ(locs.size(), 4u);
   EXPECT_GT(trace::total_events(), 0u);
   EXPECT_EQ(trace::total_dropped(), 0u);
 
-  std::uint64_t probes = 0, grants = 0, runs = 0;
+  std::uint64_t const sink = 4 * tasks_per_location;
+  std::vector<int> runs(sink + 1, 0);
   for (location_id const loc : locs) {
     auto const evs = trace::events(loc);
     ASSERT_FALSE(evs.empty()) << "location " << loc << " recorded nothing";
@@ -261,8 +264,6 @@ TEST(InstrumentTest, EnabledStealRunHasProbeGrantRunChains)
     // (ts for instants, ts + dur for scopes) is its emission time, so the
     // completion times must be monotonic per location.
     std::uint64_t prev_end = 0;
-    std::uint64_t last_probe = 0, last_grant = 0;
-    bool saw_probe = false, saw_grant = false, run_after_grant = false;
     for (auto const& e : evs) {
       EXPECT_EQ(e.loc, loc);
       std::uint64_t const end = e.ts_us + e.dur_us;
@@ -270,39 +271,17 @@ TEST(InstrumentTest, EnabledStealRunHasProbeGrantRunChains)
                                << loc << " (" << trace::name_of(e.kind)
                                << ")";
       prev_end = end;
-      switch (e.kind) {
-        case trace::event_kind::steal_probe:
-          probes += 1;
-          saw_probe = true;
-          last_probe = end;
-          break;
-        case trace::event_kind::steal_grant:
-          grants += 1;
-          // A grant answers a probe this thief sent earlier.
-          EXPECT_TRUE(saw_probe)
-              << "steal_grant before any steal_probe on location " << loc;
-          EXPECT_GE(end, last_probe);
-          saw_grant = true;
-          last_grant = end;
-          break;
-        case trace::event_kind::task_run:
-          runs += 1;
-          if (saw_grant && end >= last_grant)
-            run_after_grant = true;
-          break;
-        default:
-          break;
-      }
+      if (e.kind != trace::event_kind::task_run)
+        continue;
+      ASSERT_LE(e.arg, sink) << "unknown task id";
+      runs[e.arg] += 1;
+      // Tasks run on their owners.
+      EXPECT_EQ(loc, e.arg == sink ? 0u : e.arg / tasks_per_location)
+          << "task " << e.arg;
     }
-    if (saw_grant)
-      EXPECT_TRUE(run_after_grant)
-          << "location " << loc << " was granted work but never ran a task "
-             "afterwards";
   }
-  // The all-on-location-0 layout with sleeping chunks guarantees steals.
-  EXPECT_GT(probes, 0u);
-  EXPECT_GT(grants, 0u);
-  EXPECT_EQ(runs, 25u) << "24 work tasks + 1 sink, each traced exactly once";
+  for (std::size_t t = 0; t < runs.size(); ++t)
+    EXPECT_EQ(runs[t], 1) << "task " << t << " not traced exactly once";
 }
 
 // ---------------------------------------------------------------------------
@@ -373,7 +352,7 @@ TEST(InstrumentTest, DumpRoundTripsThroughJsonParser)
   trace::enable(64);
   trace::attach(0);
   trace::emit(trace::event_kind::rmi_send, 48);
-  trace::emit(trace::event_kind::steal_probe, 1);
+  trace::emit(trace::event_kind::migration, 1);
   trace::emit_complete(trace::event_kind::fence, 10, 25, 0);
   trace::emit_complete(trace::event_kind::task_run, 40, 5, 7);
   trace::detach();
@@ -458,8 +437,8 @@ TEST(InstrumentTest, GlobalSnapshotSurfacesAllFamilies)
       pa.apply_set(remote + i % 1'000, [](long& v) { v += 1; });
     rmi_fence();
 
-    // tg.*: an imbalanced stealable graph.
-    run_imbalanced_steal_graph(24);
+    // tg.*: a cross-location value-edge graph.
+    run_value_edge_graph();
 
     // lb.*: one rebalance wave (triggered or not, the wave is counted).
     (void)pa.rebalance();
@@ -468,13 +447,13 @@ TEST(InstrumentTest, GlobalSnapshotSurfacesAllFamilies)
     for (char const* key :
          {"rmi.rmis_sent", "rmi.rmis_executed", "rmi.msgs_sent",
           "rmi.rmi_bytes", "rmi.msg_bytes", "idle.spins", "idle.sleeps",
-          "idle.nap_us", "tg.tasks_run", "tg.tasks_stolen", "tg.steal_grants",
-          "tg.spawn_bytes", "dir.local_hits", "dir.home_routed",
+          "idle.nap_us", "tg.tasks_run", "tg.values_sent", "dir.local_hits",
+          "dir.home_routed",
           "dir.forwards", "dir.owner_accesses", "lb.waves"}) {
       EXPECT_TRUE(g.count(key) != 0) << "missing counter: " << key;
     }
     // The reduce is over all four locations: totals, not one location's view.
-    EXPECT_EQ(g["tg.tasks_run"], 25u); // 24 work tasks + 1 sink
+    EXPECT_EQ(g["tg.tasks_run"], 25u); // 4 x 6 work tasks + 1 sink
     // Every location counts the collective wave it took part in.
     EXPECT_EQ(g["lb.waves"], static_cast<std::uint64_t>(num_locations()));
     EXPECT_GT(g["rmi.rmis_sent"], 0u);

@@ -393,56 +393,6 @@ TEST(load_balancer_test, AdvanceEpochAutoTunesInterval)
 }
 
 // ---------------------------------------------------------------------------
-// Task-graph stats as the balancer's second signal
-// ---------------------------------------------------------------------------
-
-// Two locations with identical directory access counts, but the executor
-// reports one of them kept losing its chunk tasks to thieves: the load
-// model must rank the loser hotter and trigger a wave that plain access
-// counts would not.
-TEST(load_balancer_test, TaskStatsShiftTheLoadModel)
-{
-  unsigned const p = 4;
-  execute(p, [] {
-    std::size_t const n = 16 * num_locations();
-    p_array<long> pa(n, 0);
-
-    load_balancer_config cfg;
-    cfg.imbalance_threshold = 1.3;
-    cfg.task_stats_weight = 1.0;
-    pa.enable_load_balancing(cfg);
-
-    // Balanced element traffic: every location pounds its own block.
-    for (int r = 0; r < 20; ++r)
-      for (std::size_t k = 0; k < 8; ++k)
-        pa.apply_set(this_location() * 16 + k, [](long& v) { v += 1; });
-    rmi_fence();
-
-    // Executor verdict: location 0 lost a task-equivalent of most of its
-    // accesses; the others pulled that work in.
-    task_graph_stats s;
-    if (this_location() == 0) {
-      s.tasks_run = 4;
-      s.tasks_lost = 12;
-    } else {
-      s.tasks_run = 8;
-      s.tasks_stolen = 4;
-    }
-    pa.note_task_graph_stats(s);
-
-    auto const rep = pa.rebalance();
-    EXPECT_TRUE(rep.triggered)
-        << "task-graph losses did not register as load";
-    EXPECT_GT(rep.imbalance_before, cfg.imbalance_threshold);
-
-    // The wave resets both signals so the next epoch measures fresh.
-    EXPECT_EQ(pa.epoch_task_stats().tasks_lost, 0u);
-    EXPECT_EQ(pa.get_directory().epoch_accesses(), 0u);
-    rmi_fence();
-  });
-}
-
-// ---------------------------------------------------------------------------
 // Forwarding-hint reclamation under repeated migration waves
 // ---------------------------------------------------------------------------
 

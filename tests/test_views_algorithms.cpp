@@ -282,68 +282,10 @@ TEST(OverlapView, StringMatchingPattern)
 }
 
 // ---------------------------------------------------------------------------
-// Chunk descriptors (locality pipeline)
+// Chunked execution over a wrapper view
 // ---------------------------------------------------------------------------
 
-TEST_P(ViewAlgoTest, ChunkDescriptorsCoverLocalDomain)
-{
-  execute(GetParam(), [] {
-    p_array<long> pa(1000);
-    array_1d_view v(pa);
-    std::size_t total = 0;
-    for (auto const& d : v.chunks(64)) {
-      EXPECT_FALSE(d.empty());
-      EXPECT_LE(d.size(), 64u);
-      EXPECT_EQ(d.owner, this_location());
-      EXPECT_EQ(d.cached_at, invalid_location) << "cold view claims warmth";
-      EXPECT_EQ(d.bytes, d.size() * sizeof(long));
-      EXPECT_LE(d.digest_lo(), d.digest_hi());
-      // Contiguous local runs of an integral GID space run-encode.
-      EXPECT_TRUE(d.gids.run_encoded());
-      // The wire form mirrors the descriptor's metadata, payload-free.
-      auto const w = d.wire();
-      EXPECT_EQ(w.owner, d.owner);
-      EXPECT_EQ(w.cached_at, d.cached_at);
-      EXPECT_EQ(w.bytes, d.bytes);
-      EXPECT_EQ(w.elements, d.size());
-      EXPECT_TRUE(w.has_digest);
-      EXPECT_EQ(w.digest_lo, d.digest_lo());
-      EXPECT_EQ(w.digest_hi, d.digest_hi());
-      total += d.size();
-    }
-    EXPECT_EQ(total, pa.local_size());
-    rmi_fence();
-  });
-}
-
-TEST_P(ViewAlgoTest, BalancedViewDescriptorOwnersFollowStorage)
-{
-  execute(GetParam(), [] {
-    std::size_t const n = 96;
-    p_array<int> pa(n);
-    balanced_view bv(pa, 4 * num_locations());
-    bool any_remote = false;
-    std::size_t total = 0;
-    for (auto const& d : bv.chunks(8)) {
-      // The descriptor's owner is where the chunk's head element is
-      // *stored* (closed-form lookup), not where the balanced deal landed
-      // it — the executor spawns the chunk task at the data.
-      EXPECT_EQ(d.owner, pa.lookup(d.gids.front()));
-      any_remote |= d.owner != this_location();
-      total += d.size();
-    }
-    EXPECT_EQ(total, bv.local_gids().size());
-    // With several locations the round-robin deal must cross the blocked
-    // storage distribution somewhere.
-    auto const crossed = allreduce(any_remote ? 1 : 0, std::plus<>{});
-    if (num_locations() > 1) {
-      EXPECT_GT(crossed, 0);
-    }
-    rmi_fence();
-  });
-}
-
-TEST_P(ViewAlgoTest, WrapperViewsProduceChunkDescriptors)
+TEST_P(ViewAlgoTest, WrapperViewMapReduceMatchesReference)
 {
   execute(GetParam(), [] {
     std::size_t const n = 120;
@@ -351,36 +293,10 @@ TEST_P(ViewAlgoTest, WrapperViewsProduceChunkDescriptors)
     p_for_each_gid(array_1d_view(pa),
                    [](gid1d g, int& x) { x = static_cast<int>(g); });
     array_1d_view av(pa);
-
-    auto cover = [](auto const& view, auto const& chunks) {
-      std::size_t total = 0;
-      for (auto const& d : chunks) {
-        EXPECT_FALSE(d.empty());
-        total += d.size();
-      }
-      EXPECT_EQ(total, view.local_gids().size());
-    };
-
     transform_view tv(av, [](int x) { return x * 2; });
-    cover(tv, tv.chunks(16));
-
-    filtered_view fv(av, [](gid1d g) { return g % 2 == 0; });
-    cover(fv, fv.chunks(16));
-
-    strided_1d_view sv(pa, 3);
-    cover(sv, sv.chunks(16));
-
-    overlap_view ov(av, 2, 1, 1);
-    cover(ov, ov.chunks(16));
-
-    // And the chunked (stealable) execution path over a wrapper view still
-    // computes the right answer — the descriptors are consumed end-to-end.
-    exec_policy pol;
-    pol.grain = 16;
-    pol.stealable = true;
     auto const sum = map_reduce(
         tv, [](int x) { return static_cast<long>(x); },
-        [](long a, long b) { return a + b; }, pol);
+        [](long a, long b) { return a + b; });
     ASSERT_TRUE(sum.has_value());
     EXPECT_EQ(*sum, static_cast<long>(n * (n - 1)));
     rmi_fence();

@@ -24,7 +24,7 @@ are unambiguously lower-is-better, so growth past REGRESSION_PCT warns.
 
 Benches carrying a scaling sweep (a top-level ``"sweeps"`` array, see
 bench/scaling_harness.hpp) get curve-aware treatment: points are matched
-by their full axes tuple (kernel/mode/steal/grain/p/n), each
+by their full axes tuple (kernel/mode/grain/p/n), each
 kernel renders a per-series scaling table (efficiency across P, seconds
 delta vs previous), and a series whose efficiency at the largest common P
 regressed by more than REGRESSION_PCT emits the same non-blocking
@@ -48,8 +48,8 @@ REGRESSION_PCT = 10.0
 
 LOWER_IS_BETTER_SUFFIXES = ("_s", "_bytes", "_ns", "_us")
 LOWER_IS_BETTER_NAMES = {
-    "seconds", "wire_bytes", "spawn_bytes", "rmi_bytes", "msg_bytes",
-    "bytes_moved", "steal_fail", "nap_us",
+    "seconds", "wire_bytes", "rmi_bytes", "msg_bytes", "bytes_moved",
+    "nap_us",
     # Collectives counters: fewer tree rounds is better; "coll.agg_bytes"
     # is lower-is-better through the "_bytes" suffix.  "flat_fallbacks",
     # "tree_depth", "ops" and "agg_batches" are deliberately unlisted —
@@ -68,19 +68,18 @@ HIGHER_IS_BETTER_NAMES = {"recovery", "speedup", "mops", "reduction",
 # is configuration, never a regression — even for keys whose suffix would
 # otherwise be judged (e.g. a future fault.*_us).
 INFORMATIONAL_FAMILIES = ("fault.",)
-# Per-key overrides: suppressed duplicates and straggler bookkeeping scale
-# with the injected storm, not with code quality.
-INFORMATIONAL_NAMES = {"dups_suppressed", "probe_timeouts", "demotions",
-                       "repromotions"}
+# Per-key overrides: suppressed duplicates scale with the injected storm,
+# not with code quality.
+INFORMATIONAL_NAMES = {"dups_suppressed"}
 
-SWEEP_AXES = ("kernel", "mode", "steal", "grain", "p", "n")
+SWEEP_AXES = ("kernel", "mode", "grain", "p", "n")
 
 
 def column_direction(name):
     """-1 = lower is better, +1 = higher is better, 0 = don't judge.
 
     Also applied to the embedded metrics-registry keys ("rmi.rmi_bytes",
-    "tg.steal_fail", ...): the family prefix is stripped first.
+    "idle.nap_us", ...): the family prefix is stripped first.
     """
     if name.startswith(INFORMATIONAL_FAMILIES):
         return 0
@@ -131,7 +130,7 @@ def diff_metrics(name, prev_bench, cur_bench):
     """Diffs the embedded metrics-registry snapshot of one bench.
 
     Returns the markdown lines (empty when either side lacks metrics).
-    Counter keys with an unambiguous direction (bytes, steal_fail, nap_us
+    Counter keys with an unambiguous direction (bytes, nap_us
     lower-better) emit the same non-blocking ::warning as table columns.
     """
     pmet, cmet = prev_bench.get("metrics"), cur_bench.get("metrics")
@@ -215,7 +214,8 @@ def diff_latency(name, prev_bench, cur_bench):
 def sweep_points(bench):
     """The bench's "sweeps" array (scaling_harness output), or [].  Older
     artifacts also swept a second transport; only their default-transport
-    ("queue") points still match current points."""
+    ("queue") points still match current points.  Their "steal" field is
+    no longer an axis, so such points match on the remaining axes."""
     sweeps = bench.get("sweeps") if isinstance(bench, dict) else None
     return [p for p in sweeps
             if isinstance(p, dict) and p.get("transport", "queue") == "queue"] \
@@ -229,13 +229,12 @@ def point_key(pt):
 
 def series_key(pt):
     """Everything but P and N: one scaling curve."""
-    return tuple(pt.get(a) for a in SWEEP_AXES[:4])
+    return tuple(pt.get(a) for a in SWEEP_AXES[:3])
 
 
 def series_label(key):
-    _, mode, steal, grain = key
-    steal_s = "steal" if steal else "nosteal"
-    return f"{mode}/{steal_s}/g:{grain}"
+    _, mode, grain = key
+    return f"{mode}/g:{grain}"
 
 
 def warn_efficiency_regressions(bench, kernel, skey, spts, ps, prev_pts):
