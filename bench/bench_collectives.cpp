@@ -9,7 +9,7 @@
 //   2. tree/flat crossover summary — smallest measured P at which the tree
 //      beats the flat exchange per primitive.
 //   3. sender-side aggregation on a Zipf chunk workload at P=8: the same
-//      owner-pinned chunk graph run with aggregation disabled
+//      owner-pinned chunks run with aggregation disabled
 //      (aggregation=1) vs the default batching (16 RMIs or agg_max_bytes
 //      per message), comparing wall time, messages sent, and the
 //      coll.agg_* batching counters.
@@ -19,7 +19,6 @@
 
 #include "bench_common.hpp"
 #include "runtime/collectives.hpp"
-#include "runtime/task_graph.hpp"
 
 #include <atomic>
 #include <chrono>
@@ -153,9 +152,10 @@ class result_sink : public p_object {
   std::atomic<long> m_sum{0};
 };
 
-/// The Zipf chunk graph at P=8 under a given aggregation setting: chunks
-/// are dealt to locations in blocks, so the head lands on location 0.
-/// Each chunk finishes by scattering one small per-unit result
+/// The Zipf chunk workload at P=8 under a given aggregation setting:
+/// chunks are dealt to locations in blocks, so the head lands on location
+/// 0, and each location runs its own chunks back to back.  Each chunk
+/// finishes by scattering one small per-unit result
 /// RMI to the unit's home location (u mod P) — the fine-grained
 /// element-update pattern sender-side aggregation exists for.  The burst
 /// is emitted without polling, so with batching on, the per-destination
@@ -190,26 +190,22 @@ agg_result run_zipf_chunks(unsigned aggregation)
     auto const sink_handle = sink.get_handle();
     unsigned const p = static_cast<unsigned>(num_locations());
 
-    task_graph<char> tg;
-    for (std::size_t r = 0; r < chunks; ++r) {
-      std::size_t const units = sizes[r];
-      tg.add_task(
-          owner[r],
-          [units, unit, sink_handle, p, r](std::vector<char> const&) {
-            for (std::size_t u = 0; u < units; ++u) {
-              std::this_thread::sleep_for(unit);
-              rmi_poll();
-            }
-            // Scatter per-unit results to each unit's home, no polls in
-            // between: the burst aggregation batches (or doesn't).
-            for (std::size_t u = 0; u < units; ++u)
-              async_rmi<result_sink>(
-                  static_cast<location_id>(u % p), sink_handle,
-                  &result_sink::note, static_cast<long>(r * 1000 + u));
-            return char{};
-          });
-    }
-    double const s = bench::timed_kernel([&] { tg.execute(); });
+    double const s = bench::timed_kernel([&] {
+      for (std::size_t r = 0; r < chunks; ++r) {
+        if (owner[r] != this_location())
+          continue;
+        for (std::size_t u = 0; u < sizes[r]; ++u) {
+          std::this_thread::sleep_for(unit);
+          rmi_poll();
+        }
+        // Scatter per-unit results to each unit's home, no polls in
+        // between: the burst aggregation batches (or doesn't).
+        for (std::size_t u = 0; u < sizes[r]; ++u)
+          async_rmi<result_sink>(
+              static_cast<location_id>(u % p), sink_handle,
+              &result_sink::note, static_cast<long>(r * 1000 + u));
+      }
+    });
     auto const delivered =
         allreduce(sink.hits(), std::plus<std::uint64_t>{});
     if (delivered != expected_hits) {

@@ -1,5 +1,5 @@
 // Scaling & scenario suite: strong/weak scaling sweeps over the declared
-// harness axes (P, grain) for six kernels — the core
+// harness axes (P, mode) for six kernels — the core
 // p_algorithms (for_each, map_reduce, partial_sum, sample_sort) plus the
 // two scenarios the paper's figures never stressed:
 //
@@ -11,9 +11,9 @@
 //     (synchronous find_val reads, insert_async writes, apply_async
 //     updates, one local scan per round).
 //
-// Default axes are the CI-smoke "lite" sweep (grain auto);
-// --full opts into the complete cross product; --pmax K caps the location
-// list (powers of two up to K).  With --json the per-point results land in
+// Default axes are the CI-smoke "lite" sweep (P up to 4); --full extends
+// the location list to P=8; --pmax K caps the location list (powers of
+// two up to K).  With --json the per-point results land in
 // BENCH_scaling.json under "sweeps" (timing + efficiency + the per-point
 // metrics::global_snapshot delta) next to the row/column tables.
 
@@ -34,11 +34,6 @@ namespace {
 using bench::scaling::kernel_def;
 using bench::scaling::sweep_point;
 
-stapl::exec_policy policy_of(sweep_point const& pt)
-{
-  return stapl::exec_policy{pt.grain};
-}
-
 /// p_for_each over a pArray: per-element arithmetic, the baseline
 /// data-parallel curve.
 double k_for_each(sweep_point const& pt)
@@ -47,11 +42,12 @@ double k_for_each(sweep_point const& pt)
   p_array<double> a(pt.n, 1.0);
   array_1d_view v(a);
   return bench::timed_kernel([&] {
-    p_for_each(v, [](double& x) { x = x * 1.0000001 + 0.5; }, policy_of(pt));
+    p_for_each(v, [](double& x) { x = x * 1.0000001 + 0.5; });
   });
 }
 
-/// map_reduce over a pArray: tree reduction of a per-element map.
+/// map_reduce over a pArray: local folds of a per-element map, then one
+/// allreduce.
 double k_map_reduce(sweep_point const& pt)
 {
   using namespace stapl;
@@ -59,13 +55,13 @@ double k_map_reduce(sweep_point const& pt)
   array_1d_view v(a);
   return bench::timed_kernel([&] {
     auto const r = map_reduce(v, [](double x) { return x * x; },
-                              std::plus<>{}, policy_of(pt));
+                              std::plus<>{});
     if (r && *r < 0)
       std::abort();
   });
 }
 
-/// p_partial_sum: the cross-location dependence-chain scan.
+/// p_partial_sum: local block folds, an allgather, then local rescans.
 double k_partial_sum(sweep_point const& pt)
 {
   using namespace stapl;
@@ -196,10 +192,8 @@ int main(int argc, char** argv)
   }
 
   sc::axes ax;
-  if (full) {
-    ax.grains = {0, 256};
+  if (full)
     ax.p_list = {1, 2, 4, 8};
-  }
   if (pmax != 0) {
     ax.p_list.clear();
     for (unsigned p = 1; p <= pmax; p *= 2)

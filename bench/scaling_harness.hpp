@@ -4,11 +4,11 @@
 // Declarative scaling-sweep harness (pSTL-Bench style).
 //
 // A *kernel* is a named SPMD body plus a base problem size; the harness
-// crosses it with the sweep axes — location count P, strong/weak scaling
-// mode and grain auto/fixed — runs one stapl::execute per
-// sweep point, and reports per-point wall time, parallel efficiency against
-// the P=1 point of the same series, and the `metrics::global_snapshot()`
-// delta of that execution (threads are fresh per execute, so the
+// crosses it with the sweep axes — location count P and strong/weak
+// scaling mode — runs one stapl::execute per sweep point, and reports
+// per-point wall time, parallel efficiency against the P=1 point of the
+// same series, and the `metrics::global_snapshot()` delta of that
+// execution (threads are fresh per execute, so the
 // collective snapshot covers exactly one sweep point).
 //
 // Efficiency definitions (t1 = seconds of the same series at P=1):
@@ -16,7 +16,7 @@
 //   weak:    e(P) = t1 / tP         (fixed N per location: N = base_n * P)
 //
 // Output: tables through the bench_common row/column mirror (one table per
-// kernel x mode, rows keyed "g:<grain>/pP" for the row-matching differ)
+// kernel x mode, rows keyed "pP" for the row-matching differ)
 // plus a machine-first "sweeps" JSON array attached to
 // BENCH_scaling.json via bench::set_extra_json — the input of
 // bench_diff.py's curve-aware diffing.
@@ -45,14 +45,12 @@ enum class scale_mode { strong, weak };
 struct axes {
   std::vector<unsigned> p_list{1, 2, 4};
   std::vector<scale_mode> modes{scale_mode::strong, scale_mode::weak};
-  std::vector<std::size_t> grains{0};  ///< 0 = auto (default_grain)
 };
 
 /// One point of the sweep: the axes values plus the problem size there.
 struct sweep_point {
   std::string kernel;
   scale_mode mode = scale_mode::strong;
-  std::size_t grain = 0;  ///< 0 = auto
   unsigned p = 1;
   std::size_t n = 0;
 };
@@ -81,8 +79,7 @@ struct sweep_point {
 /// computed within a series; the differ matches curves by this key + p.
 [[nodiscard]] inline std::string series_key(sweep_point const& pt)
 {
-  return pt.kernel + '/' + name(pt.mode) + "/g:" +
-         (pt.grain == 0 ? std::string("auto") : std::to_string(pt.grain));
+  return pt.kernel + '/' + name(pt.mode);
 }
 
 /// A registered workload: `body` runs on every location inside the sweep
@@ -94,17 +91,16 @@ struct kernel_def {
   std::function<double(sweep_point const&)> body;
 };
 
-/// All sweep points of one kernel, deterministically ordered:
-/// mode > grain > p, with p ascending so the P=1
-/// baseline of every series precedes the rest of its curve.
+/// All sweep points of one kernel, deterministically ordered: mode > p,
+/// with p ascending so the P=1 baseline of every series precedes the rest
+/// of its curve.
 [[nodiscard]] inline std::vector<sweep_point>
 enumerate(std::string const& kernel, std::size_t base_n, axes const& ax)
 {
   std::vector<sweep_point> out;
   for (scale_mode m : ax.modes)
-    for (std::size_t g : ax.grains)
-      for (unsigned p : ax.p_list)
-        out.push_back({kernel, m, g, p, problem_size(m, base_n, p)});
+    for (unsigned p : ax.p_list)
+      out.push_back({kernel, m, p, problem_size(m, base_n, p)});
   return out;
 }
 
@@ -238,9 +234,6 @@ metrics_json(stapl::metrics::counter_map const& m)
     first = false;
     out += "    {\"kernel\": " + detail::json_quote(r.pt.kernel) +
            ", \"mode\": " + detail::json_quote(name(r.pt.mode)) +
-           ", \"grain\": " +
-           detail::json_quote(r.pt.grain == 0 ? "auto"
-                                              : std::to_string(r.pt.grain)) +
            ", \"p\": " + std::to_string(r.pt.p) +
            ", \"n\": " + std::to_string(r.pt.n);
     std::snprintf(num, sizeof num, "%.9g", r.seconds);
@@ -253,8 +246,8 @@ metrics_json(stapl::metrics::counter_map const& m)
 }
 
 /// Prints one table per kernel x mode through the bench_common mirror.
-/// The row key ("g:<grain>/pP") is unique within a table, so
-/// the classic row-matching differ tracks every point too.
+/// The row key ("pP") is unique within a table, so the classic
+/// row-matching differ tracks every point too.
 inline void print_tables(std::vector<point_result> const& rs)
 {
   for (std::size_t i = 0; i < rs.size(); ++i) {
@@ -266,11 +259,7 @@ inline void print_tables(std::vector<point_result> const& rs)
       bench::table_header(
           r.pt.kernel + " (" + name(r.pt.mode) + " scaling)",
           {"point", "n", "seconds", "efficiency"});
-    std::string key = "g:" +
-                      (r.pt.grain == 0 ? std::string("auto")
-                                       : std::to_string(r.pt.grain)) +
-                      "/p" + std::to_string(r.pt.p);
-    bench::cell(key);
+    bench::cell("p" + std::to_string(r.pt.p));
     bench::cell(r.pt.n);
     bench::cell(r.seconds);
     bench::cell(r.efficiency);

@@ -4,15 +4,13 @@
 // MapReduce over pViews into associative pContainers (dissertation
 // Ch. XII.C.1, Fig. 59: counting word occurrences across a corpus).
 //
-// The map phase runs as chunk tasks on the task-graph executor
-// (runtime/task_graph.hpp), coarsened like every chunked factory.  Each
-// chunk maps its elements to (key, value) pairs and pre-combines them in a
-// location-local table (the classic combiner optimization) — one table per
-// location, shared by all of that location's chunk tasks.  After the map
-// graph drains, each location flushes its combined pairs into the
-// distributed pHashMap with asynchronous accumulate-updates: the shuffle
-// is one asynchronous RMI per distinct (location, key) rather than per
-// emitted pair.
+// The map phase is one local pass over each location's bView.  It maps
+// every element to (key, value) pairs and pre-combines them in a
+// location-local table (the classic combiner optimization).  Each location
+// then flushes its combined pairs into the distributed pHashMap with
+// asynchronous accumulate-updates, and a fence completes the shuffle: one
+// asynchronous RMI per distinct (location, key) rather than per emitted
+// pair.
 
 #include <cstddef>
 #include <unordered_map>
@@ -21,14 +19,13 @@
 
 #include "../containers/p_associative.hpp"
 #include "../runtime/runtime.hpp"
-#include "../runtime/task_graph.hpp"
+#include "p_algorithms.hpp"
 
 namespace stapl {
 
 /// options for map_reduce_into
 struct map_reduce_options {
   bool use_combiner = true; ///< pre-combine locally before the shuffle
-  exec_policy policy = {};  ///< chunking of the map phase
 };
 
 /// Runs MapReduce: for every element of `view`, `mapper(element, emit)` may
@@ -44,29 +41,20 @@ void map_reduce_into(View view, Mapper mapper, Reducer reducer,
     out.apply_async(k, [v, reducer](V& cur) { cur = reducer(cur, v); });
   };
   if (opts.use_combiner) {
-    // One combiner table per location (every chunk task of this location
-    // folds into it; it is flushed below once the map graph has drained
-    // everywhere).
     std::unordered_map<K, V, Hash> combined;
-    tg_detail::chunked_for_each_gid(
-        view, opts.policy,
-        [mapper = std::move(mapper), view, &combined,
-         reducer](typename View::gid_type g) mutable {
-          mapper(view.read(g), [&](K k, V v) {
-            auto [it, inserted] = combined.emplace(std::move(k), v);
-            if (!inserted)
-              it->second = reducer(it->second, v);
-          });
-        });
+    algo_detail::local_pass(view, [&](typename View::gid_type g) {
+      mapper(view.read(g), [&](K k, V v) {
+        auto [it, inserted] = combined.emplace(std::move(k), v);
+        if (!inserted)
+          it->second = reducer(it->second, v);
+      });
+    });
     for (auto const& [k, v] : combined)
       flush(k, v);
   } else {
-    tg_detail::chunked_for_each_gid(
-        view, opts.policy,
-        [mapper = std::move(mapper), view,
-         flush](typename View::gid_type g) mutable {
-          mapper(view.read(g), [&](K k, V v) { flush(k, v); });
-        });
+    algo_detail::local_pass(view, [&](typename View::gid_type g) {
+      mapper(view.read(g), [&](K k, V v) { flush(k, v); });
+    });
   }
   rmi_fence();
 }

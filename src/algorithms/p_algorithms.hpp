@@ -1,18 +1,16 @@
 #ifndef STAPL_ALGORITHMS_P_ALGORITHMS_HPP
 #define STAPL_ALGORITHMS_P_ALGORITHMS_HPP
 
-// Generic pAlgorithms (dissertation Ch. III, VIII.C), expressed as
-// task-graph factories (runtime/task_graph.hpp).
+// Generic pAlgorithms (dissertation Ch. III, VIII.C).
 //
-// Every algorithm coarsens its view into chunk tasks — many per location,
-// ~grain elements each (exec_policy, or default_grain) — and runs them on
-// the task-graph executor, each chunk on the location whose bView it
-// covers.  Element access takes the direct-reference fast path when local
-// (native/aligned views) and the shared-object read/write path otherwise,
-// so repartitioning views compute the same result as aligned ones.
-// Reductions and scans chain partial results through value-carrying
-// dependence edges instead of allgather+fence rounds.  Every algorithm
-// still ends at a fence (inside task_graph::execute) and the views'
+// Every algorithm runs on the location that stores each bView: one local
+// pass over the calling location's own bView, followed by the fence or
+// collective that combines the locations.  Mutating maps end at a fence;
+// reductions end in one allreduce of per-location folds; the prefix sum
+// allgathers per-block folds.  Element access takes the direct-reference
+// fast path when local (native/aligned views) and the shared-object
+// read/write path otherwise, so repartitioning views compute the same
+// result as aligned ones.  Mutating algorithms end with the views'
 // post_execute hook, implementing the automatic synchronization-point
 // insertion of Ch. VII.H.
 
@@ -21,11 +19,11 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "../runtime/runtime.hpp"
-#include "../runtime/task_graph.hpp"
 #include "../views/views.hpp"
 
 namespace stapl {
@@ -54,34 +52,56 @@ void apply_element(View& v, typename View::gid_type g, F& f)
     v.write(g, std::move(x));
 }
 
+/// One pass over the calling location's bView: `body(gid)` per element, in
+/// bView order.  Traced as one `task_run` scope (arg: elements visited)
+/// and timed as one `tg_task` latency sample.  Adds no synchronization:
+/// mutating callers fence afterwards.
+template <typename View, typename Body>
+void local_pass(View const& v, Body&& body)
+{
+  auto const gids = v.local_gids();
+  trace::trace_scope scope(trace::event_kind::task_run, gids.size());
+  latency::timed_op lat(latency::op::tg_task);
+  for (auto const& g : gids)
+    body(g);
+}
+
+/// mapf(gid, x) when the map functor takes a GID, mapf(x) otherwise.
+template <typename Map, typename G, typename X>
+decltype(auto) map_element(Map& mapf, G const& g, X&& x)
+{
+  if constexpr (std::is_invocable_v<Map&, G, X>)
+    return mapf(g, std::forward<X>(x));
+  else
+    return mapf(std::forward<X>(x));
+}
+
 } // namespace algo_detail
 
 // ---------------------------------------------------------------------------
-// Mutating map patterns (chunked per-element factories)
+// Mutating map patterns
 // ---------------------------------------------------------------------------
 
-/// Applies `wf(gid, element&)` to every element as chunk tasks (many per
-/// location; the Ch. VII.A elementary factory, coarsened).  Each location
-/// shares one `wf` instance across its chunks.  Collective; ends with a
-/// fence and the view's post_execute.
+/// Applies `wf(gid, element&)` to every element (the Ch. VII.A elementary
+/// factory): one local pass per location.  Collective; ends with a fence
+/// and the view's post_execute.
 template <typename View, typename WF>
-void p_for_each_gid(View v, WF wf, exec_policy pol = {})
+void p_for_each_gid(View v, WF wf)
 {
-  tg_detail::chunked_for_each_gid(
-      v, pol, [wf = std::move(wf), v](typename View::gid_type g) mutable {
-        auto f = [&](auto& x) { wf(g, x); };
-        algo_detail::apply_element(v, g, f);
-      });
+  algo_detail::local_pass(v, [&](typename View::gid_type g) {
+    auto f = [&](auto& x) { wf(g, x); };
+    algo_detail::apply_element(v, g, f);
+  });
+  rmi_fence();
   v.post_execute();
 }
 
 /// Applies `wf(element&)` to every element.  Collective.
 template <typename View, typename WF>
-void p_for_each(View v, WF wf, exec_policy pol = {})
+void p_for_each(View v, WF wf)
 {
-  p_for_each_gid(
-      std::move(v),
-      [wf = std::move(wf)](auto const&, auto& x) mutable { wf(x); }, pol);
+  p_for_each_gid(std::move(v),
+                 [wf = std::move(wf)](auto const&, auto& x) mutable { wf(x); });
 }
 
 /// Assigns `gen()` to every element.  Collective.
@@ -103,13 +123,13 @@ void p_fill(View v, T value)
 /// out[g] = op(in[g]) for every g; distributions should be aligned for
 /// performance.  Collective.
 template <typename InView, typename OutView, typename Op>
-void p_transform(InView in, OutView out, Op op, exec_policy pol = {})
+void p_transform(InView in, OutView out, Op op)
 {
   assert(in.size() == out.size());
-  tg_detail::chunked_for_each_gid(
-      in, pol, [in, out, op](typename InView::gid_type g) mutable {
-        out.write(g, op(in.read(g)));
-      });
+  algo_detail::local_pass(in, [&](typename InView::gid_type g) {
+    out.write(g, op(in.read(g)));
+  });
+  rmi_fence();
   out.post_execute();
 }
 
@@ -122,18 +142,35 @@ void p_copy(InView in, OutView out)
 }
 
 // ---------------------------------------------------------------------------
-// Reductions (tree_reduce factory, Ch. VIII.C)
+// Reductions (Ch. VIII.C)
 // ---------------------------------------------------------------------------
 
-/// Generic map-reduce over a view: reduces map(element) over all elements
-/// through a dependence tree of chunk partials (no intermediate fences).
-/// `redf` must be associative.  Returns nullopt for empty views.
-/// Collective.
+/// Generic map-reduce over a view: each location folds map(element) over
+/// its bView in one pass, then one allreduce combines the per-location
+/// folds in location order.  `mapf` is invoked as mapf(value) or
+/// mapf(gid, value); `redf` must be associative.  Returns nullopt for
+/// empty views.  Collective.
 template <typename View, typename Map, typename Reduce>
-[[nodiscard]] auto map_reduce(View v, Map mapf, Reduce redf,
-                              exec_policy pol = {})
+[[nodiscard]] auto map_reduce(View v, Map mapf, Reduce redf)
 {
-  return tree_reduce(std::move(v), std::move(mapf), std::move(redf), pol);
+  using gid_type = typename View::gid_type;
+  using T = decltype(algo_detail::map_element(
+      mapf, std::declval<gid_type const&>(),
+      std::declval<typename View::value_type>()));
+  using EV = std::pair<T, bool>;  ///< (fold, nonempty)
+
+  EV acc{T{}, false};
+  algo_detail::local_pass(v, [&](gid_type const& g) {
+    T m = algo_detail::map_element(mapf, g, v.read(g));
+    acc = acc.second ? EV{redf(std::move(acc.first), std::move(m)), true}
+                     : EV{std::move(m), true};
+  });
+  EV const out = allreduce(acc, [&redf](EV const& a, EV const& b) {
+    if (!b.second)
+      return a;
+    return a.second ? EV{redf(a.first, b.first), true} : b;
+  });
+  return out.second ? std::optional<T>(out.first) : std::optional<T>{};
 }
 
 /// Sum (or op-fold) of all elements plus init.  Collective.
@@ -233,89 +270,76 @@ template <typename V1, typename V2, typename T>
 }
 
 // ---------------------------------------------------------------------------
-// Prefix sums (scan factory: per-block folds chained through value edges)
+// Prefix sums
 // ---------------------------------------------------------------------------
 
 /// Inclusive prefix sum over a contiguously partitioned indexed container:
-/// out[i] = op(in[0], ..., in[i]).  Three task flavors per bCID — block
-/// fold, running-total chain, offset rescan — wired by value-carrying
-/// dependences, so no block-sum allgather and no fence between phases.
+/// out[i] = op(in[0], ..., in[i]).  Each location folds its own blocks,
+/// the per-block folds are allgathered, and each location rescans its
+/// blocks starting from the fold of all earlier blocks in bCID order.
 /// Requires in/out aligned and contiguous sub-domains.  Collective.
 template <typename InC, typename OutC, typename Op = std::plus<>>
 void p_partial_sum(InC& in, OutC& out, Op op = {})
 {
   using T = typename InC::value_type;
-  using EV = std::pair<T, bool>;  ///< (partial, nonempty)
+  using EV = std::pair<T, bool>;  ///< (fold, nonempty)
   assert(in.size() == out.size());
 
-  std::size_t const nparts = in.partition().size();
-  task_graph<EV> tg;
-  using tid = typename task_graph<EV>::task_id;
+  auto fold = [&op](EV acc, T const& x) {
+    return acc.second ? EV{op(std::move(acc.first), x), true} : EV{x, true};
+  };
 
-  std::vector<tid> chain(nparts);
-  for (std::size_t b = 0; b != nparts; ++b) {
-    location_id const loc = in.mapper().map(b);
-    // Leaf: fold this block's elements.
-    tid const fold = tg.add_task(
-        loc, [&in, b, op](std::vector<EV> const& /*ins*/) {
-          auto const& bc = in.bc(b);
-          EV acc{T{}, false};
-          for (std::size_t i = 0; i != bc.size(); ++i)
-            acc = acc.second ? EV{op(std::move(acc.first), bc.at(i)), true}
-                             : EV{bc.at(i), true};
-          return acc;
-        });
-    // Chain: running total through block b (inputs: previous total, fold).
-    chain[b] = tg.add_task(
-        loc, [op](std::vector<EV> const& ins) {
-          EV acc{T{}, false};
-          for (auto const& x : ins) {
-            if (!x.second)
-              continue;
-            acc = acc.second ? EV{op(std::move(acc.first), x.first), true} : x;
-          }
-          return acc;
-        });
-    if (b > 0)
-      tg.add_dependence(chain[b - 1], chain[b]);
-    tg.add_dependence(fold, chain[b]);
-    // Rescan: rewrite block b with the prefix before it as offset.
-    tid const rescan = tg.add_task(
-        loc, [&in, &out, b, op](std::vector<EV> const& ins) {
-          EV const off = ins.empty() ? EV{T{}, false} : ins[0];
-          auto const& ibc = in.bc(b);
-          T run = off.first;
-          bool have = off.second;
-          for (std::size_t i = 0; i != ibc.size(); ++i) {
-            run = have ? op(std::move(run), ibc.at(i)) : ibc.at(i);
-            have = true;
-            out.bc(b).set(i, run);
-          }
-          return EV{T{}, false};
-        });
-    if (b > 0)
-      tg.add_dependence(chain[b - 1], rescan);
+  // (bCID, fold) of every block this location stores.
+  std::size_t const nparts = in.partition().size();
+  std::vector<std::pair<bcid_type, EV>> mine;
+  for (bcid_type b = 0; b != nparts; ++b) {
+    if (in.mapper().map(b) != this_location())
+      continue;
+    auto const& bc = in.bc(b);
+    EV acc{T{}, false};
+    for (std::size_t i = 0; i != bc.size(); ++i)
+      acc = fold(std::move(acc), bc.at(i));
+    mine.emplace_back(b, std::move(acc));
   }
-  tg.execute();
+
+  std::vector<EV> block_fold(nparts, EV{T{}, false});
+  for (auto& folds : allgather(mine))
+    for (auto& [b, f] : folds)
+      block_fold[b] = std::move(f);
+
+  EV offset{T{}, false};  ///< fold of blocks 0..b-1
+  for (bcid_type b = 0; b != nparts; ++b) {
+    if (in.mapper().map(b) == this_location()) {
+      auto const& ibc = in.bc(b);
+      EV run = offset;
+      for (std::size_t i = 0; i != ibc.size(); ++i) {
+        run = fold(std::move(run), ibc.at(i));
+        out.bc(b).set(i, run.first);
+      }
+    }
+    if (block_fold[b].second)
+      offset = fold(std::move(offset), block_fold[b].first);
+  }
+  rmi_fence();
 }
 
-/// out[i] = in[i] - in[i-1] (out[0] = in[0]): chunked map over the input's
-/// native view; the overlap read at chunk borders goes through the
-/// shared-object view (Fig. 2 pattern).  Collective.
+/// out[i] = in[i] - in[i-1] (out[0] = in[0]): one pass over the input's
+/// native view; the read of the previous element at a bView border goes
+/// through the shared-object view (Fig. 2 pattern).  Collective.
 template <typename InC, typename OutC, typename Op = std::minus<>>
 void p_adjacent_difference(InC& in, OutC& out, Op op = {})
 {
   using T = typename InC::value_type;
   assert(in.size() == out.size());
   array_1d_view iv(in);
-  tg_detail::chunked_for_each_gid(
-      iv, exec_policy{}, [iv, &out, op](gid1d g) mutable {
-        T const here = iv.read(g);
-        if (g == 0)
-          out.set_element(0, here);
-        else
-          out.set_element(g, op(here, iv.read(g - 1)));
-      });
+  algo_detail::local_pass(iv, [&](gid1d g) {
+    T const here = iv.read(g);
+    if (g == 0)
+      out.set_element(0, here);
+    else
+      out.set_element(g, op(here, iv.read(g - 1)));
+  });
+  rmi_fence();
 }
 
 } // namespace stapl

@@ -11,11 +11,10 @@
 //   3. local elements are partitioned by splitter and shipped to their
 //      bucket's location in bulk asynchronous batches;
 //   4. each location sorts its bucket;
-//   5. the sorted sequence is written back to the container in order: each
-//      location's start offset arrives as a value-carrying dependence from
-//      its left neighbour (an offset chain on the task-graph executor), so
-//      no bucket-size allgather is needed; the write-back itself is
-//      coarsened into default_grain chunk tasks.
+//   5. the sorted sequence is written back to the container in order:
+//      each location's start offset is the exclusive scan of the bucket
+//      sizes, and every run of consecutive GIDs with one owner travels as
+//      one asynchronous RMI that writes the run on that owner.
 //
 // Sorts any indexed container with 1D gids (pArray, pVector).
 
@@ -26,8 +25,8 @@
 #include <vector>
 
 #include "../runtime/runtime.hpp"
-#include "../runtime/task_graph.hpp"
 #include "../views/views.hpp"
+#include "p_algorithms.hpp"
 
 namespace stapl {
 
@@ -102,53 +101,37 @@ void p_sample_sort(C& arr, Compare cmp = {})
   std::sort(bucket.elems.begin(), bucket.elems.end(), cmp);
 
   // 5. Write back in global order: bucket l starts where buckets 0..l-1
-  //    end.  The running total travels down a task chain as a dependence
-  //    value (each location's chain task adds its bucket size), and the
-  //    write-back is coarsened into default_grain chunk tasks over the
-  //    local bucket.  Each location adds its write-back tasks alone, after
-  //    the shared chain, fed by its own chain task (offset = total minus
-  //    its bucket size), so no chunk metadata is exchanged.  Every chunk
-  //    fires as soon as its location's running total arrives — no size
-  //    allgather, no phase barrier.
-  {
-    std::size_t const grain = default_grain(arr.size());
-    std::size_t const mine = bucket.elems.size();
-    task_graph<std::size_t> tg;
-    using tid = task_graph<std::size_t>::task_id;
-    std::vector<tid> chain(p);
-    for (unsigned l = 0; l < p; ++l) {
-      chain[l] = tg.add_task(
-          l, [mine](std::vector<std::size_t> const& ins) {
-            return (ins.empty() ? 0 : ins[0]) + mine;
-          });
-      if (l > 0)
-        tg.add_dependence(chain[l - 1], chain[l]);
-    }
-    for (std::size_t b = 0; b < mine; b += grain) {
-      tid const wb = tg.add_task(
-          this_location(),
-          [&bucket, &arr, b, e = std::min(mine, b + grain),
-           mine](std::vector<std::size_t> const& ins) {
-            std::size_t const offset = ins[0] - mine;
-            for (std::size_t i = b; i < e; ++i)
-              arr.set_element(offset + i, std::move(bucket.elems[i]));
-            return std::size_t{0};
-          });
-      tg.add_dependence(chain[this_location()], wb);
-    }
-    tg.execute();
+  //    end.  Consecutive GIDs with one owner travel as one run.
+  std::size_t const offset =
+      exclusive_scan(bucket.elems.size(), std::plus<>{}, std::size_t{0});
+  auto const& elems = bucket.elems;
+  for (std::size_t b = 0; b < elems.size();) {
+    location_id const owner = arr.lookup(offset + b);
+    std::size_t e = b + 1;
+    while (e < elems.size() && arr.lookup(offset + e) == owner)
+      ++e;
+    async_rmi<C>(
+        owner, arr.get_handle(),
+        [](C& c, gid1d first, auto&& run) {
+          for (std::size_t i = 0; i != run.size(); ++i)
+            c.set_element(first + i, std::move(run[i]));
+        },
+        static_cast<gid1d>(offset + b),
+        std::vector<T>(elems.begin() + b, elems.begin() + e));
+    b = e;
   }
+  rmi_fence();
 }
 
 /// Collective check that a container's elements are globally sorted:
-/// a tree_reduce of per-pair checks (the boundary read of g+1 goes through
+/// a map_reduce of per-pair checks (the boundary read of g+1 goes through
 /// the shared-object view).
 template <typename C, typename Compare = std::less<>>
 [[nodiscard]] bool p_is_sorted(C& arr, Compare cmp = {})
 {
   array_1d_ro_view v(arr);
   std::size_t const n = arr.size();
-  auto const ok = tree_reduce(
+  auto const ok = map_reduce(
       v,
       [v, n, cmp](gid1d g, typename C::value_type const& x) mutable {
         return g + 1 < n ? !cmp(v.read(g + 1), x) : true;

@@ -879,7 +879,7 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
   /// After make_dynamic() the traversal follows current *ownership*:
   /// partition-assigned slots whose element migrated away are skipped, and
   /// adopted elements living in the overflow store are visited (ascending
-  /// GID order) — so bView iteration and task-graph chunks cover exactly
+  /// GID order) — so bView iteration and pAlgorithm passes cover exactly
   /// the elements this location owns.
   template <typename F>
   void for_each_local(F&& f)

@@ -475,9 +475,9 @@ namespace metrics {
 /// Collective: the union of every location's `snapshot()`, counters summed
 /// by name (latency gauge keys — quantiles, max — merge by max instead;
 /// see `sums_on_merge`).  Must be called by all locations.  This is the
-/// one map that surfaces all stats families — runtime, task-graph,
-/// directory, load-balancer, idle time — plus the byte counters and
-/// per-family latency keys.
+/// one map that surfaces all stats families — runtime, directory,
+/// load-balancer, idle time — plus the byte counters and per-family
+/// latency keys.
 [[nodiscard]] inline counter_map global_snapshot()
 {
   return allreduce(snapshot(), [](counter_map a, counter_map const& b) {

@@ -91,7 +91,6 @@ char const* name_of(event_kind k) noexcept
     case event_kind::migration:       return "migration";
     case event_kind::rebalance_wave:  return "rebalance_wave";
     case event_kind::epoch_advance:   return "epoch_advance";
-    case event_kind::tg_execute:      return "tg_execute";
     case event_kind::fault_inject:    return "fault_inject";
     case event_kind::watchdog:        return "watchdog";
     case event_kind::kind_count_:     break;

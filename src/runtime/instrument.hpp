@@ -10,17 +10,18 @@
 //
 //   * trace::   — a per-location, single-writer ring-buffer event tracer
 //     with typed events (RMI send/execute, aggregated message flush, fence,
-//     task run, migration, rebalance wave, epoch advance).  Disabled cost is one relaxed atomic
-//     load behind the STAPL_TRACE macro; enabled cost is one ring slot
-//     write.  Rings stay in memory; `trace::dump(path)` exports them once,
-//     at the end, as Chrome trace-event JSON with one pid/tid lane per
-//     location, loadable directly in Perfetto.
+//     algorithm pass, migration, rebalance wave, epoch advance).  Disabled
+//     cost is one relaxed atomic load behind the STAPL_TRACE macro; enabled
+//     cost is one ring slot write.  Rings stay in memory;
+//     `trace::dump(path)` exports them once, at the end, as Chrome
+//     trace-event JSON with one pid/tid lane per location, loadable
+//     directly in Perfetto.
 //
 //   * metrics:: — a named-counter registry.  Stats producers (the RTS
-//     location counters, task-graph executors, directories, the load
-//     balancer) register fold/reset contributor callbacks on their owning
-//     location thread; `metrics::snapshot()` folds all of them plus the
-//     finals of already-destroyed contributors into one map, and
+//     location counters, directories, the load balancer) register
+//     fold/reset contributor callbacks on their owning location thread;
+//     `metrics::snapshot()` folds all of them plus the finals of
+//     already-destroyed contributors into one map, and
 //     `metrics::reset_all()` resets every family through the same hooks.
 //
 // Layering: this header depends only on types.hpp (plus the standard
@@ -55,11 +56,10 @@ enum class event_kind : std::uint8_t {
   rmi_execute,      ///< incoming RMI executed here (arg: 0)
   msg_flush,        ///< aggregation buffer flushed (arg: requests in message)
   fence,            ///< rmi_fence, entry to exit (scope)
-  task_run,         ///< one task-graph task body (scope; arg: task id)
+  task_run,         ///< one pAlgorithm local pass (scope; arg: elements)
   migration,        ///< element migration arrived here (arg: gid)
   rebalance_wave,   ///< one load-balancer wave (scope; arg: moves planned)
   epoch_advance,    ///< container epoch advance (arg: new epoch)
-  tg_execute,       ///< task-graph execution phase (scope; arg: tasks run)
   fault_inject,     ///< fault-layer injection (arg: site<<8 | action bits)
   watchdog,         ///< hang watchdog fired on this location (arg: 0)
   kind_count_       ///< sentinel, keep last
@@ -69,7 +69,7 @@ enum class event_kind : std::uint8_t {
 [[nodiscard]] constexpr bool is_scope(event_kind k) noexcept
 {
   return k == event_kind::fence || k == event_kind::task_run ||
-         k == event_kind::rebalance_wave || k == event_kind::tg_execute;
+         k == event_kind::rebalance_wave;
 }
 
 /// Stable display name of an event kind (used by the exporter and tests).
@@ -171,7 +171,7 @@ class trace_scope {
   trace_scope(trace_scope const&) = delete;
   trace_scope& operator=(trace_scope const&) = delete;
 
-  /// Updates the argument recorded at scope exit (e.g. tasks run).
+  /// Updates the argument recorded at scope exit (e.g. moves planned).
   void set_arg(std::uint64_t arg) noexcept { m_arg = arg; }
 
   ~trace_scope()

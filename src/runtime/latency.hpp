@@ -36,7 +36,7 @@ namespace latency {
 enum class op : std::uint8_t {
   dir_resolve,      ///< directory::resolve: blocking owner lookup
   rmi_sync,         ///< sync_rmi: synchronous RMI round trip
-  tg_task,          ///< one task-graph task body
+  tg_task,          ///< one pAlgorithm local pass (name kept for perfbench)
   container_apply,  ///< container element-method execution (invoke paths)
   lb_wave_stall,    ///< one rebalance() wave, entry to exit (the stall it
                     ///< imposes on concurrent traffic)

@@ -1,6 +1,6 @@
-// Integration tests across modules: the task-graph executor (Ch. III),
-// redistribution (Ch. V.G), composition (Ch. IV.C/XIII), graph algorithms
-// (Ch. XI.F), the Euler tour technique (Ch. X.H) and MapReduce (Ch. XII.C).
+// Integration tests across modules: redistribution (Ch. V.G), composition
+// (Ch. IV.C/XIII), graph algorithms (Ch. XI.F), the Euler tour technique
+// (Ch. X.H) and MapReduce (Ch. XII.C).
 
 #include "algorithms/euler_tour.hpp"
 #include "algorithms/graph_algorithms.hpp"
@@ -11,7 +11,6 @@
 #include "containers/p_list.hpp"
 #include "core/composition.hpp"
 #include "core/redistribution.hpp"
-#include "runtime/task_graph.hpp"
 
 #include <gtest/gtest.h>
 
@@ -23,82 +22,6 @@
 namespace {
 
 using namespace stapl;
-
-// ---------------------------------------------------------------------------
-// Executor: owner-pinned void tasks on task_graph<char>
-// ---------------------------------------------------------------------------
-
-/// Adapts a void body to a task_graph<char> work function.
-template <typename F>
-task_graph<char>::work_fn void_task(F f)
-{
-  return [f](std::vector<char> const&) {
-    f();
-    return char{};
-  };
-}
-
-TEST(Executor, DiamondDependenceOrder)
-{
-  execute(4, [] {
-    p_array<int> results(4, -1);
-    task_graph<char> tg;
-    // Diamond: t0 -> {t1, t2} -> t3, spread over locations.
-    auto t0 = tg.add_task(0, void_task([&] { results.set_element(0, 1); }));
-    auto t1 = tg.add_task(1 % num_locations(), void_task([&] {
-      EXPECT_EQ(results.get_element(0), 1); // t0 completed
-      results.set_element(1, 2);
-    }));
-    auto t2 = tg.add_task(2 % num_locations(), void_task([&] {
-      EXPECT_EQ(results.get_element(0), 1);
-      results.set_element(2, 3);
-    }));
-    auto t3 = tg.add_task(3 % num_locations(), void_task([&] {
-      EXPECT_EQ(results.get_element(1), 2);
-      EXPECT_EQ(results.get_element(2), 3);
-      results.set_element(3, 4);
-    }));
-    tg.add_dependence(t0, t1);
-    tg.add_dependence(t0, t2);
-    tg.add_dependence(t1, t3);
-    tg.add_dependence(t2, t3);
-    tg.execute();
-    EXPECT_EQ(results.get_element(3), 4);
-    rmi_fence();
-  });
-}
-
-TEST(Executor, ChainAcrossLocations)
-{
-  execute(4, [] {
-    p_array<int> acc(1, 0);
-    task_graph<char> tg;
-    std::size_t prev = static_cast<std::size_t>(-1);
-    for (int i = 0; i < 12; ++i) {
-      auto t = tg.add_task(static_cast<location_id>(i % num_locations()),
-                           void_task([&acc] {
-                             acc.apply_set(0, [](int& x) { ++x; });
-                           }));
-      if (prev != static_cast<std::size_t>(-1))
-        tg.add_dependence(prev, t);
-      prev = t;
-    }
-    tg.execute();
-    EXPECT_EQ(acc.get_element(0), 12);
-    rmi_fence();
-  });
-}
-
-TEST(Executor, MapFuncAppliesWorkFunction)
-{
-  execute(4, [] {
-    p_array<long> pa(200, 1);
-    array_1d_view v(pa);
-    p_for_each(v, [](long& x) { x *= 5; });
-    EXPECT_EQ(p_accumulate(v, 0L), 1000L);
-    rmi_fence();
-  });
-}
 
 // ---------------------------------------------------------------------------
 // Redistribution (Ch. V.G)

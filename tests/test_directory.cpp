@@ -1,8 +1,9 @@
 // Unit tests for the distributed directory subsystem (core/directory.hpp,
 // core/migration.hpp) and its container wiring: GID registration across
 // home locations, request forwarding through stale caches and in-flight
-// migrations, cache invalidation on ownership change, and the element
-// migration protocol on pArray / pMap / pGraph — with at least 4
+// migrations, cache invalidation on ownership change, the element
+// migration protocol on pArray / pMap / pGraph, and routed element
+// methods and pAlgorithm passes racing migrations — with at least 4
 // locations.
 
 #include "algorithms/p_algorithms.hpp"
@@ -533,7 +534,7 @@ TEST(directory_test, DynamicIndexedLocalTraversalFollowsOwnership)
     long const global_sum = allreduce(local_sum, std::plus<>{});
     EXPECT_EQ(global_sum, static_cast<long>(n * (n - 1) / 2));
 
-    // A chunked algorithm over the native bView sees every element exactly
+    // A pAlgorithm over the native bView sees every element exactly
     // once despite the scattered placement.
     EXPECT_EQ(p_accumulate(array_1d_view(pa), 0L),
               static_cast<long>(n * (n - 1) / 2));
@@ -611,6 +612,70 @@ TEST(directory_test, ConcurrentCrossHomeResolves)
     // Every element is still reachable and worth its initial value.
     for (std::size_t g = 0; g < n; ++g)
       EXPECT_EQ(pa.get_element(g), 1);
+    rmi_fence();
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Routed element methods vs. concurrent element migration
+// ---------------------------------------------------------------------------
+
+TEST(directory_test, AppliesExactlyOnceUnderConcurrentMigration)
+{
+  execute(4, [] {
+    std::size_t const n = 64 * num_locations();
+    p_array<long> pa(n, 0);
+    pa.make_dynamic();
+
+    // A loop over this location's bView snapshot increments every element
+    // through the routed apply path.  After the first 16 elements each
+    // location scatters a slice of the domain to the next one over, so a
+    // later apply may reach an element that has left.
+    auto const gids = pa.local_gids();
+    for (std::size_t j = 0; j < gids.size(); ++j) {
+      if (j == 16) {
+        location_id const me = this_location();
+        for (std::size_t g = me; g < n; g += 2 * num_locations())
+          pa.migrate(g, (me + 1) % num_locations());
+      }
+      pa.apply_set(gids[j], [](long& x) { x += 1; });
+    }
+    rmi_fence();
+
+    // Exactly once: every element was incremented exactly one time, no
+    // matter where the element went while the loop ran.
+    for (std::size_t g = 0; g < n; ++g)
+      EXPECT_EQ(pa.get_element(g), 1) << "gid " << g;
+
+    // And the traversal after the dust settles covers the domain exactly.
+    auto const total = allreduce(pa.local_gids().size(), std::plus<>{});
+    EXPECT_EQ(total, n);
+    rmi_fence();
+  });
+}
+
+// Stress: pAlgorithm passes + migration churn (sized for the sanitizer CI
+// job as well).
+TEST(directory_test, StressMixedLoad)
+{
+  execute(4, [] {
+    std::size_t const n = 96 * num_locations();
+    p_array<long> pa(n, 0);
+    array_1d_view v(pa);
+    pa.make_dynamic();
+
+    long expect_round = 0;
+    for (int round = 0; round < 3; ++round) {
+      p_for_each(v, [](long& x) { x += 2; });
+      expect_round += 2;
+      if (this_location() == round % num_locations())
+        for (std::size_t g = round; g < n; g += 5)
+          pa.migrate(g, (this_location() + 1 + round) % num_locations());
+      rmi_fence(); // placement settles before the next phase snapshots it
+      auto const sum = p_accumulate(v, 0L);
+      EXPECT_EQ(sum, static_cast<long>(n) * expect_round);
+      rmi_fence();
+    }
     rmi_fence();
   });
 }

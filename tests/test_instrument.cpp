@@ -1,23 +1,20 @@
 // Tests for the runtime instrumentation layer (runtime/instrument.hpp):
 // the disabled tracer records nothing and metrics::reset_all() zeroes the
-// runtime counters; an enabled P=4 value-edge task graph traces every task
-// exactly once, on its owner, with monotonic timestamps per location; ring
-// overflow reports an exact
-// drop count; the Chrome trace-event exporter's output round-trips through
-// a JSON parser, also for a traced P=4 rebalance run; and
-// metrics::global_snapshot() surfaces all four stats families plus the
-// byte counters in one map.
+// runtime counters; an enabled P=4 pAlgorithm run traces one local pass per
+// location per call, with monotonic timestamps per location; ring overflow
+// reports an exact drop count; the Chrome trace-event exporter's output
+// round-trips through a JSON parser, also for a traced P=4 rebalance run;
+// and metrics::global_snapshot() surfaces the runtime, idle, directory and
+// load-balancer families plus the byte counters in one map.
 
 #include "algorithms/p_algorithms.hpp"
 #include "containers/p_array.hpp"
-#include "runtime/task_graph.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -39,42 +36,6 @@ struct trace_guard {
     trace::clear();
   }
 };
-
-/// Tasks per location in run_value_edge_graph.
-constexpr int tasks_per_location = 6;
-
-/// A cross-location value-edge graph: every location owns
-/// tasks_per_location work tasks (ids l * tasks_per_location + i), each
-/// feeding one sink on location 0 (the last id), so every location runs
-/// tasks and all but location 0 ship dependence values.  Callers run no
-/// other task graph in the same execution, so the global tg.* keys are
-/// this graph's.
-void run_value_edge_graph()
-{
-  task_graph<long> tg;
-  using tid = task_graph<long>::task_id;
-  std::vector<tid> work;
-  long expect = 0;
-  for (location_id l = 0; l < num_locations(); ++l)
-    for (int i = 0; i < tasks_per_location; ++i) {
-      work.push_back(tg.add_task(l, [i](std::vector<long> const&) {
-        return static_cast<long>(i);
-      }));
-      expect += i;
-    }
-  tid const sink = tg.add_task(0, [](std::vector<long> const& ins) {
-    return std::accumulate(ins.begin(), ins.end(), 0L);
-  });
-  for (tid const t : work)
-    tg.add_dependence(t, sink);
-  tg.execute();
-  if (this_location() == 0)
-    EXPECT_EQ(tg.result_of(sink), expect);
-  auto const g = metrics::global_snapshot();
-  std::uint64_t const p = num_locations();
-  EXPECT_EQ(g.at("tg.tasks_run"), p * tasks_per_location + 1);
-  EXPECT_EQ(g.at("tg.values_sent"), (p - 1) * tasks_per_location);
-}
 
 /// Minimal recursive-descent JSON acceptor, enough to round-trip the
 /// exporter's output (no external JSON dependency in the image).
@@ -241,22 +202,29 @@ TEST(InstrumentTest, ResetAllZeroesRuntimeCounters)
 }
 
 // ---------------------------------------------------------------------------
-// Enabled P=4 value-edge run: every task traced once, monotonic per location
+// Enabled P=4 algorithm run: one traced pass per location per call
 // ---------------------------------------------------------------------------
 
-TEST(InstrumentTest, EnabledValueEdgeRunTracesEveryTaskOnce)
+TEST(InstrumentTest, EnabledAlgorithmRunTracesOnePassPerLocation)
 {
   trace_guard guard;
   trace::enable();
-  execute(4, [] { run_value_edge_graph(); });
+  std::size_t const n = 4000;
+  execute(4, [n] {
+    p_array<long> pa(n, 1);
+    array_1d_view v(pa);
+    p_for_each(v, [](long& x) { x += 1; });
+    auto const sum = map_reduce(
+        v, [](long const& x) { return x; },
+        [](long a, long b) { return a + b; });
+    EXPECT_EQ(sum.value_or(0), 2 * static_cast<long>(n));
+  });
 
   auto const locs = trace::traced_locations();
   ASSERT_EQ(locs.size(), 4u);
   EXPECT_GT(trace::total_events(), 0u);
   EXPECT_EQ(trace::total_dropped(), 0u);
 
-  std::uint64_t const sink = 4 * tasks_per_location;
-  std::vector<int> runs(sink + 1, 0);
   for (location_id const loc : locs) {
     auto const evs = trace::events(loc);
     ASSERT_FALSE(evs.empty()) << "location " << loc << " recorded nothing";
@@ -264,6 +232,7 @@ TEST(InstrumentTest, EnabledValueEdgeRunTracesEveryTaskOnce)
     // (ts for instants, ts + dur for scopes) is its emission time, so the
     // completion times must be monotonic per location.
     std::uint64_t prev_end = 0;
+    std::vector<std::uint64_t> passes; ///< elements visited, per pass
     for (auto const& e : evs) {
       EXPECT_EQ(e.loc, loc);
       std::uint64_t const end = e.ts_us + e.dur_us;
@@ -271,17 +240,15 @@ TEST(InstrumentTest, EnabledValueEdgeRunTracesEveryTaskOnce)
                                << loc << " (" << trace::name_of(e.kind)
                                << ")";
       prev_end = end;
-      if (e.kind != trace::event_kind::task_run)
-        continue;
-      ASSERT_LE(e.arg, sink) << "unknown task id";
-      runs[e.arg] += 1;
-      // Tasks run on their owners.
-      EXPECT_EQ(loc, e.arg == sink ? 0u : e.arg / tasks_per_location)
-          << "task " << e.arg;
+      if (e.kind == trace::event_kind::task_run)
+        passes.push_back(e.arg);
     }
+    // One pass per algorithm call (p_for_each, then map_reduce), each over
+    // this location's own quarter of the elements.
+    ASSERT_EQ(passes.size(), 2u) << "location " << loc;
+    for (std::uint64_t const visited : passes)
+      EXPECT_EQ(visited, n / 4) << "location " << loc;
   }
-  for (std::size_t t = 0; t < runs.size(); ++t)
-    EXPECT_EQ(runs[t], 1) << "task " << t << " not traced exactly once";
 }
 
 // ---------------------------------------------------------------------------
@@ -420,7 +387,7 @@ TEST(InstrumentTest, RebalanceRunDumpsFenceAndWaveEvents)
 }
 
 // ---------------------------------------------------------------------------
-// Global snapshot: all four families + byte counters in one map
+// Global snapshot: every stats family + byte counters in one map
 // ---------------------------------------------------------------------------
 
 TEST(InstrumentTest, GlobalSnapshotSurfacesAllFamilies)
@@ -437,9 +404,6 @@ TEST(InstrumentTest, GlobalSnapshotSurfacesAllFamilies)
       pa.apply_set(remote + i % 1'000, [](long& v) { v += 1; });
     rmi_fence();
 
-    // tg.*: a cross-location value-edge graph.
-    run_value_edge_graph();
-
     // lb.*: one rebalance wave (triggered or not, the wave is counted).
     (void)pa.rebalance();
 
@@ -447,14 +411,12 @@ TEST(InstrumentTest, GlobalSnapshotSurfacesAllFamilies)
     for (char const* key :
          {"rmi.rmis_sent", "rmi.rmis_executed", "rmi.msgs_sent",
           "rmi.rmi_bytes", "rmi.msg_bytes", "idle.spins", "idle.sleeps",
-          "idle.nap_us", "tg.tasks_run", "tg.values_sent", "dir.local_hits",
-          "dir.home_routed",
-          "dir.forwards", "dir.owner_accesses", "lb.waves"}) {
+          "idle.nap_us", "dir.local_hits", "dir.home_routed", "dir.forwards",
+          "dir.owner_accesses", "lb.waves"}) {
       EXPECT_TRUE(g.count(key) != 0) << "missing counter: " << key;
     }
-    // The reduce is over all four locations: totals, not one location's view.
-    EXPECT_EQ(g["tg.tasks_run"], 25u); // 4 x 6 work tasks + 1 sink
-    // Every location counts the collective wave it took part in.
+    // The reduce is over all four locations: totals, not one location's
+    // view, so every location counts the collective wave it took part in.
     EXPECT_EQ(g["lb.waves"], static_cast<std::uint64_t>(num_locations()));
     EXPECT_GT(g["rmi.rmis_sent"], 0u);
     EXPECT_GT(g["rmi.rmi_bytes"], 0u);

@@ -46,9 +46,8 @@ TEST_P(SampleSortTest, SortsAndPreservesMultiset)
     EXPECT_TRUE(p_is_sorted(pa));
 
     std::sort(ref.begin(), ref.end());
-    for (gid1d g = 0; g < n; g += std::max<std::size_t>(n / 64, 1))
+    for (gid1d g = 0; g < n; ++g)
       EXPECT_EQ(pa.get_element(g), ref[g]) << "index " << g;
-    EXPECT_EQ(pa.get_element(n - 1), ref[n - 1]);
     rmi_fence();
   });
 }

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -200,6 +202,42 @@ TEST(AlgorithmEdges, MinElementTieBreaksByLowestGid)
     EXPECT_EQ(mn->first, 0u);
     rmi_fence();
   });
+}
+
+/// pArray traits that deal sub-domains to locations round-robin.
+struct cyclic_traits : p_array_traits<long> {
+  using mapper_type = cyclic_mapper;
+};
+
+TEST(AlgorithmEdges, PartialSumInterleavedBlocks)
+{
+  // 3·P sub-domains dealt cyclically: every location holds three blocks
+  // that interleave with its peers', so each rescan offset is the fold of
+  // all earlier blocks in bCID order, not of earlier locations.
+  for (unsigned p : {3u, 4u}) {
+    execute(p, [] {
+      using A = p_array<long, balanced_partition, cyclic_traits>;
+      std::size_t const n = 100;
+      std::size_t const parts = 3 * num_locations();
+      A in(n, balanced_partition(parts));
+      A out(n, balanced_partition(parts));
+      std::vector<long> ref(n);
+      for (gid1d g = 0; g < n; ++g) {
+        ref[g] = static_cast<long>((g * 37) % 11) - 5;
+        if (in.is_local(g))
+          in.local_element(g) = ref[g];
+      }
+      rmi_fence();
+
+      p_partial_sum(in, out);
+
+      std::partial_sum(ref.begin(), ref.end(), ref.begin());
+      for (gid1d g = 0; g < n; ++g)
+        EXPECT_EQ(out.get_element(g), ref[g]) << "P=" << num_locations()
+                                              << " index " << g;
+      rmi_fence();
+    });
+  }
 }
 
 TEST(AlgorithmEdges, PartialSumSingleBlockAndManyBlocks)

@@ -282,8 +282,36 @@ TEST(OverlapView, StringMatchingPattern)
 }
 
 // ---------------------------------------------------------------------------
-// Chunked execution over a wrapper view
+// map_reduce: value- and gid-arity map functors, wrapper views
 // ---------------------------------------------------------------------------
+
+TEST(MapReduce, MatchesReference)
+{
+  execute(4, [] {
+    std::size_t const n = 3000;
+    p_array<long> pa(n);
+    array_1d_view v(pa);
+    p_for_each_gid(v, [](gid1d g, long& x) { x = static_cast<long>(g % 97); });
+
+    long ref = 0;
+    for (std::size_t g = 0; g < n; ++g)
+      ref += static_cast<long>(g % 97);
+
+    auto const sum = map_reduce(
+        v, [](long const& x) { return x; },
+        [](long a, long b) { return a + b; });
+    ASSERT_TRUE(sum.has_value());
+    EXPECT_EQ(*sum, ref);
+
+    // GID-arity map functor.
+    auto const weighted = map_reduce(
+        v, [](gid1d g, long const& x) { return static_cast<long>(g) + x; },
+        [](long a, long b) { return a + b; });
+    ASSERT_TRUE(weighted.has_value());
+    EXPECT_EQ(*weighted, ref + static_cast<long>(n * (n - 1) / 2));
+    rmi_fence();
+  });
+}
 
 TEST_P(ViewAlgoTest, WrapperViewMapReduceMatchesReference)
 {
@@ -310,7 +338,7 @@ TEST(NativeView, AlignedTraversalIsAllLocal)
     native_view nv(pa);
     for (auto g : nv.local_gids())
       EXPECT_NE(nv.try_local_ref(g), nullptr);
-    // Chunk traversal visits exactly the local elements.
+    // The native traversal visits exactly the local elements.
     std::size_t seen = 0;
     nv.for_each_local([&](gid1d, int&) { ++seen; });
     EXPECT_EQ(seen, pa.local_size());

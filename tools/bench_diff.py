@@ -24,7 +24,7 @@ are unambiguously lower-is-better, so growth past REGRESSION_PCT warns.
 
 Benches carrying a scaling sweep (a top-level ``"sweeps"`` array, see
 bench/scaling_harness.hpp) get curve-aware treatment: points are matched
-by their full axes tuple (kernel/mode/grain/p/n), each
+by their full axes tuple (kernel/mode/p/n), each
 kernel renders a per-series scaling table (efficiency across P, seconds
 delta vs previous), and a series whose efficiency at the largest common P
 regressed by more than REGRESSION_PCT emits the same non-blocking
@@ -72,7 +72,7 @@ INFORMATIONAL_FAMILIES = ("fault.",)
 # not with code quality.
 INFORMATIONAL_NAMES = {"dups_suppressed"}
 
-SWEEP_AXES = ("kernel", "mode", "grain", "p", "n")
+SWEEP_AXES = ("kernel", "mode", "p", "n")
 
 
 def column_direction(name):
@@ -213,12 +213,14 @@ def diff_latency(name, prev_bench, cur_bench):
 
 def sweep_points(bench):
     """The bench's "sweeps" array (scaling_harness output), or [].  Older
-    artifacts also swept a second transport; only their default-transport
-    ("queue") points still match current points.  Their "steal" field is
-    no longer an axis, so such points match on the remaining axes."""
+    artifacts also swept a second transport and a grain axis; only their
+    default-transport ("queue"), default-grain ("auto") points still match
+    current points.  Their "steal" field is no longer an axis, so such
+    points match on the remaining axes."""
     sweeps = bench.get("sweeps") if isinstance(bench, dict) else None
     return [p for p in sweeps
-            if isinstance(p, dict) and p.get("transport", "queue") == "queue"] \
+            if isinstance(p, dict) and p.get("transport", "queue") == "queue"
+            and p.get("grain", "auto") == "auto"] \
         if isinstance(sweeps, list) else []
 
 
@@ -229,12 +231,12 @@ def point_key(pt):
 
 def series_key(pt):
     """Everything but P and N: one scaling curve."""
-    return tuple(pt.get(a) for a in SWEEP_AXES[:3])
+    return tuple(pt.get(a) for a in SWEEP_AXES[:2])
 
 
 def series_label(key):
-    _, mode, grain = key
-    return f"{mode}/g:{grain}"
+    _, mode = key
+    return str(mode)
 
 
 def warn_efficiency_regressions(bench, kernel, skey, spts, ps, prev_pts):

@@ -52,10 +52,10 @@ def table_bench(seconds, mops=1.0, columns=("locations", "run_s", "mops")):
     }
 
 
-def sweep_point(kernel="for_each", mode="strong", grain="auto",
+def sweep_point(kernel="for_each", mode="strong",
                 p=1, n=1000, seconds=1.0, efficiency=1.0):
     return {
-        "kernel": kernel, "mode": mode, "grain": grain, "p": p, "n": n,
+        "kernel": kernel, "mode": mode, "p": p, "n": n,
         "seconds": seconds, "efficiency": efficiency,
         "metrics": {"rmi.rmis_sent": 10},
     }
@@ -252,12 +252,16 @@ def test_legacy_second_transport_points_ignored():
 
 
 def test_legacy_steal_axis_points_match_on_remaining_axes():
-    """Older artifacts carry a "steal" field on every point; it is no longer
-    an axis, so they diff against current points without error and match
-    on kernel/mode/grain/p/n."""
+    """Older artifacts carry "steal" and "grain" fields on every point;
+    neither is an axis any more, so they diff against current points
+    without error and match on kernel/mode/p/n.  Only their "auto" grain
+    points match: a fixed-grain point neither warns nor shifts deltas."""
     prev_b, cur_b = curve_fixture(eff_p4_cur=0.83)
     for pt in prev_b["sweeps"]:
         pt["steal"] = True
+        pt["grain"] = "auto"
+    prev_b["sweeps"].append(dict(prev_b["sweeps"][-1], grain="256",
+                                 seconds=9.0, efficiency=0.1))
     with tempfile.TemporaryDirectory() as prev, \
             tempfile.TemporaryDirectory() as cur:
         write_bench(prev, "scaling", prev_b)
@@ -268,7 +272,7 @@ def test_legacy_steal_axis_points_match_on_remaining_axes():
         row = next(line for line in out.splitlines()
                    if "Δseconds" in line)
         cells = [c.strip() for c in row.strip("|").split("|")]
-        assert cells[0] == "strong/g:auto"
+        assert cells[0] == "strong"
         assert cells[2:] == ["+0.0%", "+0.0%", "+0.4%"]
 
 
