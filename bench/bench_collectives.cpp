@@ -1,14 +1,9 @@
 // Collectives benchmark (runtime/collectives.hpp):
 //
 //   1. latency vs P for each primitive (broadcast, reduce, allreduce,
-//      allgather), flat value-exchange vs tree engine, P=2..64.  The flat
-//      protocol pays two full barriers and O(P) reads per participant per
-//      call; the trees pay ceil(log2 P) point-to-point hops — the table's
-//      `speedup` column (flat/tree) shows where the crossover lands on
-//      oversubscribed thread-backed locations.
-//   2. tree/flat crossover summary — smallest measured P at which the tree
-//      beats the flat exchange per primitive.
-//   3. sender-side aggregation on a Zipf chunk workload at P=8: the same
+//      allgather), P=2..64.  Each call is one value exchange: two polling
+//      barriers and O(P) slot reads per participant.
+//   2. sender-side aggregation on a Zipf chunk workload at P=8: the same
 //      owner-pinned chunks run with aggregation disabled
 //      (aggregation=1) vs the default batching (16 RMIs or agg_max_bytes
 //      per message), comparing wall time, messages sent, and the
@@ -55,7 +50,7 @@ std::vector<unsigned> swept_ps(unsigned pmax)
 }
 
 /// Seconds per call (max over locations) of `iters` back-to-back runs of
-/// one collective primitive under the currently pinned mode.
+/// one collective primitive.
 template <typename Body>
 double time_collective(unsigned p, std::size_t iters, Body body)
 {
@@ -242,46 +237,22 @@ int main(int argc, char** argv)
     if (std::string_view(argv[i]) == "--pmax" && i + 1 < argc)
       pmax = static_cast<unsigned>(std::atoi(argv[++i]));
 
-  std::printf("# Collectives — tree vs flat latency, sender-side "
-              "aggregation (pmax=%u)\n", pmax);
-
-  auto const ps = swept_ps(pmax);
-  std::size_t const nprims = sizeof(primitives) / sizeof(primitives[0]);
-  // crossover[i]: smallest swept P where the tree beat the flat exchange.
-  std::vector<unsigned> crossover(nprims, 0);
+  std::printf("# Collectives — latency vs P, sender-side aggregation "
+              "(pmax=%u)\n", pmax);
 
   // Row key "<primitive>/p<P>" is unique, so bench_diff.py's row-matched
   // differ tracks every point; its collectives-aware curve renderer parses
   // the same key back into per-primitive latency-vs-P curves.
-  bench::table_header("collective latency vs P (flat vs tree)",
-                      {"point", "locations", "flat_us", "tree_us",
-                       "speedup"});
-  for (std::size_t i = 0; i < nprims; ++i) {
-    for (unsigned p : ps) {
-      std::size_t const iters = iters_for(p);
-      coll::set_mode(coll::mode::flat);
-      double const flat_s = primitives[i].run(p, iters);
-      coll::set_mode(coll::mode::tree);
-      double const tree_s = primitives[i].run(p, iters);
-      coll::set_mode(coll::mode::auto_select);
-      bench::cell(std::string(primitives[i].name) + "/p" +
-                  std::to_string(p));
+  bench::table_header("collective latency vs P",
+                      {"point", "locations", "latency_us"});
+  for (primitive const& prim : primitives) {
+    for (unsigned p : swept_ps(pmax)) {
+      double const sec = prim.run(p, iters_for(p));
+      bench::cell(std::string(prim.name) + "/p" + std::to_string(p));
       bench::cell(static_cast<std::size_t>(p));
-      bench::cell(flat_s * 1e6);
-      bench::cell(tree_s * 1e6);
-      bench::cell(tree_s > 0 ? flat_s / tree_s : 0.0);
+      bench::cell(sec * 1e6);
       bench::endrow();
-      if (crossover[i] == 0 && tree_s < flat_s)
-        crossover[i] = p;
     }
-  }
-
-  bench::table_header("tree/flat crossover (smallest P where tree wins)",
-                      {"primitive", "crossover_p"});
-  for (std::size_t i = 0; i < nprims; ++i) {
-    bench::cell(std::string(primitives[i].name));
-    bench::cell(static_cast<std::size_t>(crossover[i]));
-    bench::endrow();
   }
 
   // Aggregation win on the Zipf chunk workload at P=8.  agg=1

@@ -328,22 +328,34 @@ class p_container_base : public p_object {
 
   /// Asynchronous execution: route `action(container, bcid)` to the owner of
   /// `gid` and run it under the thread-safety hooks.  Returns immediately.
+  /// Only a call that runs here, inline, counts as a local invocation; a
+  /// forwarded one is counted once, as the RMI that carried it.
   template <typename Action>
   void invoke(std::size_t method, gid_type gid, Action action)
   {
     // For async routes this measures the initiation (resolve + enqueue)
     // cost only; the rmi.sync family times synchronous round trips.
     latency::timed_op lat_scope(latency::op::container_apply);
+    if (route(method, gid, std::move(action)))
+      note_local_invocation();
+  }
+
+  /// Framework-internal: runs `action` when `gid` is owned here, else parks
+  /// or forwards it (computation migration); returns whether it ran here.
+  /// Public because forwarded requests re-enter it on other
+  /// representatives.
+  template <typename Action>
+  bool route(std::size_t method, gid_type gid, Action action)
+  {
     if (m_dynamic) {
       rmi_handle const h = this->get_handle();
-      m_directory->invoke_where(
+      return m_directory->invoke_where(
           gid, [h, method, gid, action = std::move(action)]() mutable {
             // Runs on the owner's thread: its representative is the one
             // registered there.
             get_registered_object<Derived>(h)->dyn_execute(
                 method, gid, std::move(action));
           });
-      return;
     }
     ths_info ti{method, invalid_bcid};
     m_ths.metadata_access_pre(ti);
@@ -351,27 +363,27 @@ class p_container_base : public p_object {
     m_ths.metadata_access_post(ti);
 
     if (info.resolved && info.loc == get_location_id()) {
-      note_local_invocation();
       ti.bcid = info.bcid;
       m_ths.data_access_pre(ti);
       action(derived(), info.bcid);
       m_ths.data_access_post(ti);
-      return;
+      return true;
     }
     if (!info.resolved && info.loc == get_location_id()) {
       // Resolution metadata not here yet (directory registration in
       // flight): park the request behind pending traffic and retry.
       Derived* self = &derived();
       post_to_self([self, method, gid, action = std::move(action)]() mutable {
-        self->invoke(method, gid, std::move(action));
+        self->route(method, gid, std::move(action));
       });
-      return;
+      return false;
     }
     // Forward (computation migration) and re-evaluate on the target.
     async_rmi<Derived>(info.loc, this->get_handle(),
                        [method, gid, action](Derived& c) mutable {
-                         c.invoke(method, gid, std::move(action));
+                         c.route(method, gid, std::move(action));
                        });
+    return false;
   }
 
   /// Split-phase execution: returns a future for `action`'s result; the
@@ -480,7 +492,6 @@ class p_container_base : public p_object {
   void dyn_execute(std::size_t method, gid_type gid, Action action)
   {
     assert(m_directory->owns(gid));
-    note_local_invocation();
     m_directory->note_access(gid);
     ths_info ti{method, derived().dyn_local_bcid(gid)};
     m_ths.data_access_pre(ti);

@@ -452,9 +452,10 @@ class directory : public p_object {
   /// exactly once.  Asynchronous: completion is guaranteed by the next
   /// rmi_fence even when the route crosses stale caches or an in-flight
   /// migration.  `f` must reach state it needs through registered handles
-  /// (it executes on the owner's thread).
+  /// (it executes on the owner's thread).  Returns whether `f` ran inline
+  /// because this location owns `g`.
   template <typename F>
-  void invoke_where(GID const& g, F f)
+  bool invoke_where(GID const& g, F f)
   {
     {
       std::unique_lock lock(m_mutex);
@@ -462,10 +463,11 @@ class directory : public p_object {
         m_stats.local_hits += 1;
         lock.unlock();
         f();
-        return;
+        return true;
       }
     }
     route_work(g, work_item(std::move(f)), get_location_id());
+    return false;
   }
 
   // -------------------------------------------------------------------------

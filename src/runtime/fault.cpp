@@ -89,7 +89,6 @@ char const* name_of(site s) noexcept
     case site::rmi_enqueue: return "rmi.enqueue";
     case site::rmi_flush:   return "rmi.flush";
     case site::rmi_poll:    return "rmi.poll";
-    case site::coll_cell:   return "coll.cell";
     case site::dir_forward: return "dir.forward";
     case site::migration:   return "migration";
     case site::site_count_: break;
@@ -338,9 +337,8 @@ void watchdog_fire(char const* what)
   STAPL_TRACE(trace::event_kind::watchdog);
 
   // Build the report from cross-thread-safe state only: atomics (fence
-  // counters, inbox counts, deferred-depth gauges, collective cell seq/ack)
-  // and the trace registry (its own mutex).  Other locations' plain
-  // counters are theirs.
+  // counters, inbox counts, deferred-depth gauges) and the trace registry
+  // (its own mutex).  Other locations' plain counters are theirs.
   std::ostringstream r;
   location_id const me = tl_location;
   r << "==== STAPL watchdog ====\n"
@@ -354,20 +352,6 @@ void watchdog_fire(char const* what)
       auto& ls = impl.loc(l);
       r << "  loc " << l << ": inbox_depth=" << ls.in.size()
         << " parked=" << ls.deferred_depth.load(std::memory_order_relaxed);
-      bool cells_open = false;
-      for (unsigned c = 0; c < location_state::num_coll_cells; ++c) {
-        auto const seq = ls.cells[c].seq.load(std::memory_order_acquire);
-        auto const ack = ls.cells[c].ack.load(std::memory_order_acquire);
-        if (seq != ack) {
-          if (!cells_open) {
-            r << " coll_cells[";
-            cells_open = true;
-          }
-          r << " " << c << ":seq=" << seq << ",ack=" << ack;
-        }
-      }
-      if (cells_open)
-        r << " ]";
       if (trace::enabled()) {
         auto const evs = trace::events(l);
         std::size_t const n = evs.size();

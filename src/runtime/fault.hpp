@@ -11,12 +11,12 @@
 // report through:
 //
 //   * fault::  — a seeded, deterministic injection registry.  Named sites
-//     (`STAPL_FAULT(site)`) inside the RMI enqueue/flush/poll paths, the
-//     collective cell protocol, directory forwarding and migration consult
-//     the registry; a `fault::plan` arms a site with an action (message
-//     delay through a held-then-delivered queue, duplication, reordering,
-//     allocation failure, or a location stall) triggered every Nth hit or
-//     with a seeded probability.
+//     (`STAPL_FAULT(site)`) inside the RMI enqueue/flush/poll paths,
+//     directory forwarding and migration consult the registry; a
+//     `fault::plan` arms a site with an action (message delay through a
+//     held-then-delivered queue, duplication, reordering, allocation
+//     failure, or a location stall) triggered every Nth hit or with a
+//     seeded probability.
 //     Decisions are a pure function of (seed, site, location, per-site hit
 //     count), so an identical seed + plan replays an identical per-location
 //     injection trace regardless of thread interleaving.  Disabled cost is
@@ -54,7 +54,6 @@ enum class site : std::uint8_t {
   rmi_enqueue,  ///< runtime.hpp enqueue_remote: delay / dup / reorder / alloc
   rmi_flush,    ///< runtime.hpp flush_dest: batch reorder / stall
   rmi_poll,     ///< runtime.hpp poll_once: location stall (straggler nap)
-  coll_cell,    ///< collectives.hpp cell publish: stall
   dir_forward,  ///< directory.hpp send_forward: stall
   migration,    ///< migration.hpp migrate(): stall
   site_count_   ///< sentinel, keep last
@@ -209,9 +208,9 @@ void set_watchdog_ms(std::uint64_t ms) noexcept;
 
 /// Dumps actionable diagnostics for a wait blocked past the deadline in
 /// site `what`: per-location last trace events, inbox depths, parked
-/// (deferred) request counts, pending collective cell seq/ack states and
-/// the global sent/executed balance.  Written to stderr and retained for
-/// last_watchdog_report().  Defined in fault.cpp (reads runtime state).
+/// (deferred) request counts and the global sent/executed balance.
+/// Written to stderr and retained for last_watchdog_report().  Defined in
+/// fault.cpp (reads runtime state).
 void watchdog_fire(char const* what);
 
 /// The most recent watchdog dump (empty when none fired).

@@ -210,12 +210,9 @@ using counter_map = std::map<std::string, std::uint64_t>;
 /// Latency quantile keys ("lat.<family>.p99_ns" etc.) are gauges: summing
 /// four locations' p99s is meaningless, so cross-location merges take the
 /// max instead and the process accumulator recomputes them from the exact
-/// merged histograms.  "coll.tree_depth" is likewise a gauge (the deepest
-/// tree any location drove).  Counts and sums stay additive.
+/// merged histograms.  Counts and sums stay additive.
 [[nodiscard]] inline bool sums_on_merge(std::string const& key) noexcept
 {
-  if (key == "coll.tree_depth")
-    return false;
   if (key == "rmi.inbox_depth" || key == "rmi.deferred_depth")
     return false; // high-water gauges: the deepest backlog, not a sum
   if (key.rfind("lat.", 0) != 0)

@@ -10,9 +10,9 @@
 // style), covering ~1 ns to ~18 minutes in ~9 KB per histogram with a
 // bounded relative error of 1/2^sub_bits; count and sum are exact.
 // Histograms are plain mergeable value types: snapshots add bucket-wise, so
-// a collective merge (latency::global_histogram, defined with the other
-// collectives in collectives.hpp) equals a histogram that recorded every
-// location's samples directly.
+// a collective merge (latency::global_histogram, an allreduce defined in
+// collectives.hpp) equals a histogram that recorded every location's
+// samples directly.
 //
 // The RAII `timed_op` scope is the emit site: when recording is disabled
 // (the default) its cost is one relaxed atomic load — the same contract as

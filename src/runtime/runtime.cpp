@@ -75,10 +75,6 @@ void execute(runtime_config const& cfg, std::function<void()> spmd)
           m["rmi.rmi_bytes"] += s.rmi_bytes;
           m["rmi.msg_bytes"] += s.msg_bytes;
           m["coll.ops"] += s.coll_ops;
-          m["coll.rounds"] += s.coll_rounds;
-          if (m["coll.tree_depth"] < s.coll_depth)
-            m["coll.tree_depth"] = s.coll_depth; // gauge: deepest tree
-          m["coll.flat_fallbacks"] += s.coll_flat;
           m["coll.agg_batches"] += s.agg_batches;
           m["coll.agg_bytes"] += s.agg_batch_bytes;
           if (m["rmi.inbox_depth"] < s.inbox_depth)

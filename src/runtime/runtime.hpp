@@ -82,10 +82,7 @@ struct location_stats {
   std::uint64_t fences = 0;         ///< rmi_fence invocations
   std::uint64_t rmi_bytes = 0;      ///< marshaled payload bytes of sent RMIs
   std::uint64_t msg_bytes = 0;      ///< payload bytes of flushed messages
-  std::uint64_t coll_ops = 0;       ///< tree-path collective operations
-  std::uint64_t coll_rounds = 0;    ///< communication rounds across tree ops
-  std::uint64_t coll_depth = 0;     ///< deepest tree seen (gauge, max-merged)
-  std::uint64_t coll_flat = 0;      ///< collectives on the flat fallback
+  std::uint64_t coll_ops = 0;       ///< collective calls (P > 1)
   std::uint64_t agg_batches = 0;    ///< flushed messages carrying >1 RMI
   std::uint64_t agg_batch_bytes = 0; ///< payload bytes of those batches
   std::uint64_t inbox_depth = 0;    ///< deepest inbox seen (gauge, max-merged)
@@ -275,19 +272,6 @@ class object_registry {
   std::unordered_map<rmi_handle, void*> m_objects;
 };
 
-/// One slot of the tree-collective cell array (see collectives.hpp).  A
-/// publisher stores a pointer to its local data and then the operation
-/// token into `seq` (release); the single designated reader spins on `seq`,
-/// copies the data out, and stores the token into `ack` — only then may the
-/// publisher reuse or destroy the pointed-to data.  Tokens are the
-/// per-location count of tree collectives, identical on every location by
-/// SPMD order, so a cell never needs resetting between operations.
-struct alignas(64) coll_cell {
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<std::uint64_t> ack{0};
-  void const* data = nullptr;
-};
-
 /// Receiver-side duplicate-suppression window for one sender (sequenced
 /// delivery).  Sequence numbers at or below `contiguous` have executed; the
 /// sparse `ahead` set holds numbers that executed out of order (injected
@@ -350,15 +334,9 @@ struct location_state {
   /// across locations while every location waits in a barrier.
   std::atomic<std::uint64_t> sent{0};
   std::atomic<std::uint64_t> executed{0};
-  /// scratch slot for collective operations (flat value-exchange protocol)
+  /// this location's published value during a collective (see
+  /// collectives.hpp's exchange)
   void const* slot = nullptr;
-  /// tree-collective cells: index 0 is the remainder pre-fold, 1+r is
-  /// doubling/binomial round r (masks fit 32 rounds), the last is the
-  /// remainder post-fold
-  static constexpr unsigned num_coll_cells = 40;
-  coll_cell cells[num_coll_cells];
-  /// count of tree collectives entered (the cell-protocol token)
-  std::uint64_t coll_token = 0;
 };
 
 class runtime_impl {
@@ -576,8 +554,9 @@ inline bool poll_once()
 
 /// The polling wait loop of the RTS: drives communication progress until
 /// `done()` holds, backing off while polls find no work.  `what` names the
-/// wait in watchdog dumps.  Barriers, futures, sync replies and collective
-/// cells all wait here, so a wake-on-arrival wait replaces one loop.
+/// wait in watchdog dumps.  Barriers (and with them every collective),
+/// futures and sync replies all wait here, so a wake-on-arrival wait
+/// replaces one loop.
 template <typename Done>
 void poll_until(char const* what, Done done)
 {
@@ -981,117 +960,10 @@ template <typename Obj, typename F, typename... Args>
   return pc_future<R>(st);
 }
 
-// ---------------------------------------------------------------------------
-// Collective operations (Ch. III.B) — flat value-exchange protocol
-// ---------------------------------------------------------------------------
-//
-// `exchange` is the O(P)-reads-per-participant protocol: every location
-// publishes a pointer, a barrier makes all pointers visible, everyone reads
-// what it needs, and a second barrier releases the slots.  It remains the
-// small-P fallback and the basis of exclusive_scan; the public allreduce /
-// broadcast / reduce / allgather dispatchers live in collectives.hpp
-// (included at the bottom of this header) and switch between this protocol
-// and the tree engine.
-
-namespace runtime_detail {
-
-/// Value-exchange protocol (see above).  Note the two barriers make every
-/// flat collective a location barrier as a side effect; the tree
-/// collectives deliberately do not provide that — no caller relies on it.
-template <typename T, typename Reader>
-void exchange(T const& mine, Reader reader)
-{
-  auto& self = rt().loc(tl_location);
-  self.slot = &mine;
-  polling_barrier_wait();
-  reader();
-  polling_barrier_wait();
-  self.slot = nullptr;
-}
-
-/// Flat all-reduce.  Folds all P slots in rank order 0..P-1 on every
-/// location, so the result is identical everywhere and agrees with the
-/// tree engine even for non-commutative associative operators (the
-/// recursive-doubling combine preserves rank order) — auto-select mode
-/// never changes an answer by switching engines.
-template <typename T, typename BinaryOp>
-[[nodiscard]] T flat_allreduce(T const& value, BinaryOp op)
-{
-  T result = value;
-  exchange(value, [&] {
-    result = *static_cast<T const*>(rt().loc(0).slot);
-    for (location_id l = 1; l < rt().num_locations(); ++l)
-      result = op(std::move(result),
-                  *static_cast<T const*>(rt().loc(l).slot));
-  });
-  return result;
-}
-
-/// Flat broadcast from `root`.
-template <typename T>
-[[nodiscard]] T flat_broadcast(location_id root, T const& value)
-{
-  T result{};
-  exchange(value, [&] {
-    result = *static_cast<T const*>(rt().loc(root).slot);
-  });
-  return result;
-}
-
-/// Flat reduce-to-root.  Folds in rank order rotated to start at `root`
-/// (matching the binomial tree's combine order, so flat and tree agree
-/// even for non-commutative associative operators).
-template <typename T, typename BinaryOp>
-[[nodiscard]] T flat_reduce(location_id root, T const& value, BinaryOp op)
-{
-  T result = value;
-  exchange(value, [&] {
-    if (tl_location != root)
-      return;
-    unsigned const p = rt().num_locations();
-    result = *static_cast<T const*>(rt().loc(root).slot);
-    for (unsigned i = 1; i < p; ++i) {
-      location_id const l = (root + i) % p;
-      result = op(result, *static_cast<T const*>(rt().loc(l).slot));
-    }
-  });
-  return result;
-}
-
-/// Flat allgather.
-template <typename T>
-[[nodiscard]] std::vector<T> flat_allgather(T const& value)
-{
-  std::vector<T> result(rt().num_locations());
-  exchange(value, [&] {
-    for (location_id l = 0; l < rt().num_locations(); ++l)
-      result[l] = *static_cast<T const*>(rt().loc(l).slot);
-  });
-  return result;
-}
-
-} // namespace runtime_detail
-
-/// Exclusive prefix over location ids: location i receives
-/// op(value_0, ..., value_{i-1}); location 0 receives `identity`.  Stays on
-/// the flat protocol: every location reads every lower rank's value anyway,
-/// so a tree saves nothing.
-template <typename T, typename BinaryOp>
-[[nodiscard]] T exclusive_scan(T const& value, BinaryOp op, T identity)
-{
-  using namespace runtime_detail;
-  T result = identity;
-  exchange(value, [&] {
-    for (location_id l = 0; l < tl_location; ++l)
-      result = op(result, *static_cast<T const*>(rt().loc(l).slot));
-  });
-  return result;
-}
-
 } // namespace stapl
 
-// Tree-structured collectives layer: the public allreduce / broadcast /
-// reduce / allgather dispatchers plus the global metrics/latency merges.
+// The collectives (value exchange, allreduce / broadcast / reduce /
+// allgather, exclusive_scan) plus the global metrics/latency merges.
 // Included last so it can use every runtime primitive above; its include
 // guard makes either inclusion order work.
 #include "collectives.hpp"

@@ -393,7 +393,7 @@ TEST(Faults, SampleSortExactlyOnceUnderStorm)
 }
 
 // ---------------------------------------------------------------------------
-// Fences and tree collectives under stalls and delay storms
+// Fences and collectives under stalls and delay storms
 // ---------------------------------------------------------------------------
 
 TEST(Faults, CollectivesCompleteUnderDelayStorm)
@@ -405,15 +405,10 @@ TEST(Faults, CollectivesCompleteUnderDelayStorm)
   auto poll_stall = make_plan(fault::site::rmi_poll, fault::act_stall);
   poll_stall.probability = 0.05;
   poll_stall.stall_us = 200;
-  auto cell_stall = make_plan(fault::site::coll_cell, fault::act_stall);
-  cell_stall.every_n = 3;
-  cell_stall.stall_us = 300;
   fault::add_plan(delay);
   fault::add_plan(poll_stall);
-  fault::add_plan(cell_stall);
   fault::arm(base_seed());
 
-  coll::set_mode(coll::mode::tree);
   execute(8, [] {
     recorder r;
     long const me = static_cast<long>(this_location());
@@ -440,7 +435,6 @@ TEST(Faults, CollectivesCompleteUnderDelayStorm)
     EXPECT_EQ(r.seen().size(), 60u);
     rmi_fence();
   });
-  coll::set_mode(coll::mode::auto_select);
 }
 
 // ---------------------------------------------------------------------------

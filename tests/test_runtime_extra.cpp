@@ -54,6 +54,28 @@ TEST(Instrumentation, CountersTrackTrafficClasses)
     auto const fences_before = counter("rmi.fences");
     rmi_fence();
     EXPECT_EQ(counter("rmi.fences"), fences_before + 1);
+
+    // Across locations, a remote element method is one sent RMI and no
+    // local one: the owner runs the forwarded request without counting it
+    // again.  The same holds once the container resolves through the
+    // directory, where the request may take more than one hop.
+    for (bool const dynamic : {false, true}) {
+      if (dynamic)
+        pa.make_dynamic();
+      rmi_fence();
+      metrics::reset_all();
+      location_barrier(); // no location resets after the request lands
+      if (this_location() == 0)
+        pa.apply_set(1, [](int& v) { v += 1; });
+      rmi_fence();
+      auto const g = metrics::global_snapshot();
+      EXPECT_EQ(g.at("rmi.local_rmis"), 0u) << "dynamic=" << dynamic;
+      if (dynamic) {
+        EXPECT_GE(g.at("rmi.rmis_sent"), 1u);
+      } else {
+        EXPECT_EQ(g.at("rmi.rmis_sent"), 1u);
+      }
+    }
     rmi_fence();
   });
 }

@@ -31,13 +31,12 @@ regressed by more than REGRESSION_PCT emits the same non-blocking
 ``::warning``.  ``--render CUR_DIR`` renders the curve tables of a single
 run without a baseline (the scheduled scaling-full job summary).
 
-BENCH_collectives gets its own curve treatment: the flat
+BENCH_collectives gets its own curve treatment: the
 "<primitive>/p<P>"-keyed latency table is regrouped into one
-latency-vs-P table per primitive (flat_us / tree_us / speedup across the
-swept location counts, deltas vs the baseline when present).  Counter
-directions for the collectives family: ``coll.rounds`` and
-``coll.agg_bytes`` are lower-is-better; ``coll.flat_fallbacks`` (and the
-other shape counters) are informational only.
+latency-vs-P table per primitive (latency_us across the swept location
+counts, deltas vs the baseline when present).  Counter directions for
+the collectives family: ``coll.agg_bytes`` is lower-is-better;
+``coll.ops`` and ``coll.agg_batches`` are informational only.
 """
 
 import json
@@ -50,12 +49,10 @@ LOWER_IS_BETTER_SUFFIXES = ("_s", "_bytes", "_ns", "_us")
 LOWER_IS_BETTER_NAMES = {
     "seconds", "wire_bytes", "rmi_bytes", "msg_bytes", "bytes_moved",
     "nap_us",
-    # Collectives counters: fewer tree rounds is better; "coll.agg_bytes"
-    # is lower-is-better through the "_bytes" suffix.  "flat_fallbacks",
-    # "tree_depth", "ops" and "agg_batches" are deliberately unlisted —
-    # they track configuration/workload shape, not quality (direction 0,
-    # informational only).
-    "rounds",
+    # Collectives counters: "coll.agg_bytes" is lower-is-better through the
+    # "_bytes" suffix.  "ops" and "agg_batches" are deliberately unlisted —
+    # they track workload shape, not quality (direction 0, informational
+    # only).
     # Hardening counters: escalated waits and watchdog dumps in a clean
     # bench run mean something got slower or stuck.
     "retries", "watchdog_dumps",
@@ -320,36 +317,35 @@ def render_curves(name, cur_bench, prev_bench=None, warn=True):
     return lines
 
 
-COLLECTIVE_TABLE_TITLE = "collective latency vs P (flat vs tree)"
-COLLECTIVE_CURVE_METRICS = ("flat_us", "tree_us", "speedup")
+COLLECTIVE_TABLE_TITLE = "collective latency vs P"
+COLLECTIVE_METRIC = "latency_us"
 
 
 def collective_rows(bench):
-    """Point-keyed rows + columns of the collectives latency table, or
-    ({}, []).  Row keys are "<primitive>/p<P>" (bench_collectives.cpp)."""
+    """Point-keyed rows of the collectives latency table and the column
+    index of its latency, or ({}, None).  Row keys are "<primitive>/p<P>"
+    (bench_collectives.cpp)."""
     tables = bench.get("tables", []) if isinstance(bench, dict) else []
     for t in tables:
         if isinstance(t, dict) and t.get("title") == COLLECTIVE_TABLE_TITLE:
-            return rows_by_key(t), t.get("columns", [])
-    return {}, []
+            cols = t.get("columns", [])
+            if cols[:1] == ["point"] and COLLECTIVE_METRIC in cols:
+                return rows_by_key(t), cols.index(COLLECTIVE_METRIC)
+    return {}, None
 
 
 def render_collective_curves(name, cur_bench, prev_bench=None):
     """Per-primitive latency-vs-P curve tables for BENCH_collectives.
 
-    Regroups the flat "<primitive>/p<P>"-keyed rows into one table per
-    primitive — flat_us / tree_us / speedup across the swept location
-    counts, each cell carrying its relative delta when the previous run
-    measured the same point.  Purely presentational: regression warnings
-    on these columns already come from the generic row-matched table diff
-    (flat_us/tree_us lower-better via the "_us" suffix, speedup
-    higher-better), so this renderer never warns.
+    Regroups the "<primitive>/p<P>"-keyed rows into one table per
+    primitive — latency_us across the swept location counts, each cell
+    carrying its relative delta when the previous run measured the same
+    point.  Purely presentational: regression warnings on this column
+    already come from the generic row-matched table diff (lower-better via
+    the "_us" suffix), so this renderer never warns.
     """
-    rows, cols = collective_rows(cur_bench)
-    if not rows or not cols or cols[0] != "point":
-        return []
-    metric_idx = {c: i for i, c in enumerate(cols)}
-    if any(m not in metric_idx for m in COLLECTIVE_CURVE_METRICS):
+    rows, i = collective_rows(cur_bench)
+    if not rows or i is None:
         return []
     prev_rows, _ = collective_rows(prev_bench if prev_bench else {})
 
@@ -366,29 +362,24 @@ def render_collective_curves(name, cur_bench, prev_bench=None):
         prows = by_prim[prim]
         ps = sorted(prows)
         header = ["metric"] + [f"p={p}" for p in ps]
-        body = []
-        for metric in COLLECTIVE_CURVE_METRICS:
-            i = metric_idx[metric]
-            cells = [metric]
-            for p in ps:
-                row = prows[p]
-                val = row[i] if i < len(row) else None
-                if not isinstance(val, (int, float)):
-                    cells.append("–")
-                    continue
-                old = prev_rows.get(f"{prim}/p{p}")
-                delta = fmt_delta(old[i], val) \
-                    if old is not None and i < len(old) else None
-                text = f"{val:.3g}"
-                cells.append(f"{text} ({delta})" if delta is not None
-                             else text)
-            body.append("| " + " | ".join(cells) + " |")
-        lines += [f"<details><summary><b>{bench}</b> — {prim} latency vs P "
-                  "(flat vs tree)</summary>", "",
+        cells = [COLLECTIVE_METRIC]
+        for p in ps:
+            row = prows[p]
+            val = row[i] if i < len(row) else None
+            if not isinstance(val, (int, float)):
+                cells.append("–")
+                continue
+            old = prev_rows.get(f"{prim}/p{p}")
+            delta = fmt_delta(old[i], val) \
+                if old is not None and i < len(old) else None
+            text = f"{val:.3g}"
+            cells.append(f"{text} ({delta})" if delta is not None else text)
+        lines += [f"<details><summary><b>{bench}</b> — {prim} latency vs P"
+                  "</summary>", "",
                   "| " + " | ".join(header) + " |",
-                  "|" + "---|" * len(header)]
-        lines += body
-        lines += ["", "</details>", ""]
+                  "|" + "---|" * len(header),
+                  "| " + " | ".join(cells) + " |",
+                  "", "</details>", ""]
     return lines
 
 

@@ -342,65 +342,70 @@ def test_usage_error():
 # Collectives: counter directions and per-primitive latency-vs-P curves
 # ---------------------------------------------------------------------------
 
-def collectives_bench(tree_us_p8=30.0, metrics=None):
+def collectives_bench(us_p8=30.0, metrics=None):
     """Minimal BENCH_collectives shape: the "<primitive>/p<P>"-keyed
     latency table (two primitives, P=2,4,8) plus the coll.* counters."""
     rows = []
     for prim in ("allreduce", "broadcast"):
-        for p, flat_us in ((2, 10.0), (4, 25.0), (8, 60.0)):
-            tree_us = tree_us_p8 if p == 8 else flat_us * 1.1
+        for p, us in ((2, 10.0), (4, 25.0), (8, us_p8)):
+            rows.append([f"{prim}/p{p}", p, us])
+    return {
+        "bench": "collectives",
+        "scale": 1,
+        "tables": [{
+            "title": bench_diff.COLLECTIVE_TABLE_TITLE,
+            "columns": ["point", "locations", "latency_us"],
+            "rows": rows,
+        }],
+        "metrics": metrics if metrics is not None else
+        {"coll.ops": 100, "coll.agg_bytes": 5000, "coll.agg_batches": 7},
+    }
+
+
+def legacy_collectives_bench():
+    """BENCH_collectives as written while the collectives had two engines:
+    flat_us / tree_us / speedup columns under the old table title."""
+    rows = []
+    for prim in ("allreduce", "broadcast"):
+        for p, flat_us in ((2, 10.0), (4, 25.0), (8, 30.0)):
+            tree_us = flat_us * 1.1
             rows.append([f"{prim}/p{p}", p, flat_us, tree_us,
                          flat_us / tree_us])
     return {
         "bench": "collectives",
         "scale": 1,
         "tables": [{
-            "title": bench_diff.COLLECTIVE_TABLE_TITLE,
+            "title": "collective latency vs P (flat vs tree)",
             "columns": ["point", "locations", "flat_us", "tree_us",
                         "speedup"],
             "rows": rows,
         }],
-        "metrics": metrics if metrics is not None else
-        {"coll.rounds": 100, "coll.agg_bytes": 5000,
-         "coll.flat_fallbacks": 7, "coll.tree_depth": 3},
+        "metrics": {"coll.ops": 0, "coll.rounds": 100,
+                    "coll.flat_fallbacks": 7, "coll.tree_depth": 3},
     }
 
 
 def test_coll_counter_directions():
-    assert bench_diff.column_direction("coll.rounds") == -1
     assert bench_diff.column_direction("coll.agg_bytes") == -1
-    assert bench_diff.column_direction("coll.flat_fallbacks") == 0
-    assert bench_diff.column_direction("coll.tree_depth") == 0
+    assert bench_diff.column_direction("coll.ops") == 0
     assert bench_diff.column_direction("coll.agg_batches") == 0
-    assert bench_diff.column_direction("flat_us") == -1
-    assert bench_diff.column_direction("tree_us") == -1
+    assert bench_diff.column_direction("latency_us") == -1
+    # bench_directory and bench_rebalance still report a speedup column.
     assert bench_diff.column_direction("speedup") == 1
 
 
-def test_coll_rounds_regression_warns():
+def test_coll_ops_is_informational():
+    """coll.ops counts calls, a property of the workload: a big swing
+    renders in the metrics table but never warns."""
     with tempfile.TemporaryDirectory() as prev, \
             tempfile.TemporaryDirectory() as cur:
         write_bench(prev, "collectives",
-                    collectives_bench(metrics={"coll.rounds": 100}))
+                    collectives_bench(metrics={"coll.ops": 2}))
         write_bench(cur, "collectives",
-                    collectives_bench(metrics={"coll.rounds": 150}))
+                    collectives_bench(metrics={"coll.ops": 40}))
         rc, out, err = run_main([prev, cur])
         assert rc == 0
-        assert "::warning" in err and "coll.rounds" in err
-
-
-def test_coll_flat_fallbacks_is_informational():
-    """flat_fallbacks tracks the auto-select threshold, not quality: a big
-    swing renders in the metrics table but never warns."""
-    with tempfile.TemporaryDirectory() as prev, \
-            tempfile.TemporaryDirectory() as cur:
-        write_bench(prev, "collectives",
-                    collectives_bench(metrics={"coll.flat_fallbacks": 2}))
-        write_bench(cur, "collectives",
-                    collectives_bench(metrics={"coll.flat_fallbacks": 40}))
-        rc, out, err = run_main([prev, cur])
-        assert rc == 0
-        assert "coll.flat_fallbacks" in out
+        assert "coll.ops" in out
         assert "::warning" not in err
 
 
@@ -445,36 +450,53 @@ def test_fault_counters_never_warn():
 
 
 def test_collective_curves_render_per_primitive():
-    """The diff regroups the flat point-keyed table into one latency-vs-P
+    """The diff regroups the point-keyed table into one latency-vs-P
     table per primitive, cells carrying deltas vs the matched baseline."""
     with tempfile.TemporaryDirectory() as prev, \
             tempfile.TemporaryDirectory() as cur:
-        write_bench(prev, "collectives", collectives_bench(tree_us_p8=30.0))
-        write_bench(cur, "collectives", collectives_bench(tree_us_p8=15.0))
+        write_bench(prev, "collectives", collectives_bench(us_p8=30.0))
+        write_bench(cur, "collectives", collectives_bench(us_p8=15.0))
         rc, out, err = run_main([prev, cur])
         assert rc == 0
-        assert "allreduce latency vs P (flat vs tree)" in out
-        assert "broadcast latency vs P (flat vs tree)" in out
+        assert "allreduce latency vs P" in out
+        assert "broadcast latency vs P" in out
         assert "p=2" in out and "p=8" in out
         row = next(line for line in out.splitlines()
-                   if line.startswith("| tree_us"))
-        assert "(-50.0%)" in row  # p=8 tree halved vs baseline
+                   if line.startswith("| latency_us"))
+        assert "(-50.0%)" in row  # p=8 halved vs baseline
 
 
-def test_collective_tree_us_regression_warns_via_row_diff():
+def test_collective_latency_regression_warns_via_row_diff():
     """Row-level regression warnings come from the generic table differ
     ("_us" suffix = lower-better) — the curve renderer itself never
     warns, so exactly one warning fires per regressed point."""
     with tempfile.TemporaryDirectory() as prev, \
             tempfile.TemporaryDirectory() as cur:
-        write_bench(prev, "collectives", collectives_bench(tree_us_p8=30.0))
-        write_bench(cur, "collectives", collectives_bench(tree_us_p8=60.0))
+        write_bench(prev, "collectives", collectives_bench(us_p8=30.0))
+        write_bench(cur, "collectives", collectives_bench(us_p8=60.0))
         rc, out, err = run_main([prev, cur])
         assert rc == 0
         warnings = [l for l in err.splitlines()
-                    if "::warning" in l and "tree_us" in l]
+                    if "::warning" in l and "latency_us" in l]
         assert len(warnings) == 2  # one per primitive's p=8 row
         assert any("allreduce/p8" in w for w in warnings)
+
+
+def test_collective_curves_against_legacy_baseline():
+    """A baseline with the old flat_us/tree_us table diffs without error:
+    the generic differ skips the retitled table, and the curves render
+    without deltas."""
+    with tempfile.TemporaryDirectory() as prev, \
+            tempfile.TemporaryDirectory() as cur:
+        write_bench(prev, "collectives", legacy_collectives_bench())
+        write_bench(cur, "collectives", collectives_bench())
+        rc, out, err = run_main([prev, cur])
+        assert rc == 0
+        assert "tree_us" not in out
+        row = next(line for line in out.splitlines()
+                   if line.startswith("| latency_us"))
+        assert "%" not in row
+        assert "::warning" not in err
 
 
 def test_collective_curves_in_render_mode():
@@ -482,7 +504,7 @@ def test_collective_curves_in_render_mode():
         write_bench(cur, "collectives", collectives_bench())
         rc, out, err = run_main(["--render", cur])
         assert rc == 0
-        assert "allreduce latency vs P (flat vs tree)" in out
+        assert "allreduce latency vs P" in out
         assert "(-" not in out.split("allreduce latency")[1].split(
             "</details>")[0]  # no baseline: bare values, no deltas
         assert "::warning" not in err
