@@ -42,19 +42,21 @@ void map_reduce_into(View view, Mapper mapper, Reducer reducer,
   };
   if (opts.use_combiner) {
     std::unordered_map<K, V, Hash> combined;
-    algo_detail::local_pass(view, [&](typename View::gid_type g) {
-      mapper(view.read(g), [&](K k, V v) {
-        auto [it, inserted] = combined.emplace(std::move(k), v);
-        if (!inserted)
-          it->second = reducer(it->second, v);
-      });
-    });
+    algo_detail::local_pass<algo_detail::access::read>(
+        view, [&](auto const&, auto const& x) {
+          mapper(x, [&](K k, V v) {
+            auto [it, inserted] = combined.emplace(std::move(k), v);
+            if (!inserted)
+              it->second = reducer(it->second, v);
+          });
+        });
     for (auto const& [k, v] : combined)
       flush(k, v);
   } else {
-    algo_detail::local_pass(view, [&](typename View::gid_type g) {
-      mapper(view.read(g), [&](K k, V v) { flush(k, v); });
-    });
+    algo_detail::local_pass<algo_detail::access::read>(
+        view, [&](auto const&, auto const& x) {
+          mapper(x, [&](K k, V v) { flush(k, v); });
+        });
   }
   rmi_fence();
 }

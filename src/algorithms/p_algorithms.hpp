@@ -7,12 +7,20 @@
 // pass over the calling location's own bView, followed by the fence or
 // collective that combines the locations.  Mutating maps end at a fence;
 // reductions end in one allreduce of per-location folds; the prefix sum
-// allgathers per-block folds.  Element access takes the direct-reference
-// fast path when local (native/aligned views) and the shared-object
-// read/write path otherwise, so repartitioning views compute the same
-// result as aligned ones.  Mutating algorithms end with the views'
+// allgathers per-block folds.  Mutating algorithms end with the views'
 // post_execute hook, implementing the automatic synchronization-point
 // insertion of Ch. VII.H.
+//
+// The local pass (algo_detail::local_pass) has two paths and every
+// algorithm one body.  When the view's bView is the container's storage
+// (array_1d_view, array_1d_ro_view, native_view) and the container
+// resolves in closed form, the pass is a plain loop over each local
+// bContainer's contiguous storage.  Otherwise — views whose deal crosses
+// the storage (balanced, strided, overlap, wrappers, counting) and
+// directory-backed containers — it visits local_gids() one GID at a time,
+// through the direct reference when local and the shared-object
+// read/write path otherwise, so repartitioning views compute the same
+// result as aligned ones.
 
 #include <algorithm>
 #include <cassert>
@@ -35,35 +43,60 @@ concept writable_view = requires(View v, G g, typename View::value_type x) {
   v.write(g, x);
 };
 
-/// Applies f(value&) to the element behind gid, using the direct reference
-/// when local and read-modify-write otherwise.
-template <typename View, typename F>
-void apply_element(View& v, typename View::gid_type g, F& f)
+/// What a local pass hands its body: the element, to update in place, or
+/// a const reference to its value, to read.
+enum class access { read, update };
+
+/// One pass over the calling location's bView: `body(gid, x)` per element,
+/// in bView order (bCID order, then index order inside a bContainer).
+/// Storage views over closed-form containers take the span path: a loop
+/// over each block of for_each_block, no GID vector, no resolve.  All
+/// other views and directory-backed containers take the per-GID path over
+/// local_gids(), where an update uses the direct reference when the element
+/// is local and read-modify-write otherwise.  Both paths visit the same
+/// elements in the same order, so a fold returns bit-identical results on
+/// either.  Traced as one
+/// `task_run` scope (arg: elements visited) and timed as one `tg_task`
+/// latency sample.  Adds no synchronization: mutating callers fence
+/// afterwards.
+template <access A, typename View, typename Body>
+void local_pass(View& v, Body&& body)
 {
-  if constexpr (view_detail::has_local_ref<View>) {
-    if (auto* p = v.try_local_ref(g)) {
-      f(*p);
+  if constexpr (view_detail::storage_view<View>) {
+    auto& c = v.container();
+    if (!c.is_dynamic()) {
+      trace::trace_scope scope(trace::event_kind::task_run, c.local_size());
+      latency::timed_op lat(latency::op::tg_task);
+      c.for_each_block([&](bcid_type b, auto block) {
+        for (std::size_t i = 0; i != block.size(); ++i) {
+          if constexpr (A == access::update)
+            body(c.partition().gid_of(b, i), block[i]);
+          else
+            body(c.partition().gid_of(b, i), std::as_const(block[i]));
+        }
+      });
       return;
     }
   }
-  auto x = v.read(g);
-  f(x);
-  if constexpr (writable_view<View, typename View::gid_type>)
-    v.write(g, std::move(x));
-}
-
-/// One pass over the calling location's bView: `body(gid)` per element, in
-/// bView order.  Traced as one `task_run` scope (arg: elements visited)
-/// and timed as one `tg_task` latency sample.  Adds no synchronization:
-/// mutating callers fence afterwards.
-template <typename View, typename Body>
-void local_pass(View const& v, Body&& body)
-{
   auto const gids = v.local_gids();
   trace::trace_scope scope(trace::event_kind::task_run, gids.size());
   latency::timed_op lat(latency::op::tg_task);
-  for (auto const& g : gids)
-    body(g);
+  for (auto const& g : gids) {
+    if constexpr (A == access::update && view_detail::has_local_ref<View>) {
+      if (auto* p = v.try_local_ref(g)) {
+        body(g, *p);
+        continue;
+      }
+    }
+    auto x = v.read(g);
+    if constexpr (A == access::update) {
+      body(g, x);
+      if constexpr (writable_view<View, typename View::gid_type>)
+        v.write(g, std::move(x));
+    } else {
+      body(g, std::as_const(x));
+    }
+  }
 }
 
 /// mapf(gid, x) when the map functor takes a GID, mapf(x) otherwise.
@@ -88,10 +121,7 @@ decltype(auto) map_element(Map& mapf, G const& g, X&& x)
 template <typename View, typename WF>
 void p_for_each_gid(View v, WF wf)
 {
-  algo_detail::local_pass(v, [&](typename View::gid_type g) {
-    auto f = [&](auto& x) { wf(g, x); };
-    algo_detail::apply_element(v, g, f);
-  });
+  algo_detail::local_pass<algo_detail::access::update>(v, wf);
   rmi_fence();
   v.post_execute();
 }
@@ -126,9 +156,10 @@ template <typename InView, typename OutView, typename Op>
 void p_transform(InView in, OutView out, Op op)
 {
   assert(in.size() == out.size());
-  algo_detail::local_pass(in, [&](typename InView::gid_type g) {
-    out.write(g, op(in.read(g)));
-  });
+  algo_detail::local_pass<algo_detail::access::read>(
+      in, [&](typename InView::gid_type const& g, auto const& x) {
+        out.write(g, op(x));
+      });
   rmi_fence();
   out.post_execute();
 }
@@ -156,15 +187,16 @@ template <typename View, typename Map, typename Reduce>
   using gid_type = typename View::gid_type;
   using T = decltype(algo_detail::map_element(
       mapf, std::declval<gid_type const&>(),
-      std::declval<typename View::value_type>()));
+      std::declval<typename View::value_type const&>()));
   using EV = std::pair<T, bool>;  ///< (fold, nonempty)
 
   EV acc{T{}, false};
-  algo_detail::local_pass(v, [&](gid_type const& g) {
-    T m = algo_detail::map_element(mapf, g, v.read(g));
-    acc = acc.second ? EV{redf(std::move(acc.first), std::move(m)), true}
-                     : EV{std::move(m), true};
-  });
+  algo_detail::local_pass<algo_detail::access::read>(
+      v, [&](gid_type const& g, auto const& x) {
+        T m = algo_detail::map_element(mapf, g, x);
+        acc = acc.second ? EV{redf(std::move(acc.first), std::move(m)), true}
+                         : EV{std::move(m), true};
+      });
   EV const out = allreduce(acc, [&redf](EV const& a, EV const& b) {
     if (!b.second)
       return a;
@@ -332,13 +364,13 @@ void p_adjacent_difference(InC& in, OutC& out, Op op = {})
   using T = typename InC::value_type;
   assert(in.size() == out.size());
   array_1d_view iv(in);
-  algo_detail::local_pass(iv, [&](gid1d g) {
-    T const here = iv.read(g);
-    if (g == 0)
-      out.set_element(0, here);
-    else
-      out.set_element(g, op(here, iv.read(g - 1)));
-  });
+  algo_detail::local_pass<algo_detail::access::read>(
+      iv, [&](gid1d g, T const& here) {
+        if (g == 0)
+          out.set_element(0, here);
+        else
+          out.set_element(g, op(here, iv.read(g - 1)));
+      });
   rmi_fence();
 }
 

@@ -6,22 +6,35 @@
 // computation is correct as long as bucket-level insertion is atomic).
 //
 // Phases:
-//   1. every location samples its local elements;
-//   2. samples are allgathered and P-1 splitters chosen;
-//   3. local elements are partitioned by splitter and shipped to their
-//      bucket's location in bulk asynchronous batches;
+//   1. every location gathers its local elements: a block copy of each
+//      local bContainer's storage (for_each_block);
+//   2. every location draws a fixed number of random samples, the samples
+//      are allgathered, and the P-1 splitters are quantiles of the sorted
+//      pool (sort_detail::choose_splitters);
+//   3. each local element's bucket is found by a branch-free binary search
+//      over the splitters (sort_detail::bucket_of), and every bucket is
+//      shipped to its location in one bulk asynchronous batch;
 //   4. each location sorts its bucket;
-//   5. the sorted sequence is written back to the container in order:
-//      each location's start offset is the exclusive scan of the bucket
-//      sizes, and every run of consecutive GIDs with one owner travels as
-//      one asynchronous RMI that writes the run on that owner.
+//   5. the sorted sequence is written back in order: each location's start
+//      offset is the exclusive scan of the bucket sizes, and its range is
+//      cut into runs at sub-domain boundaries, so each run fills
+//      consecutive slots of one bContainer.  A location copies the runs
+//      that land in its own storage in place, and ships every other run as
+//      one asynchronous RMI whose handler copies it into the owner's
+//      storage.
+//
+// Directory-backed containers (after make_dynamic()) gather through the
+// ownership-following for_each_local and write back with one set_element
+// per element, which the directory routes to the element's current owner.
 //
 // Sorts any indexed container with 1D gids (pArray, pVector).
 
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <mutex>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "../runtime/runtime.hpp"
@@ -32,6 +45,11 @@ namespace stapl {
 
 namespace sort_detail {
 
+/// Random samples each location draws for splitter choice (fewer when it
+/// holds fewer elements).  At P=4 on 1 Mi random keys every bucket then
+/// holds within ±5% of the mean (tests/test_p_sort.cpp).
+inline constexpr std::size_t samples_per_location = 4096;
+
 template <typename T>
 struct bucket_buffer : p_object {
   std::vector<T> elems;
@@ -40,9 +58,95 @@ struct bucket_buffer : p_object {
   void deliver(std::vector<T> batch)
   {
     std::lock_guard lock(mutex);
-    elems.insert(elems.end(), batch.begin(), batch.end());
+    if (elems.empty())
+      elems = std::move(batch);
+    else
+      elems.insert(elems.end(), batch.begin(), batch.end());
   }
 };
+
+/// The P-1 splitters: each location draws up to samples_per_location
+/// random elements of `local`, the samples are allgathered, and splitter
+/// i is the (i/P)-quantile of the sorted pool.  Collective; every
+/// location returns the same splitters (none when no location has
+/// elements).
+template <typename T, typename Compare>
+[[nodiscard]] std::vector<T> choose_splitters(std::vector<T> const& local,
+                                              Compare cmp)
+{
+  unsigned const p = num_locations();
+  std::vector<T> samples;
+  std::size_t const k = std::min(samples_per_location, local.size());
+  samples.reserve(k);
+  std::mt19937 gen(123 + this_location());
+  for (std::size_t i = 0; i != k; ++i)
+    samples.push_back(local[gen() % local.size()]);
+
+  std::vector<T> pool;
+  for (auto& s : allgather(samples))
+    pool.insert(pool.end(), s.begin(), s.end());
+  std::sort(pool.begin(), pool.end(), cmp);
+  std::vector<T> splitters;
+  if (!pool.empty())
+    for (unsigned i = 1; i < p; ++i)
+      splitters.push_back(pool[i * pool.size() / p]);
+  return splitters;
+}
+
+/// Bucket of `x`: the number of splitters s with !cmp(x, s), the position
+/// std::upper_bound returns.  Branch-free binary search: the trip count
+/// depends only on the number of splitters, and each step selects one of
+/// two pointers (a conditional move for arithmetic keys), so random keys
+/// cost no mispredicted branches.
+template <typename T, typename Compare>
+[[nodiscard]] std::size_t bucket_of(std::vector<T> const& splitters,
+                                    T const& x, Compare& cmp)
+{
+  if (splitters.empty())
+    return 0;
+  T const* base = splitters.data();
+  for (std::size_t n = splitters.size(); n > 1; n -= n / 2)
+    base = cmp(x, base[n / 2]) ? base : base + n / 2;
+  return static_cast<std::size_t>(base - splitters.data()) +
+         (cmp(x, *base) ? 0 : 1);
+}
+
+/// Length of the run of GIDs g, g+1, ... (at most `max`) that occupy
+/// consecutive slots of g's bContainer.  Inside a bContainer the GID
+/// grows with the slot index, so the run is the prefix on which
+/// gid_of(b, i + k) == g + k: the whole rest of the sub-domain for
+/// contiguous partitions, one block for block-cyclic ones (binary search).
+template <typename Partition>
+[[nodiscard]] std::size_t run_length(Partition const& part, gid1d g,
+                                     std::size_t max)
+{
+  bcid_type const b = part.get_info(g);
+  std::size_t const i = part.local_index(g);
+  auto const in_run = [&](std::size_t len) {
+    return part.gid_of(b, i + len - 1) == g + len - 1;
+  };
+  std::size_t lo = 1;
+  std::size_t hi = std::min(max, part.subdomain_size(b) - i);
+  if (in_run(hi))
+    return hi;
+  while (lo + 1 < hi) { // in_run(lo), !in_run(hi)
+    std::size_t const mid = lo + (hi - lo) / 2;
+    (in_run(mid) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+/// Copies `run` into the local slots of GIDs first, first+1, ...: one
+/// run of run_length(), so all of it lands in one local bContainer.
+template <typename C, typename T>
+void store_run(C& c, gid1d first, std::span<T> run)
+{
+  auto const& part = c.partition();
+  auto& block = c.bc(part.get_info(first)).data();
+  std::move(run.begin(), run.end(),
+            block.begin() + static_cast<std::ptrdiff_t>(
+                                part.local_index(first)));
+}
 
 } // namespace sort_detail
 
@@ -53,38 +157,31 @@ void p_sample_sort(C& arr, Compare cmp = {})
 {
   using T = typename C::value_type;
   unsigned const p = num_locations();
+  bool const dynamic = arr.is_dynamic();
 
-  // 1. Local sampling (oversampling factor 8 for balanced splitters).
+  // 1. Gather the local elements.
   std::vector<T> local;
-  arr.for_each_local([&](gid1d, T& x) { local.push_back(x); });
-  std::size_t const oversample = 8;
-  std::vector<T> samples;
-  if (!local.empty()) {
-    std::mt19937 gen(123 + this_location());
-    for (std::size_t i = 0; i < oversample * p; ++i)
-      samples.push_back(local[gen() % local.size()]);
-  }
+  local.reserve(arr.local_size());
+  if (dynamic)
+    arr.for_each_local([&](gid1d, T& x) { local.push_back(x); });
+  else
+    arr.for_each_block([&](bcid_type, std::span<T> block) {
+      local.insert(local.end(), block.begin(), block.end());
+    });
 
   // 2. Global splitters.
-  auto all_samples = allgather(samples);
-  std::vector<T> pool;
-  for (auto& s : all_samples)
-    pool.insert(pool.end(), s.begin(), s.end());
-  std::sort(pool.begin(), pool.end(), cmp);
-  std::vector<T> splitters;
-  for (unsigned i = 1; i < p; ++i)
-    if (!pool.empty())
-      splitters.push_back(pool[i * pool.size() / p]);
+  auto const splitters = sort_detail::choose_splitters(local, cmp);
 
   // 3. Partition local elements into buckets and ship them (bulk async) —
   //    the Ch. VI bucket-insertion pattern.
   sort_detail::bucket_buffer<T> bucket;
   rmi_handle const bh = bucket.get_handle();
   std::vector<std::vector<T>> outgoing(p);
-  for (auto& x : local) {
-    auto it = std::upper_bound(splitters.begin(), splitters.end(), x, cmp);
-    outgoing[static_cast<std::size_t>(it - splitters.begin())].push_back(x);
-  }
+  for (auto& out : outgoing) // a bucket's share, plus slack for imbalance
+    out.reserve(local.size() / p + local.size() / (8 * p));
+  for (T const& x : local)
+    outgoing[sort_detail::bucket_of(splitters, x, cmp)].push_back(x);
+  std::vector<T>().swap(local);
   for (unsigned l = 0; l < p; ++l) {
     if (outgoing[l].empty())
       continue;
@@ -92,33 +189,45 @@ void p_sample_sort(C& arr, Compare cmp = {})
       bucket.deliver(std::move(outgoing[l]));
     else
       async_rmi<sort_detail::bucket_buffer<T>>(
-          l, bh, &sort_detail::bucket_buffer<T>::deliver,
+          l, bh,
+          [](sort_detail::bucket_buffer<T>& buf, auto&& batch) {
+            buf.deliver(std::move(batch));
+          },
           std::move(outgoing[l]));
   }
   rmi_fence();
 
   // 4. Local bucket sort.
-  std::sort(bucket.elems.begin(), bucket.elems.end(), cmp);
+  std::vector<T>& elems = bucket.elems;
+  std::sort(elems.begin(), elems.end(), cmp);
 
   // 5. Write back in global order: bucket l starts where buckets 0..l-1
-  //    end.  Consecutive GIDs with one owner travel as one run.
+  //    end.
   std::size_t const offset =
-      exclusive_scan(bucket.elems.size(), std::plus<>{}, std::size_t{0});
-  auto const& elems = bucket.elems;
-  for (std::size_t b = 0; b < elems.size();) {
-    location_id const owner = arr.lookup(offset + b);
-    std::size_t e = b + 1;
-    while (e < elems.size() && arr.lookup(offset + e) == owner)
-      ++e;
-    async_rmi<C>(
-        owner, arr.get_handle(),
-        [](C& c, gid1d first, auto&& run) {
-          for (std::size_t i = 0; i != run.size(); ++i)
-            c.set_element(first + i, std::move(run[i]));
-        },
-        static_cast<gid1d>(offset + b),
-        std::vector<T>(elems.begin() + b, elems.begin() + e));
-    b = e;
+      exclusive_scan(elems.size(), std::plus<>{}, std::size_t{0});
+  if (dynamic) {
+    for (std::size_t i = 0; i != elems.size(); ++i)
+      arr.set_element(offset + i, std::move(elems[i]));
+  } else {
+    for (std::size_t b = 0; b < elems.size();) {
+      gid1d const first = offset + b;
+      std::size_t const e =
+          b + sort_detail::run_length(arr.partition(), first,
+                                      elems.size() - b);
+      std::span<T> const run(elems.data() + b, e - b);
+      location_id const owner =
+          arr.mapper().map(arr.partition().get_info(first));
+      if (owner == this_location())
+        sort_detail::store_run(arr, first, run);
+      else
+        async_rmi<C>(
+            owner, arr.get_handle(),
+            [](C& c, gid1d at, auto&& values) {
+              sort_detail::store_run(c, at, std::span<T>(values));
+            },
+            first, std::vector<T>(run.begin(), run.end()));
+      b = e;
+    }
   }
   rmi_fence();
 }

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -885,6 +886,27 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
     return &this->bc(r.bcid).at(this->partition().local_index(gid));
   }
 
+  /// The block walk of a closed-form container: calls `f(bcid, block)` for
+  /// every local bContainer in bCID order, `block` being a std::span over
+  /// its contiguous storage, whose element i has GID
+  /// partition().gid_of(bcid, i).  Not for directory-backed containers:
+  /// after make_dynamic() a slot may hold the stale copy of an element
+  /// that migrated away, so their traversals follow ownership instead.
+  template <typename F>
+  void for_each_block(F&& f)
+  {
+    assert(!this->is_dynamic());
+    for (auto& [bcid, bcptr] : this->m_lm)
+      f(bcid, std::span<value_type>(bcptr->data()));
+  }
+  template <typename F>
+  void for_each_block(F&& f) const
+  {
+    assert(!this->is_dynamic());
+    for (auto const& [bcid, bcptr] : this->m_lm)
+      f(bcid, std::span<value_type const>(bcptr->data()));
+  }
+
   /// Applies `f(gid, element&)` to every element stored on this location,
   /// bContainer by bContainer in partition order (the native traversal).
   /// After make_dynamic() the traversal follows current *ownership*:
@@ -896,11 +918,10 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
   void for_each_local(F&& f)
   {
     if (!this->is_dynamic()) {
-      for (auto& [bcid, bcptr] : this->m_lm) {
-        std::size_t const n = bcptr->size();
-        for (std::size_t i = 0; i != n; ++i)
-          f(this->partition().gid_of(bcid, i), bcptr->at(i));
-      }
+      for_each_block([&](bcid_type b, std::span<value_type> block) {
+        for (std::size_t i = 0; i != block.size(); ++i)
+          f(this->partition().gid_of(b, i), block[i]);
+      });
       return;
     }
     auto const owned = this->get_directory().owned_snapshot();
@@ -925,11 +946,10 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
     std::vector<gid_type> out;
     out.reserve(this->m_lm.local_size());
     if (!this->is_dynamic()) {
-      for (auto const& [bcid, bcptr] : this->m_lm) {
-        std::size_t const n = bcptr->size();
-        for (std::size_t i = 0; i != n; ++i)
-          out.push_back(this->partition().gid_of(bcid, i));
-      }
+      for_each_block([&](bcid_type b, std::span<value_type const> block) {
+        for (std::size_t i = 0; i != block.size(); ++i)
+          out.push_back(this->partition().gid_of(b, i));
+      });
       return out;
     }
     auto const owned = this->get_directory().owned_snapshot();

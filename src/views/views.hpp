@@ -20,8 +20,18 @@
 // (the locality fast path); repartitioning views (balanced over a different
 // distribution, strided, ...) fall back to shared-object reads and writes —
 // exactly the performance distinction Ch. III.A draws.
+//
+// The native views (array_1d_view, array_1d_ro_view, native_view) go one
+// step further: their bView *is* the container's local storage, which
+// they declare with `bview_is_storage`.  Over an indexed container that
+// resolves in closed form, the pAlgorithms' local pass then walks the
+// bContainers' contiguous storage (`for_each_block`) in bCID order, with
+// no GID vector and no per-element resolve (the `storage_view` concept
+// below).  Every other view, and every directory-backed container, is
+// traversed one GID of `local_gids()` at a time.
 
 #include <cstddef>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -39,6 +49,17 @@ concept has_local_ref = requires(V v, typename V::gid_type g) {
   { v.try_local_ref(g) };
 };
 
+/// View whose bView is its container's own storage, over a container
+/// with a block walk (p_container_indexed::for_each_block): a local pass
+/// may loop over the storage blocks instead of resolving GIDs.
+template <typename V>
+concept storage_view =
+    V::bview_is_storage &&
+    requires(typename V::container_type& c,
+             void (*f)(bcid_type, std::span<typename V::value_type>)) {
+      c.for_each_block(f);
+    };
+
 } // namespace view_detail
 
 // ---------------------------------------------------------------------------
@@ -53,6 +74,7 @@ class array_1d_view {
   using container_type = C;
   using value_type = typename C::value_type;
   using gid_type = typename C::gid_type;
+  static constexpr bool bview_is_storage = true;
 
   explicit array_1d_view(C& c) noexcept : m_c(&c) {}
 
@@ -94,6 +116,7 @@ class array_1d_ro_view {
   using container_type = C;
   using value_type = typename C::value_type;
   using gid_type = typename C::gid_type;
+  static constexpr bool bview_is_storage = true;
 
   explicit array_1d_ro_view(C& c) noexcept : m_c(&c) {}
 
@@ -428,6 +451,7 @@ class native_view {
   using container_type = C;
   using value_type = typename C::value_type;
   using gid_type = typename C::gid_type;
+  static constexpr bool bview_is_storage = true;
 
   explicit native_view(C& c) noexcept : m_c(&c) {}
 

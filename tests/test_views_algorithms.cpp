@@ -3,9 +3,13 @@
 
 #include "algorithms/p_algorithms.hpp"
 #include "containers/p_array.hpp"
+#include "containers/p_vector.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -343,6 +347,185 @@ TEST(NativeView, AlignedTraversalIsAllLocal)
     nv.for_each_local([&](gid1d, int&) { ++seen; });
     EXPECT_EQ(seen, pa.local_size());
     rmi_fence();
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Span path (storage views over closed-form containers) vs per-GID path
+// ---------------------------------------------------------------------------
+
+/// Element methods this location resolved through a container's
+/// thread-safety hooks (each location is one thread).  A per-GID read
+/// resolves every element through get_element; the span path none.
+thread_local std::size_t resolved_accesses = 0;
+
+struct counting_manager : no_locking_manager {
+  using no_locking_manager::no_locking_manager;
+  void data_access_pre(ths_info const&) noexcept { ++resolved_accesses; }
+};
+
+template <typename T>
+struct counting_traits : p_array_traits<T> {
+  using ths_manager_type = counting_manager;
+};
+
+/// Element g of the parity tests: magnitudes spread over 2^40, so a double
+/// sum depends on the order of its fold.
+double parity_value(gid1d g)
+{
+  return static_cast<double>((g * 7919) % 1009 + 1) *
+         std::ldexp(1.0, static_cast<int>((g * 13) % 41) - 20);
+}
+
+/// Fills `c` with parity_value through p_for_each_gid, then checks
+/// map_reduce, p_find_if, p_min_element and a double p_accumulate against
+/// sequential references, through array_1d_view (the span path unless the
+/// container is directory-backed) and balanced_view (per-GID path).
+/// Finally, the span path must fold in the per-GID path's order: a double
+/// map_reduce over array_1d_view equals, bit for bit, the one over an
+/// identity transform_view of it (a wrapper: per-GID, same deal).
+template <typename C>
+void check_span_parity(C& c)
+{
+  std::size_t const n = c.size();
+  std::vector<double> ref(n);
+  for (gid1d g = 0; g < n; ++g)
+    ref[g] = parity_value(g);
+
+  array_1d_view av(c);
+  p_for_each_gid(av, [](gid1d g, double& x) { x = parity_value(g); });
+  for (gid1d g = this_location(); g < n; g += num_locations())
+    EXPECT_EQ(c.get_element(g), ref[g]) << "index " << g;
+
+  double const ref_sum = std::accumulate(ref.begin(), ref.end(), 0.0);
+  auto const big = [](double x) { return x > 1e5; };
+  auto const ref_find = std::find_if(ref.begin(), ref.end(), big);
+  auto const ref_min = std::min_element(ref.begin(), ref.end());
+  auto const ref_big =
+      static_cast<std::size_t>(std::count_if(ref.begin(), ref.end(), big));
+  auto check = [&](auto v) {
+    EXPECT_NEAR(p_accumulate(v, 0.0), ref_sum, 1e-9 * ref_sum);
+    auto const weighted = map_reduce(
+        v,
+        [](gid1d g, double x) { return static_cast<std::size_t>(x > 1e5) * g; },
+        std::plus<>{});
+    std::size_t ref_weighted = 0;
+    for (gid1d g = 0; g < n; ++g)
+      ref_weighted += static_cast<std::size_t>(big(ref[g])) * g;
+    EXPECT_EQ(weighted.value_or(0), ref_weighted);
+    EXPECT_EQ(p_count_if(v, big), ref_big);
+    EXPECT_EQ(p_find_if(v, big), ref_find == ref.end()
+                                     ? invalid_gid
+                                     : static_cast<gid1d>(ref_find - ref.begin()));
+    auto const mn = p_min_element(v);
+    ASSERT_TRUE(mn.has_value());
+    EXPECT_EQ(mn->first, static_cast<gid1d>(ref_min - ref.begin()));
+    EXPECT_EQ(mn->second, *ref_min);
+  };
+  check(av);
+  check(balanced_view(c));
+
+  auto const sum = [](auto v) {
+    return map_reduce(v, [](double x) { return x; }, std::plus<>{});
+  };
+  std::size_t const owned = c.local_gids().size();
+  std::size_t const before = resolved_accesses;
+  auto const span_sum = sum(av);
+  EXPECT_EQ(resolved_accesses - before, c.is_dynamic() ? owned : 0);
+  auto const gid_sum = sum(transform_view(av, [](double x) { return x; }));
+  EXPECT_EQ(resolved_accesses - before, (c.is_dynamic() ? 2 : 1) * owned);
+  ASSERT_EQ(span_sum.has_value(), n != 0);
+  if (span_sum && gid_sum) {
+    EXPECT_EQ(std::memcmp(&*span_sum, &*gid_sum, sizeof(double)), 0)
+        << *span_sum << " vs " << *gid_sum;
+  }
+  rmi_fence();
+}
+
+TEST_P(ViewAlgoTest, SpanParityBalancedPartition)
+{
+  execute(GetParam(), [] {
+    p_array<double, balanced_partition, counting_traits<double>> pa(1000);
+    check_span_parity(pa);
+  });
+}
+
+TEST_P(ViewAlgoTest, SpanParityBlockedPartition)
+{
+  execute(GetParam(), [] {
+    p_array<double, blocked_partition, counting_traits<double>> pa(
+        1000, blocked_partition(7));
+    check_span_parity(pa);
+  });
+}
+
+TEST_P(ViewAlgoTest, SpanParityBlockCyclicPartition)
+{
+  execute(GetParam(), [] {
+    p_array<double, block_cyclic_partition, counting_traits<double>> pa(
+        1000, block_cyclic_partition(2 * num_locations(), 5));
+    check_span_parity(pa);
+  });
+}
+
+TEST_P(ViewAlgoTest, SpanParityExplicitPartition)
+{
+  execute(GetParam(), [] {
+    // Uneven blocks, one of them empty.
+    p_array<double, explicit_partition, counting_traits<double>> pa(
+        1000, explicit_partition({500, 0, 1, 250, 249}));
+    check_span_parity(pa);
+  });
+}
+
+TEST_P(ViewAlgoTest, SpanParityVectorAfterInsertFlush)
+{
+  execute(GetParam(), [] {
+    p_vector<double, counting_traits<double>> pv(600);
+    if (this_location() == 0)
+      for (gid1d at : {0u, 17u, 300u, 301u, 599u})
+        pv.insert_async(at, -1.0);
+    pv.flush();
+    ASSERT_EQ(pv.size(), 605u);
+    check_span_parity(pv);
+  });
+}
+
+TEST_P(ViewAlgoTest, DirectoryBackedPassVisitsExactlyTheOwnedElements)
+{
+  execute(GetParam(), [] {
+    std::size_t const n = 400;
+    p_array<double, balanced_partition, counting_traits<double>> pa(n);
+    pa.make_dynamic();
+    // Each location hands its first three elements to the next location,
+    // so storage slots and ownership disagree everywhere.
+    auto const stored = pa.local_gids();
+    location_id const next = (this_location() + 1) % num_locations();
+    std::size_t const moved = std::min<std::size_t>(3, stored.size());
+    for (std::size_t k = 0; k != moved; ++k)
+      pa.migrate(stored[k], next);
+    rmi_fence();
+
+    std::vector<gid1d> visited;
+    p_for_each_gid(array_1d_view(pa), [&](gid1d g, double& x) {
+      visited.push_back(g);
+      x = parity_value(g);
+    });
+    for (gid1d g : visited)
+      EXPECT_TRUE(pa.get_directory().owns(g)) << "visited unowned " << g;
+    if (num_locations() > 1) {
+      for (std::size_t k = 0; k != moved; ++k)
+        EXPECT_EQ(std::count(visited.begin(), visited.end(), stored[k]), 0)
+            << "visited the stale slot of " << stored[k];
+    }
+    std::vector<int> seen(n, 0);
+    for (auto const& gs : allgather(visited))
+      for (gid1d g : gs)
+        ++seen[g];
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              static_cast<std::ptrdiff_t>(n));
+
+    check_span_parity(pa);
   });
 }
 
