@@ -55,10 +55,9 @@ enum class access { read, update };
 /// local_gids(), where an update uses the direct reference when the element
 /// is local and read-modify-write otherwise.  Both paths visit the same
 /// elements in the same order, so a fold returns bit-identical results on
-/// either.  Traced as one
-/// `task_run` scope (arg: elements visited) and timed as one `tg_task`
-/// latency sample.  Adds no synchronization: mutating callers fence
-/// afterwards.
+/// either.  Traced as one `task_run` scope (arg: elements visited) and
+/// timed as one `tg_task` latency sample.  Adds no synchronization:
+/// mutating callers fence afterwards.
 template <access A, typename View, typename Body>
 void local_pass(View& v, Body&& body)
 {

@@ -6,8 +6,7 @@
 // computation is correct as long as bucket-level insertion is atomic).
 //
 // Phases:
-//   1. every location gathers its local elements: a block copy of each
-//      local bContainer's storage (for_each_block);
+//   1. every location gathers its local elements (for_each_local);
 //   2. every location draws a fixed number of random samples, the samples
 //      are allgathered, and the P-1 splitters are quantiles of the sorted
 //      pool (sort_detail::choose_splitters);
@@ -17,15 +16,16 @@
 //   4. each location sorts its bucket;
 //   5. the sorted sequence is written back in order: each location's start
 //      offset is the exclusive scan of the bucket sizes, and its range is
-//      cut into runs at sub-domain boundaries, so each run fills
-//      consecutive slots of one bContainer.  A location copies the runs
-//      that land in its own storage in place, and ships every other run as
+//      cut where the owner changes.  A location copies the range that
+//      lands in its own storage in place, and ships every other range as
 //      one asynchronous RMI whose handler copies it into the owner's
-//      storage.
+//      storage.  Both copies go one bContainer at a time: the range is cut
+//      again at sub-domain boundaries, so each piece fills consecutive
+//      slots of one bContainer.
 //
-// Directory-backed containers (after make_dynamic()) gather through the
-// ownership-following for_each_local and write back with one set_element
-// per element, which the directory routes to the element's current owner.
+// Directory-backed containers (after make_dynamic()) write back with one
+// set_element per element, which the directory routes to the element's
+// current owner.
 //
 // Sorts any indexed container with 1D gids (pArray, pVector).
 
@@ -136,16 +136,37 @@ template <typename Partition>
   return lo;
 }
 
-/// Copies `run` into the local slots of GIDs first, first+1, ...: one
-/// run of run_length(), so all of it lands in one local bContainer.
+/// Copies `values` into the local slots of GIDs first, first+1, ...: one
+/// run_length() piece, so one local bContainer, at a time.
 template <typename C, typename T>
-void store_run(C& c, gid1d first, std::span<T> run)
+void store_runs(C& c, gid1d first, std::span<T> values)
 {
   auto const& part = c.partition();
-  auto& block = c.bc(part.get_info(first)).data();
-  std::move(run.begin(), run.end(),
-            block.begin() + static_cast<std::ptrdiff_t>(
-                                part.local_index(first)));
+  for (std::size_t b = 0; b < values.size();) {
+    gid1d const g = first + b;
+    auto const piece =
+        values.subspan(b, run_length(part, g, values.size() - b));
+    auto& block = c.bc(part.get_info(g)).data();
+    std::move(piece.begin(), piece.end(), block.data() + part.local_index(g));
+    b += piece.size();
+  }
+}
+
+/// Length of the run of GIDs g, g+1, ... (at most `max`) that g's owner
+/// holds: whole run_length() pieces, added while the owner stays the same.
+/// The write-back sends each such run in one message.
+template <typename C>
+[[nodiscard]] std::size_t owner_run_length(C const& c, gid1d g,
+                                           std::size_t max)
+{
+  auto const owner_of = [&](gid1d x) {
+    return c.mapper().map(c.partition().get_info(x));
+  };
+  location_id const owner = owner_of(g);
+  std::size_t len = 0;
+  while (len < max && owner_of(g + len) == owner)
+    len += run_length(c.partition(), g + len, max - len);
+  return len;
 }
 
 } // namespace sort_detail
@@ -157,17 +178,11 @@ void p_sample_sort(C& arr, Compare cmp = {})
 {
   using T = typename C::value_type;
   unsigned const p = num_locations();
-  bool const dynamic = arr.is_dynamic();
 
   // 1. Gather the local elements.
   std::vector<T> local;
   local.reserve(arr.local_size());
-  if (dynamic)
-    arr.for_each_local([&](gid1d, T& x) { local.push_back(x); });
-  else
-    arr.for_each_block([&](bcid_type, std::span<T> block) {
-      local.insert(local.end(), block.begin(), block.end());
-    });
+  arr.for_each_local([&](gid1d, T& x) { local.push_back(x); });
 
   // 2. Global splitters.
   auto const splitters = sort_detail::choose_splitters(local, cmp);
@@ -205,25 +220,24 @@ void p_sample_sort(C& arr, Compare cmp = {})
   //    end.
   std::size_t const offset =
       exclusive_scan(elems.size(), std::plus<>{}, std::size_t{0});
-  if (dynamic) {
+  if (arr.is_dynamic()) {
     for (std::size_t i = 0; i != elems.size(); ++i)
       arr.set_element(offset + i, std::move(elems[i]));
   } else {
     for (std::size_t b = 0; b < elems.size();) {
       gid1d const first = offset + b;
       std::size_t const e =
-          b + sort_detail::run_length(arr.partition(), first,
-                                      elems.size() - b);
+          b + sort_detail::owner_run_length(arr, first, elems.size() - b);
       std::span<T> const run(elems.data() + b, e - b);
       location_id const owner =
           arr.mapper().map(arr.partition().get_info(first));
       if (owner == this_location())
-        sort_detail::store_run(arr, first, run);
+        sort_detail::store_runs(arr, first, run);
       else
         async_rmi<C>(
             owner, arr.get_handle(),
             [](C& c, gid1d at, auto&& values) {
-              sort_detail::store_run(c, at, std::span<T>(values));
+              sort_detail::store_runs(c, at, std::span<T>(values));
             },
             first, std::vector<T>(run.begin(), run.end()));
       b = e;

@@ -120,7 +120,9 @@ class array_1d_ro_view {
 
   explicit array_1d_ro_view(C& c) noexcept : m_c(&c) {}
 
-  [[nodiscard]] C& container() const noexcept { return *m_c; }
+  /// Const, so a local pass hands its body read-only storage: an update
+  /// through this view does not compile.
+  [[nodiscard]] C const& container() const noexcept { return *m_c; }
   [[nodiscard]] std::size_t size() const { return m_c->size(); }
   [[nodiscard]] std::vector<gid_type> local_gids() const
   {

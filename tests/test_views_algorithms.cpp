@@ -12,6 +12,8 @@
 #include <cstring>
 #include <numeric>
 #include <random>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -369,6 +371,12 @@ struct counting_traits : p_array_traits<T> {
   using ths_manager_type = counting_manager;
 };
 
+// A read-only view's local pass walks const storage, so an update through
+// it does not compile.
+static_assert(std::is_const_v<std::remove_reference_t<
+                  decltype(std::declval<array_1d_ro_view<p_array<int>>>()
+                               .container())>>);
+
 /// Element g of the parity tests: magnitudes spread over 2^40, so a double
 /// sum depends on the order of its fold.
 double parity_value(gid1d g)
@@ -379,8 +387,9 @@ double parity_value(gid1d g)
 
 /// Fills `c` with parity_value through p_for_each_gid, then checks
 /// map_reduce, p_find_if, p_min_element and a double p_accumulate against
-/// sequential references, through array_1d_view (the span path unless the
-/// container is directory-backed) and balanced_view (per-GID path).
+/// sequential references, through array_1d_view and array_1d_ro_view (the
+/// span path unless the container is directory-backed) and balanced_view
+/// (per-GID path).
 /// Finally, the span path must fold in the per-GID path's order: a double
 /// map_reduce over array_1d_view equals, bit for bit, the one over an
 /// identity transform_view of it (a wrapper: per-GID, same deal).
@@ -423,6 +432,7 @@ void check_span_parity(C& c)
     EXPECT_EQ(mn->second, *ref_min);
   };
   check(av);
+  check(array_1d_ro_view(c));
   check(balanced_view(c));
 
   auto const sum = [](auto v) {
