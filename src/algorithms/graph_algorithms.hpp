@@ -83,12 +83,18 @@ std::size_t bfs_levels(G& g, vertex_descriptor source)
   }
   rmi_fence();
 
-  std::size_t visited = allreduce(frontier.next.size(), std::plus<>{});
-  long level = 0;
-  while (allreduce(frontier.next.size(), std::plus<>{}) != 0) {
+  // Each round takes its frontier out of `next` before the collective that
+  // counts it: a location still polling in that collective may already run
+  // the visit handlers a faster location sent this round, and the vertices
+  // they discover belong to the next frontier.
+  std::size_t visited = 0;
+  for (long level = 1;; ++level) {
     std::vector<vertex_descriptor> current;
     current.swap(frontier.next);
-    ++level;
+    std::size_t const width = allreduce(current.size(), std::plus<>{});
+    if (width == 0)
+      break;
+    visited += width;
     for (auto v : current) {
       auto const targets = g.out_edges(v); // local: v is in our frontier
       for (auto t : targets) {
@@ -102,7 +108,6 @@ std::size_t bfs_levels(G& g, vertex_descriptor source)
       }
     }
     rmi_fence();
-    visited += allreduce(frontier.next.size(), std::plus<>{});
   }
   (void)gh;
   rmi_fence();
@@ -278,12 +283,13 @@ struct drain_result {
 /// number of drain visits performed (the incremental work, vs. n*iters for
 /// the synchronous `page_rank`).
 ///
-/// Locking discipline (Ch. VI): a visit handler runs under the element's
-/// data lock when the graph's traits select a locking manager, so handlers
-/// never nest a second routed call.  The drain therefore settles the
-/// residual *and* snapshots the adjacency in one `apply_vertex_get`, the
-/// driver scatters from outside the lock, and target handlers only bump
-/// `residual` and push into the frontier p_object (the BFS pattern).
+/// Handler discipline: a visit handler runs inside its owner's RMI
+/// execution, so it never blocks on a second routed call (the wait would
+/// poll, and run other handlers, from inside this one).  The drain
+/// therefore settles the residual *and* snapshots the adjacency in one
+/// `apply_vertex_get`, the driver scatters from outside the handler, and
+/// target handlers only bump `residual` and push into the frontier
+/// p_object (the BFS pattern).
 template <typename G>
 std::size_t page_rank_incremental(G& g,
                                   std::vector<vertex_descriptor> const& dirty,

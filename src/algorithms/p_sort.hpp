@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <mutex>
 #include <random>
 #include <span>
 #include <vector>
@@ -50,14 +49,14 @@ namespace sort_detail {
 /// holds within ±5% of the mean (tests/test_p_sort.cpp).
 inline constexpr std::size_t samples_per_location = 4096;
 
+/// One location's bucket: the batches every location ships here, appended
+/// by RMIs that run on this location's thread.
 template <typename T>
 struct bucket_buffer : p_object {
   std::vector<T> elems;
-  std::mutex mutex; ///< synchronises deliveries with the owner's reads
 
   void deliver(std::vector<T> batch)
   {
-    std::lock_guard lock(mutex);
     if (elems.empty())
       elems = std::move(batch);
     else

@@ -35,13 +35,12 @@
 
 namespace stapl {
 
-/// Default pArray traits (Table XXI): storage, partition mapper and
-/// thread-safety manager can all be overridden per instance.
+/// Default pArray traits (Table XXI): storage and partition mapper can
+/// both be overridden per instance.
 template <typename T>
 struct p_array_traits {
   using bcontainer_type = vector_bcontainer<T>;
   using mapper_type = blocked_mapper;
-  using ths_manager_type = no_locking_manager;
 };
 
 template <typename T, typename Partition = balanced_partition,

@@ -32,15 +32,13 @@ namespace stapl {
 namespace detail {
 
 template <typename Key, typename Value, typename Partition, typename BC,
-          typename Mapper = cyclic_mapper,
-          typename Ths = no_locking_manager>
+          typename Mapper = cyclic_mapper>
 struct assoc_traits_bundle {
   using value_type = Value;
   using key_type = Key;
   using partition_type = Partition;
   using mapper_type = Mapper;
   using bcontainer_type = BC;
-  using ths_manager_type = Ths;
 };
 
 } // namespace detail
@@ -63,7 +61,7 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
   /// nothing on duplicate keys, multi containers always add.
   void insert_async(key_type k, mapped_type v)
   {
-    this->invoke(MP_INSERT, k,
+    this->invoke(k,
                  [k, v = std::move(v)](Derived& c, bcid_type b) {
                    (void)c.bc(b).insert(k, v);
                  });
@@ -72,7 +70,7 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
   /// Synchronous insert; returns whether a new element was created.
   bool insert(key_type k, mapped_type v)
   {
-    return this->invoke_ret(MP_INSERT, k,
+    return this->invoke_ret(k,
                             [k, v = std::move(v)](Derived& c, bcid_type b) {
                               return c.bc(b).insert(k, v);
                             });
@@ -81,7 +79,7 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
   /// Asynchronous erase by key (Table XVI erase_async).
   void erase_async(key_type k)
   {
-    this->invoke(MP_ERASE, k, [k](Derived& c, bcid_type b) {
+    this->invoke(k, [k](Derived& c, bcid_type b) {
       if (c.bc(b).erase(k) != 0)
         c.dyn_forget(k);
     });
@@ -90,7 +88,7 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
   /// Synchronous erase; returns the number of removed elements.
   std::size_t erase(key_type k)
   {
-    return this->invoke_ret(MP_ERASE, k, [k](Derived& c, bcid_type b) {
+    return this->invoke_ret(k, [k](Derived& c, bcid_type b) {
       auto const n = c.bc(b).erase(k);
       if (n != 0)
         c.dyn_forget(k);
@@ -101,7 +99,7 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
   /// (value, found) for the key (Table XVI find_val).
   [[nodiscard]] std::pair<mapped_type, bool> find_val(key_type k)
   {
-    return this->invoke_ret(MP_FIND, k, [k](Derived& c, bcid_type b) {
+    return this->invoke_ret(k, [k](Derived& c, bcid_type b) {
       return c.bc(b).find_val(k);
     });
   }
@@ -110,21 +108,21 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
   [[nodiscard]] pc_future<std::pair<mapped_type, bool>>
   split_phase_find(key_type k)
   {
-    return this->invoke_split(MP_FIND, k, [k](Derived& c, bcid_type b) {
+    return this->invoke_split(k, [k](Derived& c, bcid_type b) {
       return c.bc(b).find_val(k);
     });
   }
 
   [[nodiscard]] bool contains(key_type k)
   {
-    return this->invoke_ret(MP_FIND, k, [k](Derived& c, bcid_type b) {
+    return this->invoke_ret(k, [k](Derived& c, bcid_type b) {
       return c.bc(b).contains(k);
     });
   }
 
   [[nodiscard]] std::size_t count(key_type k)
   {
-    return this->invoke_ret(MP_FIND, k, [k](Derived& c, bcid_type b) {
+    return this->invoke_ret(k, [k](Derived& c, bcid_type b) {
       return c.bc(b).count(k);
     });
   }
@@ -135,7 +133,7 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
   template <typename F>
   void apply_async(key_type k, F f)
   {
-    this->invoke(MP_APPLY, k,
+    this->invoke(k,
                  [k, f = std::move(f)](Derived& c, bcid_type b) mutable {
                    c.bc(b).apply(k, std::move(f));
                  });
@@ -145,7 +143,7 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
   template <typename F>
   [[nodiscard]] auto apply_get(key_type k, F f)
   {
-    return this->invoke_ret(MP_APPLY, k,
+    return this->invoke_ret(k,
                             [k, f = std::move(f)](Derived& c,
                                                   bcid_type b) mutable {
                               return f(c.bc(b).get_or_create(k));
@@ -156,7 +154,7 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
   /// element-view concept (read == find, write == overwrite-insert).
   void set_element(key_type k, mapped_type v)
   {
-    this->invoke(MP_SET_ELEMENT, k,
+    this->invoke(k,
                  [k, v = std::move(v)](Derived& c, bcid_type b) {
                    c.bc(b).get_or_create(k) = v;
                  });
@@ -194,7 +192,7 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
       return bc.contains(k) ? &bc.at(k) : nullptr;
     }
     auto const r = this->derived().resolve(k);
-    if (!r.resolved || r.loc != this->get_location_id())
+    if (r.loc != this->get_location_id())
       return nullptr;
     auto& bc = this->bc(r.bcid);
     return bc.contains(k) ? &bc.at(k) : nullptr;
@@ -255,20 +253,20 @@ class p_container_simple_associative
 
   void insert_async(key_type k)
   {
-    this->invoke(MP_INSERT, k,
+    this->invoke(k,
                  [k](Derived& c, bcid_type b) { (void)c.bc(b).insert(k); });
   }
 
   bool insert(key_type k)
   {
-    return this->invoke_ret(MP_INSERT, k, [k](Derived& c, bcid_type b) {
+    return this->invoke_ret(k, [k](Derived& c, bcid_type b) {
       return c.bc(b).insert(k);
     });
   }
 
   void erase_async(key_type k)
   {
-    this->invoke(MP_ERASE, k, [k](Derived& c, bcid_type b) {
+    this->invoke(k, [k](Derived& c, bcid_type b) {
       if (c.bc(b).erase(k) != 0)
         c.dyn_forget(k);
     });
@@ -276,7 +274,7 @@ class p_container_simple_associative
 
   std::size_t erase(key_type k)
   {
-    return this->invoke_ret(MP_ERASE, k, [k](Derived& c, bcid_type b) {
+    return this->invoke_ret(k, [k](Derived& c, bcid_type b) {
       auto const n = c.bc(b).erase(k);
       if (n != 0)
         c.dyn_forget(k);
@@ -286,21 +284,21 @@ class p_container_simple_associative
 
   [[nodiscard]] bool contains(key_type k)
   {
-    return this->invoke_ret(MP_FIND, k, [k](Derived& c, bcid_type b) {
+    return this->invoke_ret(k, [k](Derived& c, bcid_type b) {
       return c.bc(b).contains(k);
     });
   }
 
   [[nodiscard]] std::size_t count(key_type k)
   {
-    return this->invoke_ret(MP_FIND, k, [k](Derived& c, bcid_type b) {
+    return this->invoke_ret(k, [k](Derived& c, bcid_type b) {
       return c.bc(b).count(k);
     });
   }
 
   [[nodiscard]] pc_future<bool> split_phase_contains(key_type k)
   {
-    return this->invoke_split(MP_FIND, k, [k](Derived& c, bcid_type b) {
+    return this->invoke_split(k, [k](Derived& c, bcid_type b) {
       return c.bc(b).contains(k);
     });
   }

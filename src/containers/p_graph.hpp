@@ -29,7 +29,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -314,12 +313,11 @@ template <typename VP, typename EP>
 struct p_static_graph_traits {
   using bcontainer_type = dense_graph_bcontainer<VP, EP>;
   using mapper_type = cyclic_mapper;
-  using ths_manager_type = no_locking_manager;
 };
 
 /// Partition facade for graphs: one bContainer per location.  Static graphs
-/// resolve in closed form over [0, N); dynamic graphs bypass get_info (the
-/// container's resolve override consults the directory instead).
+/// resolve in closed form over [0, N); dynamic graphs bypass get_info (they
+/// resolve through the directory).
 class graph_partition {
  public:
   using gid_type = vertex_descriptor;
@@ -360,7 +358,6 @@ template <typename VP, typename EP>
 struct p_graph_traits {
   using bcontainer_type = graph_bcontainer<VP, EP>;
   using mapper_type = cyclic_mapper; // bcid == location (identity for p==p)
-  using ths_manager_type = no_locking_manager;
 };
 
 namespace detail {
@@ -371,7 +368,6 @@ struct graph_traits_bundle {
   using partition_type = graph_partition;
   using mapper_type = typename Traits::mapper_type;
   using bcontainer_type = typename Traits::bcontainer_type;
-  using ths_manager_type = typename Traits::ths_manager_type;
 };
 
 } // namespace detail
@@ -431,26 +427,13 @@ class p_graph final
   // Address resolution (Fig. 7 + the Ch. XI.F.2 translation mechanisms)
   // -------------------------------------------------------------------------
 
+  /// Closed-form address of a static vertex: one bContainer per location,
+  /// so the bCID is the location.  Dynamic graphs never get here: their
+  /// element methods and locality queries go through the directory.
   [[nodiscard]] resolution resolve(gid_type v) const
   {
-    if (is_static()) {
-      bcid_type const b = this->m_partition.get_info(v);
-      return resolution::at(b, static_cast<location_id>(b));
-    }
-    // Dynamic graphs resolve through the core directory subsystem: local
-    // knowledge first (ownership, home record, owner cache), else the
-    // request is routed toward the home.  Element methods do not reach this
-    // path (invoke() routes through directory::invoke_where); it serves the
-    // view layer's is_local/lookup queries.
-    if (auto const o = this->get_directory().try_resolve(v))
-      return resolution::at(*o, *o); // one bContainer per location: bcid==loc
-    return resolution::forward_to(home_of(v));
-  }
-
-  /// Home location of a dynamic vertex's directory entry.
-  [[nodiscard]] location_id home_of(gid_type v) const noexcept
-  {
-    return this->get_directory().home_of(v);
+    bcid_type const b = this->m_partition.get_info(v);
+    return {b, static_cast<location_id>(b)};
   }
 
   /// Local dispatch for directory-routed methods: all local vertices live
@@ -499,23 +482,16 @@ class p_graph final
   void add_vertex(gid_type gid, VP vp)
   {
     if (is_static()) {
-      this->invoke(MP_ADD_VERTEX, gid,
-                   [gid, vp = std::move(vp)](p_graph& g, bcid_type b) {
-                     auto& bc = g.bc(b);
-                     if (bc.has_vertex(gid))
-                       bc.vertex(gid).property = vp;
-                     else
-                       bc.add_vertex(gid, vp);
-                   });
+      this->invoke(gid, [gid, vp = std::move(vp)](p_graph& g, bcid_type b) {
+        auto& bc = g.bc(b);
+        if (bc.has_vertex(gid))
+          bc.vertex(gid).property = vp;
+        else
+          bc.add_vertex(gid, vp);
+      });
       return;
     }
-    bcid_type const me = this->get_location_id();
-    {
-      ths_info ti{MP_ADD_VERTEX, me};
-      this->m_ths.data_access_pre(ti);
-      this->bc(me).add_vertex(gid, std::move(vp));
-      this->m_ths.data_access_post(ti);
-    }
+    this->bc(this->get_location_id()).add_vertex(gid, std::move(vp));
     this->get_directory().register_gid(gid);
   }
 
@@ -524,7 +500,7 @@ class p_graph final
   /// individually atomic, in-edges elsewhere are not chased.
   void delete_vertex(gid_type v)
   {
-    this->invoke(MP_DELETE_VERTEX, v, [v](p_graph& g, bcid_type b) {
+    this->invoke(v, [v](p_graph& g, bcid_type b) {
       g.bc(b).delete_vertex(v);
       g.dyn_forget(v);
     });
@@ -536,7 +512,7 @@ class p_graph final
     if (is_static()) {
       if (!this->m_partition.domain().contains(v))
         return false;
-      return this->invoke_ret(MP_FIND, v, [v](p_graph& g, bcid_type b) {
+      return this->invoke_ret(v, [v](p_graph& g, bcid_type b) {
         return g.bc(b).has_vertex(v);
       });
     }
@@ -547,14 +523,14 @@ class p_graph final
 
   [[nodiscard]] VP get_vertex_property(gid_type v)
   {
-    return this->invoke_ret(MP_GET_ELEMENT, v, [v](p_graph& g, bcid_type b) {
+    return this->invoke_ret(v, [v](p_graph& g, bcid_type b) {
       return g.bc(b).vertex(v).property;
     });
   }
 
   void set_vertex_property(gid_type v, VP vp)
   {
-    this->invoke(MP_SET_ELEMENT, v,
+    this->invoke(v,
                  [v, vp = std::move(vp)](p_graph& g, bcid_type b) {
                    g.bc(b).vertex(v).property = vp;
                  });
@@ -565,7 +541,7 @@ class p_graph final
   template <typename F>
   void apply_vertex(gid_type v, F f)
   {
-    this->invoke(MP_APPLY, v,
+    this->invoke(v,
                  [v, f = std::move(f)](p_graph& g, bcid_type b) mutable {
                    f(g.bc(b).vertex(v));
                  });
@@ -574,7 +550,7 @@ class p_graph final
   template <typename F>
   [[nodiscard]] auto apply_vertex_get(gid_type v, F f)
   {
-    return this->invoke_ret(MP_APPLY, v,
+    return this->invoke_ret(v,
                             [v, f = std::move(f)](p_graph& g,
                                                   bcid_type b) mutable {
                               return f(g.bc(b).vertex(v));
@@ -593,11 +569,11 @@ class p_graph final
   /// undirected graphs the reverse edge is inserted as well.
   void add_edge_async(gid_type src, gid_type tgt, EP ep = EP{})
   {
-    this->invoke(MP_ADD_EDGE, src, [src, tgt, ep](p_graph& g, bcid_type b) {
+    this->invoke(src, [src, tgt, ep](p_graph& g, bcid_type b) {
       (void)g.bc(b).add_edge(src, tgt, ep, is_multi);
     });
     if constexpr (!is_directed) {
-      this->invoke(MP_ADD_EDGE, tgt, [src, tgt, ep](p_graph& g, bcid_type b) {
+      this->invoke(tgt, [src, tgt, ep](p_graph& g, bcid_type b) {
         (void)g.bc(b).add_edge(tgt, src, ep, is_multi);
       });
     }
@@ -607,13 +583,13 @@ class p_graph final
   edge_descriptor add_edge(gid_type src, gid_type tgt, EP ep = EP{})
   {
     bool const ok =
-        this->invoke_ret(MP_ADD_EDGE, src,
+        this->invoke_ret(src,
                          [src, tgt, ep](p_graph& g, bcid_type b) {
                            return g.bc(b).add_edge(src, tgt, ep, is_multi);
                          });
     if constexpr (!is_directed) {
       if (ok)
-        this->invoke(MP_ADD_EDGE, tgt,
+        this->invoke(tgt,
                      [src, tgt, ep](p_graph& g, bcid_type b) {
                        (void)g.bc(b).add_edge(tgt, src, ep, is_multi);
                      });
@@ -633,7 +609,7 @@ class p_graph final
   {
     static_assert(is_directed,
                   "rewire_edge_async is a directed-graph primitive");
-    this->invoke(MP_ADD_EDGE, src,
+    this->invoke(src,
                  [src, old_tgt, new_tgt, ep](p_graph& g, bcid_type b) {
                    (void)g.bc(b).delete_edge(src, old_tgt);
                    (void)g.bc(b).add_edge(src, new_tgt, ep, is_multi);
@@ -642,18 +618,18 @@ class p_graph final
 
   void delete_edge(gid_type src, gid_type tgt)
   {
-    this->invoke(MP_DELETE_EDGE, src, [src, tgt](p_graph& g, bcid_type b) {
+    this->invoke(src, [src, tgt](p_graph& g, bcid_type b) {
       (void)g.bc(b).delete_edge(src, tgt);
     });
     if constexpr (!is_directed)
-      this->invoke(MP_DELETE_EDGE, tgt, [src, tgt](p_graph& g, bcid_type b) {
+      this->invoke(tgt, [src, tgt](p_graph& g, bcid_type b) {
         (void)g.bc(b).delete_edge(tgt, src);
       });
   }
 
   [[nodiscard]] bool find_edge(gid_type src, gid_type tgt)
   {
-    return this->invoke_ret(MP_FIND, src, [src, tgt](p_graph& g, bcid_type b) {
+    return this->invoke_ret(src, [src, tgt](p_graph& g, bcid_type b) {
       if (!g.bc(b).has_vertex(src))
         return false;
       for (auto const& e : g.bc(b).vertex(src).edges)
@@ -665,7 +641,7 @@ class p_graph final
 
   [[nodiscard]] std::size_t out_degree(gid_type v)
   {
-    return this->invoke_ret(MP_FIND, v, [v](p_graph& g, bcid_type b) {
+    return this->invoke_ret(v, [v](p_graph& g, bcid_type b) {
       return g.bc(b).vertex(v).edges.size();
     });
   }
@@ -673,7 +649,7 @@ class p_graph final
   /// Copies the adjacency (targets) of a vertex.
   [[nodiscard]] std::vector<gid_type> out_edges(gid_type v)
   {
-    return this->invoke_ret(MP_FIND, v, [v](p_graph& g, bcid_type b) {
+    return this->invoke_ret(v, [v](p_graph& g, bcid_type b) {
       std::vector<gid_type> ts;
       for (auto const& e : g.bc(b).vertex(v).edges)
         ts.push_back(e.target);
@@ -730,7 +706,7 @@ class p_graph final
       return bc.has_vertex(v) ? &bc.vertex(v).property : nullptr;
     }
     auto const r = resolve(v);
-    if (!r.resolved || r.loc != this->get_location_id())
+    if (r.loc != this->get_location_id())
       return nullptr;
     auto& bc = this->bc(r.bcid);
     return bc.has_vertex(v) ? &bc.vertex(v).property : nullptr;

@@ -28,7 +28,6 @@ template <typename T>
 struct p_list_traits {
   using bcontainer_type = list_bcontainer<T>;
   using mapper_type = blocked_mapper;
-  using ths_manager_type = no_locking_manager;
 };
 
 namespace detail {
@@ -39,7 +38,6 @@ struct list_traits_bundle {
   using partition_type = dynamic_partition;
   using mapper_type = typename Traits::mapper_type;
   using bcontainer_type = typename Traits::bcontainer_type;
-  using ths_manager_type = typename Traits::ths_manager_type;
 };
 
 } // namespace detail
@@ -61,7 +59,7 @@ class p_container_sequence : public p_container_dynamic<Derived, Traits> {
 
   void set_element(gid_type gid, value_type val)
   {
-    this->invoke(MP_SET_ELEMENT, gid,
+    this->invoke(gid,
                  [gid, val = std::move(val)](Derived& c, bcid_type b) {
                    c.bc(b).set(gid, val);
                  });
@@ -69,7 +67,7 @@ class p_container_sequence : public p_container_dynamic<Derived, Traits> {
 
   [[nodiscard]] value_type get_element(gid_type gid)
   {
-    return this->invoke_ret(MP_GET_ELEMENT, gid,
+    return this->invoke_ret(gid,
                             [gid](Derived& c, bcid_type b) {
                               return c.bc(b).at(gid);
                             });
@@ -77,7 +75,7 @@ class p_container_sequence : public p_container_dynamic<Derived, Traits> {
 
   [[nodiscard]] pc_future<value_type> split_phase_get_element(gid_type gid)
   {
-    return this->invoke_split(MP_GET_ELEMENT, gid,
+    return this->invoke_split(gid,
                               [gid](Derived& c, bcid_type b) {
                                 return c.bc(b).at(gid);
                               });
@@ -86,7 +84,7 @@ class p_container_sequence : public p_container_dynamic<Derived, Traits> {
   template <typename F>
   void apply_set(gid_type gid, F f)
   {
-    this->invoke(MP_APPLY, gid,
+    this->invoke(gid,
                  [gid, f = std::move(f)](Derived& c, bcid_type b) mutable {
                    f(c.bc(b).at(gid));
                  });
@@ -95,7 +93,7 @@ class p_container_sequence : public p_container_dynamic<Derived, Traits> {
   template <typename F>
   [[nodiscard]] auto apply_get(gid_type gid, F f)
   {
-    return this->invoke_ret(MP_APPLY, gid,
+    return this->invoke_ret(gid,
                             [gid, f = std::move(f)](Derived& c,
                                                     bcid_type b) mutable {
                               return f(c.bc(b).at(gid));
@@ -113,38 +111,38 @@ class p_container_sequence : public p_container_dynamic<Derived, Traits> {
   void push_back(value_type val)
   {
     bcid_type const tail = this->m_partition.size() - 1;
-    send_to_bcid(MP_PUSH_BACK, tail,
-                 [val = std::move(val)](Derived& c, bcid_type b) {
-                   (void)c.bc(b).push_back(val);
-                 });
+    this->route_to_bcid(tail,
+                        [val = std::move(val)](Derived& c, bcid_type b) {
+                          (void)c.bc(b).push_back(val);
+                        });
   }
 
   /// Prepends at the global head (first bContainer).  Asynchronous.
   void push_front(value_type val)
   {
-    send_to_bcid(MP_PUSH_FRONT, bcid_type{0},
-                 [val = std::move(val)](Derived& c, bcid_type b) {
-                   (void)c.bc(b).push_front(val);
-                 });
+    this->route_to_bcid(bcid_type{0},
+                        [val = std::move(val)](Derived& c, bcid_type b) {
+                          (void)c.bc(b).push_front(val);
+                        });
   }
 
   void pop_back()
   {
     bcid_type const tail = this->m_partition.size() - 1;
-    send_to_bcid(MP_POP_BACK, tail,
-                 [](Derived& c, bcid_type b) { c.bc(b).pop_back(); });
+    this->route_to_bcid(tail,
+                        [](Derived& c, bcid_type b) { c.bc(b).pop_back(); });
   }
 
   void pop_front()
   {
-    send_to_bcid(MP_POP_FRONT, bcid_type{0},
-                 [](Derived& c, bcid_type b) { c.bc(b).pop_front(); });
+    this->route_to_bcid(bcid_type{0},
+                        [](Derived& c, bcid_type b) { c.bc(b).pop_front(); });
   }
 
   /// Inserts before `gid` asynchronously.
   void insert_element_async(gid_type gid, value_type val)
   {
-    this->invoke(MP_INSERT, gid,
+    this->invoke(gid,
                  [gid, val = std::move(val)](Derived& c, bcid_type b) {
                    (void)c.bc(b).insert_before(gid, val);
                  });
@@ -153,7 +151,7 @@ class p_container_sequence : public p_container_dynamic<Derived, Traits> {
   /// Inserts before `gid`; returns the GID of the new element.  Synchronous.
   [[nodiscard]] gid_type insert_element(gid_type gid, value_type val)
   {
-    return this->invoke_ret(MP_INSERT, gid,
+    return this->invoke_ret(gid,
                             [gid, val = std::move(val)](Derived& c,
                                                         bcid_type b) {
                               return c.bc(b).insert_before(gid, val);
@@ -162,7 +160,7 @@ class p_container_sequence : public p_container_dynamic<Derived, Traits> {
 
   void erase_element(gid_type gid)
   {
-    this->invoke(MP_ERASE, gid,
+    this->invoke(gid,
                  [gid](Derived& c, bcid_type b) { c.bc(b).erase(gid); });
   }
 
@@ -170,22 +168,13 @@ class p_container_sequence : public p_container_dynamic<Derived, Traits> {
   /// giving constant-time, communication-free insertion (Ch. V.B).
   void push_anywhere_async(value_type val)
   {
-    bcid_type const b = local_home_bcid();
-    ths_info ti{MP_PUSH_BACK, b};
-    this->m_ths.data_access_pre(ti);
-    (void)this->bc(b).push_back(std::move(val));
-    this->m_ths.data_access_post(ti);
+    (void)this->bc(local_home_bcid()).push_back(std::move(val));
   }
 
   /// Adds locally and returns the new element's GID.
   [[nodiscard]] gid_type push_anywhere(value_type val)
   {
-    bcid_type const b = local_home_bcid();
-    ths_info ti{MP_PUSH_BACK, b};
-    this->m_ths.data_access_pre(ti);
-    auto g = this->bc(b).push_back(std::move(val));
-    this->m_ths.data_access_post(ti);
-    return g;
+    return this->bc(local_home_bcid()).push_back(std::move(val));
   }
 
   /// Reference to some local element (unspecified which).
@@ -235,37 +224,11 @@ class p_container_sequence : public p_container_dynamic<Derived, Traits> {
   [[nodiscard]] value_type* local_element_ptr(gid_type gid)
   {
     auto const r = this->derived().resolve(gid);
-    if (!r.resolved || r.loc != this->get_location_id())
+    if (r.loc != this->get_location_id())
       return nullptr;
     auto& bc = this->bc(r.bcid);
     return bc.contains(gid) ? &bc.at(gid) : nullptr;
   }
-
- private:
-  template <typename Action>
-  void send_to_bcid(std::size_t method, bcid_type b, Action action)
-  {
-    location_id const loc = this->m_mapper.map(b);
-    if (loc == this->get_location_id()) {
-      ths_info ti{method, b};
-      this->m_ths.data_access_pre(ti);
-      action(this->derived(), b);
-      this->m_ths.data_access_post(ti);
-      return;
-    }
-    async_rmi<Derived>(loc, this->get_handle(),
-                       [method, b, action = std::move(action)](
-                           Derived& c) mutable {
-                         ths_info ti{method, b};
-                         c.ths().data_access_pre(ti);
-                         action(c, b);
-                         c.ths().data_access_post(ti);
-                       });
-  }
-
- public:
-  /// Framework access to the thread-safety manager (used by forwarded ops).
-  [[nodiscard]] auto& ths() noexcept { return this->m_ths; }
 };
 
 // ---------------------------------------------------------------------------

@@ -95,7 +95,6 @@ template <typename T>
 struct p_vector_traits {
   using bcontainer_type = vector_bcontainer<T>;
   using mapper_type = blocked_mapper;
-  using ths_manager_type = no_locking_manager;
 };
 
 template <typename T, typename Traits = p_vector_traits<T>>
@@ -140,15 +139,16 @@ class p_vector final
   void push_back(T val)
   {
     bcid_type const tail = this->m_partition.size() - 1;
-    route_to_block(tail, [val = std::move(val)](p_vector& c, bcid_type b) {
-      c.bc(b).push_back(val);
-    });
+    this->route_to_bcid(tail,
+                        [val = std::move(val)](p_vector& c, bcid_type b) {
+                          c.bc(b).push_back(val);
+                        });
   }
 
   void pop_back()
   {
     bcid_type const tail = this->m_partition.size() - 1;
-    route_to_block(tail, [](p_vector& c, bcid_type b) {
+    this->route_to_bcid(tail, [](p_vector& c, bcid_type b) {
       if (!c.bc(b).data().empty())
         c.bc(b).pop_back();
     });
@@ -158,7 +158,7 @@ class p_vector final
   /// Asynchronous; O(block) on the owner.
   void insert_async(gid_type idx, T val)
   {
-    this->invoke(MP_INSERT, std::min(idx, last_gid()),
+    this->invoke(std::min(idx, last_gid()),
                  [idx, val = std::move(val)](p_vector& c, bcid_type b) {
                    auto& bc = c.bc(b);
                    std::size_t const li = std::min(
@@ -170,7 +170,7 @@ class p_vector final
   /// Erases the element at index `idx` (per the current snapshot).
   void erase_async(gid_type idx)
   {
-    this->invoke(MP_ERASE, idx, [idx](p_vector& c, bcid_type b) {
+    this->invoke(idx, [idx](p_vector& c, bcid_type b) {
       auto& bc = c.bc(b);
       std::size_t const li = c.partition().local_index(idx);
       if (li < bc.size())
@@ -184,7 +184,7 @@ class p_vector final
   /// (exact again after flush()).
   void set_element(gid_type idx, T val)
   {
-    this->invoke(MP_SET_ELEMENT, idx,
+    this->invoke(idx,
                  [idx, val = std::move(val)](p_vector& c, bcid_type b) {
                    auto& bc = c.bc(b);
                    if (bc.size() == 0)
@@ -197,7 +197,7 @@ class p_vector final
 
   [[nodiscard]] T get_element(gid_type idx)
   {
-    return this->invoke_ret(MP_GET_ELEMENT, idx,
+    return this->invoke_ret(idx,
                             [idx](p_vector& c, bcid_type b) {
                               auto& bc = c.bc(b);
                               if (bc.size() == 0)
@@ -227,26 +227,6 @@ class p_vector final
   {
     auto const n = this->m_partition.domain().size();
     return n == 0 ? 0 : n - 1;
-  }
-
-  template <typename Action>
-  void route_to_block(bcid_type b, Action action)
-  {
-    location_id const loc = this->m_mapper.map(b);
-    if (loc == this->get_location_id()) {
-      ths_info ti{MP_PUSH_BACK, b};
-      this->m_ths.data_access_pre(ti);
-      action(*this, b);
-      this->m_ths.data_access_post(ti);
-      return;
-    }
-    async_rmi<p_vector>(loc, this->get_handle(),
-                        [b, action = std::move(action)](p_vector& c) mutable {
-                          ths_info ti{MP_PUSH_BACK, b};
-                          c.m_ths.data_access_pre(ti);
-                          action(c, b);
-                          c.m_ths.data_access_post(ti);
-                        });
   }
 };
 

@@ -6,12 +6,14 @@
 //
 // Every stapl pContainer derives (through CRTP chains mirroring the PCF
 // taxonomy of Fig. 5) from p_container_base, which owns the location
-// manager, the data-distribution information (partition + partition mapper)
-// and the thread-safety manager, and implements the generic `invoke` method
-// skeleton: resolve the GID to a (bCID, location); execute locally under the
-// thread-safety hooks, forward to the owner location, or — when resolution
-// is incomplete — migrate the request toward a location that knows more
-// (method forwarding).
+// manager and the data-distribution information (partition + partition
+// mapper), and implements the generic `invoke` method skeleton: resolve the
+// GID to a (bCID, location), then run the method here or forward it to the
+// owner location (method forwarding).  Directory-backed containers hand the
+// request to the directory, which forwards it toward the element's current
+// owner.  A method always runs on its owner location's thread (runtime.hpp),
+// so the skeleton takes no locks: the thread-safety managers of Ch. VI have
+// nothing to serialize in this runtime and are not reproduced.
 //
 // Module map of the core layer:
 //   domains.hpp          GID/domain concepts (1D, 2D, dynamic GIDs)
@@ -27,7 +29,6 @@
 //                        driven through the directory
 //   load_balancer.hpp    epoch-based hot-element redistribution on top of
 //                        migrate(), driven by the directory's access stats
-//   thread_safety.hpp    Ch. VI locking managers + policy tables
 //   redistribution.hpp   whole-bContainer repartitioning
 //   composition.hpp      nested pContainer support
 //   container_base.hpp   this file: the CRTP method-execution skeleton,
@@ -52,26 +53,14 @@
 #include "mappers.hpp"
 #include "migration.hpp"
 #include "partitions.hpp"
-#include "thread_safety.hpp"
 
 namespace stapl {
 
-/// Result of pContainer address resolution (Fig. 7).  When `resolved` the
-/// pair (bcid, loc) is final; otherwise `loc` is a location that may know
-/// more about the GID's mapping (forwarding target).
+/// Result of closed-form pContainer address resolution (Fig. 7): the
+/// element's bContainer and the location that stores it.
 struct resolution {
   bcid_type bcid = invalid_bcid;
   location_id loc = invalid_location;
-  bool resolved = false;
-
-  [[nodiscard]] static resolution at(bcid_type b, location_id l) noexcept
-  {
-    return {b, l, true};
-  }
-  [[nodiscard]] static resolution forward_to(location_id l) noexcept
-  {
-    return {invalid_bcid, l, false};
-  }
 };
 
 namespace detail {
@@ -84,7 +73,6 @@ struct indexed_traits_bundle {
   using partition_type = Partition;
   using mapper_type = typename Traits::mapper_type;
   using bcontainer_type = typename Traits::bcontainer_type;
-  using ths_manager_type = typename Traits::ths_manager_type;
 };
 
 } // namespace detail
@@ -101,7 +89,6 @@ class p_container_base : public p_object {
   using partition_type = typename Traits::partition_type;
   using mapper_type = typename Traits::mapper_type;
   using bcontainer_type = typename Traits::bcontainer_type;
-  using ths_manager_type = typename Traits::ths_manager_type;
   using gid_type = typename partition_type::gid_type;
   using location_manager_type = location_manager<bcontainer_type>;
 
@@ -121,14 +108,13 @@ class p_container_base : public p_object {
   {
     return m_lm;
   }
-  [[nodiscard]] locking_policy_table& policies() noexcept { return m_policies; }
-
-  /// Default address resolution: closed-form partition query followed by the
-  /// partition mapper (static distributions).  Dynamic containers override.
+  /// Closed-form address resolution: the partition query followed by the
+  /// partition mapper (containers with a cheaper closed form override it).
+  /// Directory-backed containers resolve through the directory instead.
   [[nodiscard]] resolution resolve(gid_type const& g) const
   {
     bcid_type const b = m_partition.get_info(g);
-    return resolution::at(b, m_mapper.map(b));
+    return {b, m_mapper.map(b)};
   }
 
   /// True when the element lives in a local bContainer.
@@ -136,11 +122,10 @@ class p_container_base : public p_object {
   {
     if (m_dynamic)
       return m_directory->owns(g);
-    auto const r = derived().resolve(g);
-    return r.resolved && r.loc == get_location_id();
+    return derived().resolve(g).loc == get_location_id();
   }
 
-  /// Location that owns (or may know more about) the GID.
+  /// Location that owns the GID.
   [[nodiscard]] location_id lookup(gid_type const& g) const
   {
     if (m_dynamic) {
@@ -219,7 +204,7 @@ class p_container_base : public p_object {
   {
     m_lb_cfg = cfg;
     derived().make_dynamic(); // no-op fence when already dynamic
-    m_directory->enable_access_tracking(cfg.hot_k, cfg.access_sample);
+    m_directory->enable_access_tracking(cfg.hot_k);
     m_lb_enabled = true;
     m_lb_interval = std::max(1u, cfg.epoch_interval);
     if (cfg.auto_epoch)
@@ -324,165 +309,92 @@ class p_container_base : public p_object {
 
   // -------------------------------------------------------------------------
   // Generic method execution (Fig. 8 / Fig. 17).  Framework interface: used
-  // by derived containers to implement their element-wise methods.
+  // by derived containers to implement their element-wise methods.  An
+  // action runs as `action(container, bcid)` on the thread of the location
+  // that stores the element.
   // -------------------------------------------------------------------------
 
-  /// Asynchronous execution: route `action(container, bcid)` to the owner of
-  /// `gid` and run it under the thread-safety hooks.  Returns immediately.
-  /// Only a call that runs here, inline, counts as a local invocation; a
-  /// forwarded one is counted once, as the RMI that carried it.
+  /// Asynchronous execution: routes `action` to the owner of `gid` and
+  /// returns immediately.  Only a call that runs here, inline, counts as a
+  /// local invocation; a forwarded one is counted once, as the RMI that
+  /// carried it.
   template <typename Action>
-  void invoke(std::size_t method, gid_type gid, Action action)
+  void invoke(gid_type gid, Action action)
   {
     // For async routes this measures the initiation (resolve + enqueue)
     // cost only; the rmi.sync family times synchronous round trips.
     latency::timed_op lat_scope(latency::op::container_apply);
-    if (route(method, gid, std::move(action)))
+    if (route(gid, std::move(action)))
       note_local_invocation();
   }
 
-  /// Framework-internal: runs `action` when `gid` is owned here, else parks
-  /// or forwards it (computation migration); returns whether it ran here.
-  /// Public because forwarded requests re-enter it on other
-  /// representatives.
+  /// Framework-internal: runs `action` when `gid` is stored here, else
+  /// forwards it toward the owner (computation migration); returns whether
+  /// it ran here.  Public because forwarded requests re-enter it on the
+  /// owner's representative.
   template <typename Action>
-  bool route(std::size_t method, gid_type gid, Action action)
+  bool route(gid_type gid, Action action)
   {
     if (m_dynamic) {
       rmi_handle const h = this->get_handle();
       return m_directory->invoke_where(
-          gid, [h, method, gid, action = std::move(action)]() mutable {
+          gid, [h, gid, action = std::move(action)]() mutable {
             // Runs on the owner's thread: its representative is the one
             // registered there.
-            get_registered_object<Derived>(h)->dyn_execute(
-                method, gid, std::move(action));
+            get_registered_object<Derived>(h)->dyn_execute(gid,
+                                                           std::move(action));
           });
     }
-    ths_info ti{method, invalid_bcid};
-    m_ths.metadata_access_pre(ti);
     auto const info = derived().resolve(gid);
-    m_ths.metadata_access_post(ti);
-
-    if (info.resolved && info.loc == get_location_id()) {
-      ti.bcid = info.bcid;
-      m_ths.data_access_pre(ti);
+    if (info.loc == get_location_id()) {
       action(derived(), info.bcid);
-      m_ths.data_access_post(ti);
       return true;
     }
-    if (!info.resolved && info.loc == get_location_id()) {
-      // Resolution metadata not here yet (directory registration in
-      // flight): park the request behind pending traffic and retry.
-      Derived* self = &derived();
-      post_to_self([self, method, gid, action = std::move(action)]() mutable {
-        self->route(method, gid, std::move(action));
-      });
-      return false;
-    }
-    // Forward (computation migration) and re-evaluate on the target.
     async_rmi<Derived>(info.loc, this->get_handle(),
-                       [method, gid, action](Derived& c) mutable {
-                         c.route(method, gid, std::move(action));
+                       [gid, action = std::move(action)](Derived& c) mutable {
+                         c.route(gid, std::move(action));
                        });
     return false;
   }
 
-  /// Split-phase execution: returns a future for `action`'s result; the
-  /// request migrates through forwarding hops and fulfils the future at the
-  /// owner (Ch. VII.F "split phase reads").
+  /// Split-phase execution: returns a future for `action`'s result.  The
+  /// request is routed like any other, and the owner fills the future in
+  /// (Ch. VII.F "split phase reads").
   template <typename Action>
-  [[nodiscard]] auto invoke_split(std::size_t method, gid_type gid,
-                                  Action action)
+  [[nodiscard]] auto invoke_split(gid_type gid, Action action)
   {
     using result_type =
         std::invoke_result_t<Action&, Derived&, bcid_type>;
     auto st = std::make_shared<typename pc_future<result_type>::state>();
-    route_with_result<result_type>(method, gid, std::move(action), st);
-    return pc_future<result_type>(st);
+    route(gid, [st, action = std::move(action)](Derived& c,
+                                                bcid_type b) mutable {
+      st->value.emplace(action(c, b));
+      st->ready.store(true, std::memory_order_release);
+    });
+    return pc_future<result_type>(std::move(st));
   }
 
   /// Synchronous execution: blocks until the result is available
-  /// (Ch. VII.F "synchronous reads").  Local accesses take a direct path
-  /// without future allocation.
+  /// (Ch. VII.F "synchronous reads").  An element stored here is accessed
+  /// inline, without a future.
   template <typename Action>
-  [[nodiscard]] auto invoke_ret(std::size_t method, gid_type gid,
-                                Action action)
+  [[nodiscard]] auto invoke_ret(gid_type gid, Action action)
   {
     latency::timed_op lat_scope(latency::op::container_apply);
+    bcid_type b = invalid_bcid;
     if (m_dynamic) {
       if (m_directory->owns(gid)) {
-        note_local_invocation();
         m_directory->note_access(gid);
-        ths_info ti{method, derived().dyn_local_bcid(gid)};
-        m_ths.data_access_pre(ti);
-        auto result = action(derived(), ti.bcid);
-        m_ths.data_access_post(ti);
-        return result;
+        b = derived().dyn_local_bcid(gid);
       }
-      return invoke_split(method, gid, std::move(action)).get();
+    } else if (auto const info = derived().resolve(gid);
+               info.loc == get_location_id()) {
+      b = info.bcid;
     }
-    ths_info ti{method, invalid_bcid};
-    m_ths.metadata_access_pre(ti);
-    auto const info = derived().resolve(gid);
-    m_ths.metadata_access_post(ti);
-
-    if (info.resolved && info.loc == get_location_id()) {
-      note_local_invocation();
-      ti.bcid = info.bcid;
-      m_ths.data_access_pre(ti);
-      auto result = action(derived(), info.bcid);
-      m_ths.data_access_post(ti);
-      return result;
-    }
-    return invoke_split(method, gid, std::move(action)).get();
-  }
-
-  /// Framework-internal: executes locally or migrates, carrying the shared
-  /// response state.  Public because forwarded re-invocations re-enter it on
-  /// other representatives.
-  template <typename R, typename Action>
-  void route_with_result(std::size_t method, gid_type gid, Action action,
-                         std::shared_ptr<typename pc_future<R>::state> st)
-  {
-    if (m_dynamic) {
-      rmi_handle const h = this->get_handle();
-      m_directory->invoke_where(
-          gid, [h, method, gid, action = std::move(action), st]() mutable {
-            get_registered_object<Derived>(h)
-                ->template dyn_execute_result<R>(method, gid,
-                                                 std::move(action),
-                                                 std::move(st));
-          });
-      return;
-    }
-    ths_info ti{method, invalid_bcid};
-    m_ths.metadata_access_pre(ti);
-    auto const info = derived().resolve(gid);
-    m_ths.metadata_access_post(ti);
-
-    if (info.resolved && info.loc == get_location_id()) {
-      ti.bcid = info.bcid;
-      m_ths.data_access_pre(ti);
-      st->value.emplace(action(derived(), info.bcid));
-      m_ths.data_access_post(ti);
-      st->ready.store(true, std::memory_order_release);
-      return;
-    }
-    if (!info.resolved && info.loc == get_location_id()) {
-      Derived* self = &derived();
-      post_to_self(
-          [self, method, gid, action = std::move(action), st]() mutable {
-            self->template route_with_result<R>(method, gid,
-                                                std::move(action), st);
-          });
-      return;
-    }
-    async_rmi<Derived>(info.loc, this->get_handle(),
-                       [method, gid, action = std::move(action),
-                        st](Derived& c) mutable {
-                         c.template route_with_result<R>(method, gid,
-                                                         std::move(action), st);
-                       });
+    if (b == invalid_bcid)
+      return invoke_split(gid, std::move(action)).get();
+    note_local_invocation();
+    return action(derived(), b);
   }
 
   /// Framework-internal: runs a routed action on the owner's
@@ -490,28 +402,11 @@ class p_container_base : public p_object {
   /// after confirming ownership, and nothing polls in between, so the
   /// element is still here.
   template <typename Action>
-  void dyn_execute(std::size_t method, gid_type gid, Action action)
+  void dyn_execute(gid_type gid, Action action)
   {
     assert(m_directory->owns(gid));
     m_directory->note_access(gid);
-    ths_info ti{method, derived().dyn_local_bcid(gid)};
-    m_ths.data_access_pre(ti);
-    action(derived(), ti.bcid);
-    m_ths.data_access_post(ti);
-  }
-
-  /// dyn_execute for value-returning routes (split-phase/synchronous).
-  template <typename R, typename Action>
-  void dyn_execute_result(std::size_t method, gid_type gid, Action action,
-                          std::shared_ptr<typename pc_future<R>::state> st)
-  {
-    assert(m_directory->owns(gid));
-    m_directory->note_access(gid);
-    ths_info ti{method, derived().dyn_local_bcid(gid)};
-    m_ths.data_access_pre(ti);
-    st->value.emplace(action(derived(), ti.bcid));
-    m_ths.data_access_post(ti);
-    st->ready.store(true, std::memory_order_release);
+    action(derived(), derived().dyn_local_bcid(gid));
   }
 
   // -------------------------------------------------------------------------
@@ -564,7 +459,7 @@ class p_container_base : public p_object {
   [[nodiscard]] memory_report memory_size() const
   {
     auto r = m_lm.memory_size();
-    r.first += sizeof(Derived) + m_ths.memory_size();
+    r.first += sizeof(Derived);
     return r;
   }
 
@@ -600,11 +495,26 @@ class p_container_base : public p_object {
     m_dynamic = true;
   }
 
+  /// Runs `action(container, b)` on the location storing bContainer `b`:
+  /// inline when that is this one, else as one RMI.  For methods that
+  /// address a bContainer rather than an element (push/pop at either end).
+  template <typename Action>
+  void route_to_bcid(bcid_type b, Action action)
+  {
+    location_id const loc = m_mapper.map(b);
+    if (loc == get_location_id()) {
+      action(derived(), b);
+      return;
+    }
+    async_rmi<Derived>(loc, this->get_handle(),
+                       [b, action = std::move(action)](Derived& c) mutable {
+                         action(c, b);
+                       });
+  }
+
   partition_type m_partition;
   mapper_type m_mapper;
   location_manager_type m_lm;
-  locking_policy_table m_policies;
-  ths_manager_type m_ths{&m_policies};
   /// Constructed lazily (and collectively) when the container switches to
   /// dynamic resolution — static containers stay directory-free.
   std::unique_ptr<directory_type> m_directory;
@@ -794,7 +704,7 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
   /// Asynchronous write (no return value — Ch. V.B asynchronous methods).
   void set_element(gid_type gid, value_type val)
   {
-    this->invoke(MP_SET_ELEMENT, gid,
+    this->invoke(gid,
                  [gid, val = std::move(val)](Derived& c, bcid_type b) {
                    c.element_at(gid, b) = val;
                  });
@@ -805,7 +715,7 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
   /// (Ch. VII.E Claim 3).
   void set_element_sync(gid_type gid, value_type val)
   {
-    (void)this->invoke_ret(MP_SET_ELEMENT, gid,
+    (void)this->invoke_ret(gid,
                            [gid, val = std::move(val)](Derived& c,
                                                        bcid_type b) {
                              c.element_at(gid, b) = val;
@@ -816,7 +726,7 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
   /// Synchronous read.
   [[nodiscard]] value_type get_element(gid_type gid)
   {
-    return this->invoke_ret(MP_GET_ELEMENT, gid,
+    return this->invoke_ret(gid,
                             [gid](Derived& c, bcid_type b) {
                               return c.element_at(gid, b);
                             });
@@ -825,7 +735,7 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
   /// Split-phase read: returns a future immediately (Ch. V.B).
   [[nodiscard]] pc_future<value_type> split_phase_get_element(gid_type gid)
   {
-    return this->invoke_split(MP_GET_ELEMENT, gid,
+    return this->invoke_split(gid,
                               [gid](Derived& c, bcid_type b) {
                                 return c.element_at(gid, b);
                               });
@@ -835,7 +745,7 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
   template <typename F>
   [[nodiscard]] auto apply_get(gid_type gid, F f)
   {
-    return this->invoke_ret(MP_APPLY, gid,
+    return this->invoke_ret(gid,
                             [gid, f = std::move(f)](Derived& c,
                                                     bcid_type b) mutable {
                               return f(c.element_at(gid, b));
@@ -846,7 +756,7 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
   template <typename F>
   void apply_set(gid_type gid, F f)
   {
-    this->invoke(MP_APPLY, gid,
+    this->invoke(gid,
                  [gid, f = std::move(f)](Derived& c, bcid_type b) mutable {
                    f(c.element_at(gid, b));
                  });
@@ -865,7 +775,7 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
       return element_at(gid, this->derived().dyn_local_bcid(gid));
     }
     auto const r = this->derived().resolve(gid);
-    assert(r.resolved && r.loc == this->get_location_id());
+    assert(r.loc == this->get_location_id());
     return this->bc(r.bcid).at(this->partition().local_index(gid));
   }
 
@@ -881,7 +791,7 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
       return &element_at(gid, this->derived().dyn_local_bcid(gid));
     }
     auto const r = this->derived().resolve(gid);
-    if (!r.resolved || r.loc != this->get_location_id())
+    if (r.loc != this->get_location_id())
       return nullptr;
     return &this->bc(r.bcid).at(this->partition().local_index(gid));
   }

@@ -28,17 +28,16 @@
 // poll round — it stays visible to rmi_fence's termination detection, so a
 // fence cannot pass over forwarded-but-unexecuted work.
 //
-// All inter-representative traffic uses the existing ARMI primitives, so
-// every handler runs on its own location's thread.  The per-representative
-// mutex stays as plain synchronisation of the maps below (Ch. VI metadata
-// locking); in this runtime only the owning thread takes it.
+// All inter-representative traffic uses the ARMI primitives, so every
+// handler runs on its own location's thread, and so does every caller that
+// enters a representative directly (the single-writer rule of runtime.hpp).
+// The maps below therefore take no lock; debug builds assert the rule
+// wherever a caller outside the RMI layer enters.
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -84,18 +83,16 @@ class space_saving_tracker {
   [[nodiscard]] std::size_t capacity() const noexcept { return m_capacity; }
   [[nodiscard]] std::size_t size() const noexcept { return m_entries.size(); }
 
-  /// Records `weight` observed accesses of `g` (weight > 1 compensates a
-  /// sampled caller: 1-in-N sampling with weight N keeps the count
-  /// estimates unbiased).
-  void note(GID const& g, std::uint64_t weight = 1)
+  /// Records one observed access of `g`.
+  void note(GID const& g)
   {
     auto it = m_entries.find(g);
     if (it != m_entries.end()) {
-      it->second.count += weight;
+      it->second.count += 1;
       return;
     }
     if (m_entries.size() < m_capacity) {
-      m_entries.emplace(g, entry{weight, 0});
+      m_entries.emplace(g, entry{1, 0});
       return;
     }
     if (m_capacity == 0)
@@ -107,8 +104,7 @@ class space_saving_tracker {
     for (auto e = m_entries.begin(); e != m_entries.end(); ++e)
       if (e->second.count < victim->second.count)
         victim = e;
-    entry const inherited{victim->second.count + weight,
-                          victim->second.count};
+    entry const inherited{victim->second.count + 1, victim->second.count};
     m_entries.erase(victim);
     m_entries.emplace(g, inherited);
   }
@@ -155,7 +151,7 @@ class directory : public p_object {
   directory()
       : m_metrics_id(metrics::register_contributor(
             [this](metrics::counter_map& m) {
-              directory_stats const s = stats();
+              directory_stats const& s = m_stats;
               m["dir.local_hits"] += s.local_hits;
               m["dir.cache_hits"] += s.cache_hits;
               m["dir.home_routed"] += s.home_routed;
@@ -169,11 +165,7 @@ class directory : public p_object {
               m["dir.owner_accesses"] += s.owner_accesses;
               m["dir.hints_reclaimed"] += s.hints_reclaimed;
             },
-            [this] {
-              std::lock_guard lock(m_mutex);
-              m_stats = {};
-              m_owner_accesses.store(0, std::memory_order_relaxed);
-            }))
+            [this] { m_stats = {}; }))
   {}
 
   ~directory() override { metrics::unregister_contributor(m_metrics_id); }
@@ -204,41 +196,37 @@ class directory : public p_object {
   /// True when this location currently owns the element of `g`.
   [[nodiscard]] bool owns(GID const& g) const
   {
-    std::lock_guard lock(m_mutex);
+    assert(on_own_thread());
     return m_owned.count(g) != 0;
   }
 
-  /// Copy of this location's owned-GID set under one lock acquisition —
-  /// for bulk traversals that would otherwise pay a mutex round trip per
-  /// element (container local_gids()/for_each_local).
+  /// Copy of this location's owned-GID set, for bulk traversals (container
+  /// local_gids()/for_each_local): a traversal whose body polls may see
+  /// elements migrate, and keeps to the set it started with.
   [[nodiscard]] std::unordered_set<GID, Hash> owned_snapshot() const
   {
-    std::lock_guard lock(m_mutex);
+    assert(on_own_thread());
     return m_owned;
   }
 
-  /// Point-in-time snapshot (by value: the owner-access counter lives
-  /// outside the mutex on the note_access hot path, so a reference into
-  /// shared state cannot be handed out race-free).
+  /// Copy of this location's counters.
   [[nodiscard]] directory_stats stats() const
   {
-    std::lock_guard lock(m_mutex);
-    directory_stats s = m_stats;
-    s.owner_accesses = m_owner_accesses.load(std::memory_order_relaxed);
-    return s;
+    assert(on_own_thread());
+    return m_stats;
   }
 
   /// Number of owner records homed on this location.
   [[nodiscard]] std::size_t local_registry_size() const
   {
-    std::lock_guard lock(m_mutex);
+    assert(on_own_thread());
     return m_registry.size();
   }
 
   /// Drops this location's owner cache (bench/test support).
   void clear_cache()
   {
-    std::lock_guard lock(m_mutex);
+    assert(on_own_thread());
     m_cache.clear();
   }
 
@@ -247,7 +235,7 @@ class directory : public p_object {
   /// migrating GID system-wide, however many times the element moves.
   [[nodiscard]] std::size_t hint_count() const
   {
-    std::lock_guard lock(m_mutex);
+    assert(on_own_thread());
     return m_away.size();
   }
 
@@ -258,71 +246,50 @@ class directory : public p_object {
   /// Starts counting owner-side element accesses into a per-epoch load
   /// counter and a bounded hot-GID tracker of capacity `top_k`.  Intended to
   /// be called collectively (same capacity everywhere) at a quiesce point.
-  /// `sample_every` sets the sketch sampling rate of note_access: 1 notes
-  /// every access (exact counts, but each one takes the mutex); N > 1
-  /// notes ~1-in-N (weight-compensated), so the hot path stays a single
-  /// relaxed atomic increment.
-  void enable_access_tracking(std::size_t top_k, unsigned sample_every = 1)
+  void enable_access_tracking(std::size_t top_k)
   {
-    std::lock_guard lock(m_mutex);
+    assert(on_own_thread());
     m_hot.set_capacity(top_k);
     m_hot.clear();
-    m_epoch_accesses.store(0, std::memory_order_relaxed);
-    m_sample_every = sample_every == 0 ? 1 : sample_every;
-    m_track_accesses.store(true, std::memory_order_release);
+    m_epoch_accesses = 0;
+    m_track_accesses = true;
   }
 
   void disable_access_tracking()
   {
-    std::lock_guard lock(m_mutex);
-    m_track_accesses.store(false, std::memory_order_release);
+    assert(on_own_thread());
+    m_track_accesses = false;
   }
 
   [[nodiscard]] bool access_tracking_enabled() const noexcept
   {
-    return m_track_accesses.load(std::memory_order_acquire);
+    return m_track_accesses;
   }
 
-  /// Records one element access executed on this location as the owner.
-  /// Called by the container's dynamic dispatch; no-op unless tracking is
-  /// enabled, so undisturbed workloads pay a single atomic load.
-  ///
-  /// The measurement no longer serializes the owner hot path it measures:
-  /// the load counters are relaxed atomics, and the mutex-guarded sketch
-  /// update runs for ~1-in-sample_every accesses only (weight-compensated
-  /// so count estimates stay unbiased).  The sampling decision mixes the
-  /// counter value — a fixed stride (n % N) would alias with periodic
-  /// access patterns like a round-robin sweep of a hot block.
+  /// Records one element access executed on this location as the owner, in
+  /// the epoch's load counter and in the hot-GID sketch.  Called by the
+  /// container's dynamic dispatch; no-op unless tracking is enabled.
   void note_access(GID const& g)
   {
-    if (!m_track_accesses.load(std::memory_order_relaxed))
+    assert(on_own_thread());
+    if (!m_track_accesses)
       return;
-    auto const n =
-        m_epoch_accesses.fetch_add(1, std::memory_order_relaxed) + 1;
-    m_owner_accesses.fetch_add(1, std::memory_order_relaxed);
-    unsigned const every = m_sample_every;
-    if (every > 1 && !sampled(n, every))
-      return;
-    std::lock_guard lock(m_mutex);
-    m_hot.note(g, every);
+    m_epoch_accesses += 1;
+    m_stats.owner_accesses += 1;
+    m_hot.note(g);
   }
 
   /// Owner-side accesses recorded since the last reset_epoch().
   [[nodiscard]] std::uint64_t epoch_accesses() const
   {
-    return m_epoch_accesses.load(std::memory_order_acquire);
-  }
-
-  /// Sketch sampling rate in effect (see enable_access_tracking).
-  [[nodiscard]] unsigned access_sample_every() const noexcept
-  {
-    return m_sample_every;
+    assert(on_own_thread());
+    return m_epoch_accesses;
   }
 
   /// Tracked hot GIDs with space-saving count estimates, hottest first.
   [[nodiscard]] std::vector<std::pair<GID, std::uint64_t>> hot_elements() const
   {
-    std::lock_guard lock(m_mutex);
+    assert(on_own_thread());
     return m_hot.top();
   }
 
@@ -330,8 +297,8 @@ class directory : public p_object {
   /// the next epoch observes only fresh traffic.
   void reset_epoch()
   {
-    std::lock_guard lock(m_mutex);
-    m_epoch_accesses.store(0, std::memory_order_relaxed);
+    assert(on_own_thread());
+    m_epoch_accesses = 0;
     m_hot.clear();
   }
 
@@ -346,7 +313,7 @@ class directory : public p_object {
   /// on first use, so no registration traffic is needed.
   void seed_ownership(GID const& g)
   {
-    std::lock_guard lock(m_mutex);
+    assert(on_own_thread());
     m_owned.insert(g);
     m_owned_seq.erase(g);
     m_away.erase(g);
@@ -356,12 +323,10 @@ class directory : public p_object {
   /// Declares this location the owner of `g` and records it at the home.
   void register_gid(GID const& g)
   {
-    {
-      std::lock_guard lock(m_mutex);
-      m_owned.insert(g);
-      m_owned_seq.erase(g); // a fresh incarnation restarts the hop chain
-      m_away.erase(g);
-    }
+    assert(on_own_thread());
+    m_owned.insert(g);
+    m_owned_seq.erase(g); // a fresh incarnation restarts the hop chain
+    m_away.erase(g);
     update_home_record(g);
   }
 
@@ -369,14 +334,12 @@ class directory : public p_object {
   /// also leaves the hot-GID sketch, so no rebalance plans to move it.
   void unregister_gid(GID const& g)
   {
-    {
-      std::lock_guard lock(m_mutex);
-      m_owned.erase(g);
-      m_owned_seq.erase(g);
-      m_away.erase(g);
-      m_cache.erase(g);
-      m_hot.erase(g);
-    }
+    assert(on_own_thread());
+    m_owned.erase(g);
+    m_owned_seq.erase(g);
+    m_away.erase(g);
+    m_cache.erase(g);
+    m_hot.erase(g);
     location_id const home = home_of(g);
     if (home == get_location_id()) {
       handle_erase_record(g);
@@ -394,7 +357,7 @@ class directory : public p_object {
   /// record, cache); nullopt when answering would need communication.
   [[nodiscard]] std::optional<location_id> try_resolve(GID const& g) const
   {
-    std::lock_guard lock(m_mutex);
+    assert(on_own_thread());
     if (m_owned.count(g))
       return get_location_id();
     if (home_of(g) == get_location_id()) {
@@ -418,27 +381,21 @@ class directory : public p_object {
   /// directory without a default owner.
   [[nodiscard]] location_id resolve(GID const& g)
   {
+    assert(on_own_thread());
     latency::timed_op lat_scope(latency::op::dir_resolve);
-    {
-      std::lock_guard lock(m_mutex);
-      if (m_owned.count(g)) {
-        m_stats.local_hits += 1;
-        return get_location_id();
-      }
-      auto it = m_cache.find(g);
-      if (it != m_cache.end()) {
-        m_stats.cache_hits += 1;
-        return it->second;
-      }
+    if (m_owned.count(g)) {
+      m_stats.local_hits += 1;
+      return get_location_id();
+    }
+    if (auto const it = m_cache.find(g); it != m_cache.end()) {
+      m_stats.cache_hits += 1;
+      return it->second;
     }
     location_id const home = home_of(g);
     if (home == get_location_id())
       return handle_lookup(g, invalid_location);
     location_id const me = get_location_id();
-    {
-      std::lock_guard lock(m_mutex);
-      m_stats.cold_lookups += 1;
-    }
+    m_stats.cold_lookups += 1;
     return sync_rmi<directory>(
         home, this->get_handle(),
         [g, me](directory& d) { return d.handle_lookup(g, me); });
@@ -457,14 +414,11 @@ class directory : public p_object {
   template <typename F>
   bool invoke_where(GID const& g, F f)
   {
-    {
-      std::unique_lock lock(m_mutex);
-      if (m_owned.count(g)) {
-        m_stats.local_hits += 1;
-        lock.unlock();
-        f();
-        return true;
-      }
+    assert(on_own_thread());
+    if (m_owned.count(g)) {
+      m_stats.local_hits += 1;
+      f();
+      return true;
     }
     route_work(g, work_item(std::move(f)), get_location_id());
     return false;
@@ -484,7 +438,7 @@ class directory : public p_object {
   [[nodiscard]] std::uint32_t migration_departed(GID const& g,
                                                  location_id dest)
   {
-    std::lock_guard lock(m_mutex);
+    assert(on_own_thread());
     m_owned.erase(g);
     m_away[g] = dest;
     m_stats.migrations_out += 1;
@@ -504,16 +458,14 @@ class directory : public p_object {
   /// plus one.
   void migration_arrived(GID const& g, std::uint32_t seq)
   {
-    {
-      std::lock_guard lock(m_mutex);
-      m_owned.insert(g);
-      m_owned_seq[g] = seq;
-      m_away.erase(g);
-      m_cache.erase(g);
-      m_stats.migrations_in += 1;
-      STAPL_TRACE(trace::event_kind::migration,
-                  static_cast<std::uint64_t>(Hash{}(g)));
-    }
+    assert(on_own_thread());
+    m_owned.insert(g);
+    m_owned_seq[g] = seq;
+    m_away.erase(g);
+    m_cache.erase(g);
+    m_stats.migrations_in += 1;
+    STAPL_TRACE(trace::event_kind::migration,
+                static_cast<std::uint64_t>(Hash{}(g)));
     update_home_record(g, seq);
   }
 
@@ -523,10 +475,13 @@ class directory : public p_object {
   // -------------------------------------------------------------------------
 
   /// At the home: installs/overwrites the owner record of `g` and
-  /// invalidates every copyset member that cached a different owner.
-  /// Invalidations are issued while the record lock is held, so they
-  /// serialize against the cache updates of concurrent lookups: a cache
-  /// can never end up holding an owner the home has already replaced.
+  /// invalidates every location that cached the old owner.  The home's
+  /// cache fills and invalidations travel as queued messages, which reach
+  /// each location in the order the home sent them, so an invalidation
+  /// always lands after every fill it supersedes.  The new owner is
+  /// invalidated too: a fill queued to it before the move can land after
+  /// the element has moved on again, and once the copyset has forgotten
+  /// the new owner, no later record change would invalidate that entry.
   ///
   /// Updates carry the element's migration sequence number, because they
   /// arrive over per-sender channels that do not order hops of the same
@@ -547,7 +502,6 @@ class directory : public p_object {
   void handle_record_owner(GID const& g, location_id owner,
                            std::uint32_t seq = 0)
   {
-    std::lock_guard lock(m_mutex);
     auto& rec = m_registry[g];
     if (seq == 0) {
       // Explicit registration: a fresh incarnation of the GID, starting a
@@ -560,7 +514,7 @@ class directory : public p_object {
       // won the race never learned about — is retired here instead of
       // leaking forever.
       if (owner != rec.owner)
-        reclaim_hint_locked(g, owner);
+        reclaim_hint(g, owner);
       return;
     } else {
       rec.seq = seq;
@@ -568,7 +522,7 @@ class directory : public p_object {
     if (rec.owner != owner) {
       std::vector<location_id> stale;
       stale.swap(rec.copyset);
-      invalidate_copies_locked(g, owner, stale);
+      invalidate_copies(g, stale);
       location_id prev = rec.owner;
       if (prev == invalid_location && m_default_owner) {
         // First update the home ever sees: the element departed a seeded
@@ -586,7 +540,7 @@ class directory : public p_object {
       for (location_id l : reclaim) {
         if (l == prev || l == owner)
           continue; // prev keeps its fresh hint; the new owner holds none
-        reclaim_hint_locked(g, l);
+        reclaim_hint(g, l);
       }
     }
     rec.owner = owner;
@@ -596,7 +550,6 @@ class directory : public p_object {
   /// At the home: erases the record of `g` and invalidates all copies.
   void handle_erase_record(GID const& g)
   {
-    std::lock_guard lock(m_mutex);
     auto it = m_registry.find(g);
     if (it == m_registry.end())
       return;
@@ -605,7 +558,7 @@ class directory : public p_object {
     std::vector<location_id> former;
     former.swap(it->second.former);
     m_registry.erase(it);
-    invalidate_copies_locked(g, invalid_location, stale);
+    invalidate_copies(g, stale);
     for (location_id l : former) {
       if (l == get_location_id()) {
         m_away.erase(g);
@@ -617,33 +570,15 @@ class directory : public p_object {
   }
 
   /// At the home: owner of `g`, subscribing `requester` to invalidations
-  /// and pushing the answer into its cache (both under the record lock,
-  /// ordered against invalidations).  Installs the default owner for
+  /// and pushing the answer into its cache.  Installs the default owner for
   /// unknown GIDs when available.
   [[nodiscard]] location_id handle_lookup(GID const& g, location_id requester)
   {
-    std::lock_guard lock(m_mutex);
-    auto it = m_registry.find(g);
-    if (it == m_registry.end()) {
-      if (!m_default_owner)
-        return invalid_location;
-      home_record rec;
-      rec.owner = m_default_owner(g);
-      rec.synthesized = true;
-      it = m_registry.emplace(g, std::move(rec)).first;
-    }
-    location_id const owner = it->second.owner;
-    if (requester != invalid_location && requester != owner &&
-        requester != get_location_id()) {
-      subscribe(it->second, requester);
-      // Sent under m_mutex so it orders against invalidations; the
-      // requester is remote, so the send only enqueues.
-      queued_rmi<directory>(requester, this->get_handle(),
-                            [g, owner](directory& d) {
-                              d.handle_cache_update(g, owner);
-                            });
-    }
-    return owner;
+    home_record* rec = record_of(g);
+    if (rec == nullptr)
+      return invalid_location;
+    fill_cache(g, *rec, requester);
+    return rec->owner;
   }
 
   /// At the home: routes `f` toward the recorded owner of `g`.  Unknown
@@ -668,38 +603,16 @@ class directory : public p_object {
   /// parks and re-routes instead — adopting would fork ownership.  A
   /// request that finds this location stale tells the requester to drop
   /// its cache entry, so the next access resolves fresh instead of
-  /// re-bouncing here.
+  /// re-bouncing here.  The chase does not inherit designation: only the
+  /// home's record confers it.
   void handle_forward_exec(GID g, work_item f, bool designated,
                            location_id requester)
   {
-    {
-      std::unique_lock lock(m_mutex);
-      if (m_owned.count(g)) {
-        lock.unlock();
-        f();
-        return;
-      }
-      auto hint = m_away.find(g);
-      if (hint != m_away.end()) {
-        // The element lived here and left: chase it.  The chase does not
-        // inherit designation — only the home's record confers it.
-        location_id const next = hint->second;
-        m_stats.forwards += 1;
-        lock.unlock();
-        notify_stale(g, requester);
-        send_forward(next, g, std::move(f), false, requester);
-        return;
-      }
-      if (designated) {
-        m_owned.insert(g);
-        lock.unlock();
-        f();
-        return;
-      }
-      m_stats.stale_bounces += 1;
-    }
+    if (run_or_chase(g, f, requester, designated, requester))
+      return;
     // Stale knowledge (cache pointed here, or the record outran an
     // in-flight migration): park and re-route from scratch next poll.
+    m_stats.stale_bounces += 1;
     notify_stale(g, requester);
     park_retry(g, requester, std::move(f));
   }
@@ -707,30 +620,23 @@ class directory : public p_object {
   /// Cache maintenance messages.
   void handle_cache_update(GID const& g, location_id owner)
   {
-    std::lock_guard lock(m_mutex);
     if (!m_owned.count(g))
       m_cache[g] = owner;
   }
   void handle_cache_invalidate(GID const& g)
   {
-    std::lock_guard lock(m_mutex);
     m_cache.erase(g);
     m_stats.invalidations += 1;
   }
 
   /// The GID's record was erased: any forwarding hint held here belongs
   /// to a dead incarnation.
-  void handle_clear_hint(GID const& g)
-  {
-    std::lock_guard lock(m_mutex);
-    m_away.erase(g);
-  }
+  void handle_clear_hint(GID const& g) { m_away.erase(g); }
 
   /// The home retired this location's forwarding hint for `g` (a newer
   /// owner record supersedes it; see handle_record_owner).
   void handle_reclaim_hint(GID const& g)
   {
-    std::lock_guard lock(m_mutex);
     if (m_away.erase(g) != 0)
       m_stats.hints_reclaimed += 1;
   }
@@ -754,13 +660,20 @@ class directory : public p_object {
     /// update) and must park instead of adopting — adoption there would
     /// fork ownership.
     bool synthesized = false;
-    /// Locations whose cache holds this record's answer.
+    /// Locations whose cache holds this record's answer (never the home).
     std::vector<location_id> copyset;
     /// Former owners (they hold forwarding hints for this GID); their
     /// hints are cleared when the record is erased, so chains from dead
     /// incarnations cannot persist.
     std::vector<location_id> former;
   };
+
+  /// The single-writer rule (runtime.hpp): only the representative's own
+  /// location thread may enter it.
+  [[nodiscard]] bool on_own_thread() const noexcept
+  {
+    return this_location() == get_location_id();
+  }
 
   /// Points `g`'s home record at this location (registration and
   /// migration-arrival share this step; seq 0 marks a registration).
@@ -778,17 +691,44 @@ class directory : public p_object {
                          });
   }
 
-  void subscribe(home_record& rec, location_id requester)
+  /// At the home: the record of `g`, materialized from the default owner
+  /// when there is none yet; nullptr when there is no default owner either
+  /// (the registration is still in flight).
+  [[nodiscard]] home_record* record_of(GID const& g)
   {
-    for (location_id l : rec.copyset)
-      if (l == requester)
-        return;
-    rec.copyset.push_back(requester);
+    auto it = m_registry.find(g);
+    if (it == m_registry.end()) {
+      if (!m_default_owner)
+        return nullptr;
+      home_record rec;
+      rec.owner = m_default_owner(g);
+      rec.synthesized = true;
+      it = m_registry.emplace(g, std::move(rec)).first;
+    }
+    return &it->second;
   }
 
-  /// Requires m_mutex held.  Retires the forwarding hint for `g` at `l`
-  /// (locally, or via a queued message, as in invalidate_copies_locked).
-  void reclaim_hint_locked(GID const& g, location_id l)
+  /// At the home: subscribes `requester` to invalidations of `g` and
+  /// pushes the recorded owner into its cache, as a queued message that
+  /// keeps its order against later invalidations.  No-op for anonymous
+  /// requests, the owner and the home itself.
+  void fill_cache(GID const& g, home_record& rec, location_id requester)
+  {
+    if (requester == invalid_location || requester == rec.owner ||
+        requester == get_location_id())
+      return;
+    if (std::find(rec.copyset.begin(), rec.copyset.end(), requester) ==
+        rec.copyset.end())
+      rec.copyset.push_back(requester);
+    queued_rmi<directory>(requester, this->get_handle(),
+                          [g, owner = rec.owner](directory& d) {
+                            d.handle_cache_update(g, owner);
+                          });
+  }
+
+  /// Retires the forwarding hint for `g` at `l` (locally, or via a queued
+  /// message, as in invalidate_copies).
+  void reclaim_hint(GID const& g, location_id l)
   {
     if (l == invalid_location)
       return;
@@ -801,25 +741,16 @@ class directory : public p_object {
                           [g](directory& d) { d.handle_reclaim_hint(g); });
   }
 
-  /// Requires m_mutex held.  Remote sends only enqueue, so sending under
-  /// the lock is safe, and this location is handled inline.  Queued
-  /// delivery preserves push order, which is all the coherence argument
-  /// needs: updates and invalidations reach each location in the order the
-  /// home's record lock emitted them.
-  void invalidate_copies_locked(GID const& g, location_id keep,
-                                std::vector<location_id> const& targets)
+  /// Drops `g` from the caches of `targets` (copyset members, so never the
+  /// home) with queued messages: delivery preserves push order, which is
+  /// all the coherence argument needs — fills and invalidations reach each
+  /// location in the order the home emitted them.
+  void invalidate_copies(GID const& g, std::vector<location_id> const& targets)
   {
-    for (location_id l : targets) {
-      if (l == keep)
-        continue;
-      if (l == get_location_id()) {
-        m_cache.erase(g);
-        m_stats.invalidations += 1;
-        continue;
-      }
-      queued_rmi<directory>(l, this->get_handle(),
-                            [g](directory& d) { d.handle_cache_invalidate(g); });
-    }
+    for (location_id l : targets)
+      queued_rmi<directory>(
+          l, this->get_handle(),
+          [g](directory& d) { d.handle_cache_invalidate(g); });
   }
 
   void send_forward(location_id dest, GID const& g, work_item f, bool adopt,
@@ -851,28 +782,45 @@ class directory : public p_object {
                           [g](directory& d) { d.handle_cache_invalidate(g); });
   }
 
+  /// The step every routing stage shares.  Runs `f` when this location
+  /// owns `g`; else chases the forwarding hint `g` left here, after telling
+  /// `stale` (the requester whose knowledge routed the work here, if any)
+  /// to drop its cache entry; else, when `adopt`, takes ownership of `g`
+  /// and runs `f`.  Returns false, with `f` untouched, when none applies.
+  [[nodiscard]] bool run_or_chase(GID const& g, work_item& f,
+                                  location_id requester, bool adopt,
+                                  location_id stale = invalid_location)
+  {
+    if (!m_owned.count(g)) {
+      if (auto const hint = m_away.find(g); hint != m_away.end()) {
+        location_id const next = hint->second;
+        m_stats.forwards += 1;
+        notify_stale(g, stale);
+        send_forward(next, g, std::move(f), false, requester);
+        return true;
+      }
+      if (!adopt)
+        return false;
+      m_owned.insert(g);
+    }
+    work_item body = std::move(f);
+    body();
+    return true;
+  }
+
   /// Routes `f` from this location: hint and cache first, then the home
   /// (forwarding mode) or a synchronous lookup (no-forwarding mode).
   void route_work(GID const& g, work_item f, location_id requester)
   {
-    {
-      std::unique_lock lock(m_mutex);
-      auto hint = m_away.find(g);
-      if (hint != m_away.end()) {
-        location_id const next = hint->second;
-        m_stats.forwards += 1;
-        lock.unlock();
-        send_forward(next, g, std::move(f), false, requester);
-        return;
-      }
-      auto it = m_cache.find(g);
-      if (it != m_cache.end()) {
-        location_id const owner = it->second;
-        m_stats.cache_hits += 1;
-        lock.unlock();
-        send_forward(owner, g, std::move(f), false, requester);
-        return;
-      }
+    if (auto const hint = m_away.find(g); hint != m_away.end()) {
+      m_stats.forwards += 1;
+      send_forward(hint->second, g, std::move(f), false, requester);
+      return;
+    }
+    if (auto const it = m_cache.find(g); it != m_cache.end()) {
+      m_stats.cache_hits += 1;
+      send_forward(it->second, g, std::move(f), false, requester);
+      return;
     }
     location_id const home = home_of(g);
     if (home == get_location_id()) {
@@ -889,10 +837,7 @@ class directory : public p_object {
       send_forward(owner, g, std::move(f), false, requester);
       return;
     }
-    {
-      std::lock_guard lock(m_mutex);
-      m_stats.home_routed += 1;
-    }
+    m_stats.home_routed += 1;
     async_rmi<directory>(home, this->get_handle(),
                          [g, requester, f = std::move(f)](directory& d) mutable {
                            d.handle_home_exec(g, requester, std::move(f));
@@ -904,66 +849,23 @@ class directory : public p_object {
   [[nodiscard]] bool try_home_route(GID const& g, location_id requester,
                                     work_item& f)
   {
-    location_id owner;
-    bool adoptable = false;
-    {
-      std::lock_guard lock(m_mutex);
-      auto it = m_registry.find(g);
-      if (it == m_registry.end()) {
-        if (!m_default_owner)
-          return false; // registration still in flight: park
-        home_record rec;
-        rec.owner = m_default_owner(g);
-        rec.synthesized = true;
-        it = m_registry.emplace(g, std::move(rec)).first;
-      }
-      owner = it->second.owner;
-      adoptable = it->second.synthesized;
-      if (requester != invalid_location && requester != owner &&
-          requester != get_location_id()) {
-        // Piggyback the answer so the requester's next access skips the
-        // home; sent under the record lock so it orders against
-        // invalidations from concurrent ownership changes.
-        subscribe(it->second, requester);
-        queued_rmi<directory>(requester, this->get_handle(),
-                              [g, owner](directory& d) {
-                                d.handle_cache_update(g, owner);
-                              });
-      }
-    }
-    if (owner != get_location_id()) {
+    home_record* rec = record_of(g);
+    if (rec == nullptr)
+      return false; // registration still in flight: park
+    // Piggyback the answer so the requester's next access skips the home.
+    fill_cache(g, *rec, requester);
+    if (rec->owner != get_location_id()) {
       // The forward carries the adopt privilege only for synthesized
       // records: their designated owner may legitimately hold neither
       // element nor hint (fresh GID).  A registered owner found empty is a
       // transient race and must park instead (see home_record).
-      send_forward(owner, g, std::move(f), adoptable, requester);
+      send_forward(rec->owner, g, std::move(f), rec->synthesized, requester);
       return true;
     }
     // The record points at the home itself: same rules, applied locally.
-    {
-      std::unique_lock lock(m_mutex);
-      if (m_owned.count(g)) {
-        lock.unlock();
-        work_item body = std::move(f);
-        body();
-        return true;
-      }
-      auto hint = m_away.find(g);
-      if (hint != m_away.end()) {
-        location_id const next = hint->second;
-        m_stats.forwards += 1;
-        lock.unlock();
-        send_forward(next, g, std::move(f), false, requester);
-        return true;
-      }
-      if (!adoptable)
-        return false; // record outran an in-flight move: park and retry
-      m_owned.insert(g); // synthesized record with no element/hint: adopt
-      lock.unlock();
-      work_item body = std::move(f);
-      body();
-      return true;
-    }
+    // A registered record with no element or hint here outran an
+    // in-flight move: park and retry.
+    return run_or_chase(g, f, requester, rec->synthesized);
   }
 
   /// Parks `f` on this location's inbox (counted as pending traffic, so
@@ -972,10 +874,7 @@ class directory : public p_object {
   /// ordinary RMI traffic and lands between polls.
   void park_retry(GID const& g, location_id requester, work_item f)
   {
-    {
-      std::lock_guard lock(m_mutex);
-      m_stats.retries += 1;
-    }
+    m_stats.retries += 1;
     rmi_handle const h = this->get_handle();
     post_to_self([h, g, requester, f = std::move(f)]() mutable -> bool {
       auto* d = get_registered_object<directory>(h);
@@ -989,23 +888,8 @@ class directory : public p_object {
   [[nodiscard]] bool retry_route(GID const& g, location_id requester,
                                  work_item& f)
   {
-    {
-      std::unique_lock lock(m_mutex);
-      if (m_owned.count(g)) {
-        lock.unlock();
-        work_item body = std::move(f);
-        body();
-        return true;
-      }
-      auto hint = m_away.find(g);
-      if (hint != m_away.end()) {
-        location_id const next = hint->second;
-        m_stats.forwards += 1;
-        lock.unlock();
-        send_forward(next, g, std::move(f), false, requester);
-        return true;
-      }
-    }
+    if (run_or_chase(g, f, requester, false))
+      return true;
     if (home_of(g) == get_location_id())
       return try_home_route(g, requester, f);
     // Not the home: push the request back onto the home once; the home
@@ -1017,7 +901,6 @@ class directory : public p_object {
   std::function<location_id(GID const&)> m_default_owner;
   bool m_forwarding = true;
 
-  mutable std::mutex m_mutex;
   std::unordered_map<GID, home_record, Hash> m_registry;
   std::unordered_set<GID, Hash> m_owned;
   /// Migration sequence number of locally owned elements that have moved
@@ -1029,25 +912,10 @@ class directory : public p_object {
   std::unordered_map<GID, location_id, Hash> m_cache;
   directory_stats m_stats;
   /// Load-balancing support: owner-side access counting (note_access).
-  /// The counters are relaxed atomics so the owner hot path never takes
-  /// m_mutex for them; the sketch (m_hot) stays mutex-guarded but is only
-  /// touched for sampled accesses.
-  std::atomic<bool> m_track_accesses{false};
-  std::atomic<std::uint64_t> m_epoch_accesses{0};
-  std::atomic<std::uint64_t> m_owner_accesses{0};
-  unsigned m_sample_every = 1;
+  bool m_track_accesses = false;
+  std::uint64_t m_epoch_accesses = 0;
   space_saving_tracker<GID, Hash> m_hot;
   metrics::contributor_id m_metrics_id = 0;
-
-  /// Mixed (splitmix64-style) 1-in-`every` sampling decision for access n.
-  [[nodiscard]] static bool sampled(std::uint64_t n, unsigned every) noexcept
-  {
-    std::uint64_t z = n + 0x9E3779B97F4A7C15ull;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    z ^= z >> 31;
-    return z % every == 0;
-  }
 };
 
 } // namespace stapl

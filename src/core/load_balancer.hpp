@@ -73,12 +73,6 @@ struct load_balancer_config {
   unsigned min_epoch_interval = 1;
   unsigned max_epoch_interval = 32;
   double auto_drift = 0.25;
-  /// Sketch sampling of directory::note_access: 1 records every owner
-  /// access in the hot-GID sketch (exact, but each hit takes the
-  /// directory mutex); N > 1 updates the sketch for ~1-in-N accesses
-  /// (weight-compensated), leaving the hot path a single relaxed atomic
-  /// increment — measurement stops serializing the path it measures.
-  unsigned access_sample = 1;
 };
 
 /// Outcome of one rebalance() wave (identical on every location).

@@ -20,16 +20,15 @@ namespace stapl {
 
 namespace redist_detail {
 
-/// Per-location staging area for in-flight elements.
+/// Per-location staging area for in-flight elements, filled by RMIs that
+/// run on this location's thread.
 template <typename T>
 struct staging : p_object {
   std::vector<std::pair<gid1d, T>> incoming;
-  std::mutex mutex; ///< synchronises deliveries with the owner's reads
 
   void deliver(std::vector<std::byte> bytes)
   {
     auto batch = unpack<std::vector<std::pair<gid1d, T>>>(bytes);
-    std::lock_guard lock(mutex);
     incoming.insert(incoming.end(), batch.begin(), batch.end());
   }
 };
@@ -129,7 +128,6 @@ template <typename T>
 struct relocatable_array_traits {
   using bcontainer_type = vector_bcontainer<T>;
   using mapper_type = arbitrary_mapper;
-  using ths_manager_type = no_locking_manager;
 };
 
 } // namespace stapl

@@ -11,9 +11,15 @@
 // RMI lands in its target's inbox and runs on the target location's own
 // thread when that location polls.  Delivery is in order per (source,
 // destination) pair, progress is by polling, and completion is at fences.
-// Every representative is therefore touched by its own location's thread
-// only, so containers need no locks by default (Ch. VI; see
-// core/thread_safety.hpp).
+//
+// The single-writer rule follows: a p_object representative, and all state
+// it owns, is touched by its own location's thread only.  Every handler runs
+// there, and every library caller that enters a representative directly
+// must run there too (the directory asserts this in debug builds; the
+// ThreadSanitizer CI job checks the rest).  So no per-location state takes
+// a lock: not the containers, the directory or the object registry below.
+// The mutexes left guard what threads do share: the inboxes, and
+// process-wide registries and totals.
 //
 // The guarantees relied upon by the memory-consistency model of Ch. VII are
 // provided here: requests from location A to location B execute in invocation
@@ -245,30 +251,21 @@ class inbox {
   std::atomic<std::size_t> m_count{0};
 };
 
-/// Registry of p_object representatives on one location.
+/// Registry of p_object representatives on one location (touched by that
+/// location's thread only).
 class object_registry {
  public:
-  void insert(rmi_handle h, void* p)
-  {
-    std::lock_guard lock(m_mutex);
-    m_objects[h] = p;
-  }
+  void insert(rmi_handle h, void* p) { m_objects[h] = p; }
 
-  void erase(rmi_handle h)
-  {
-    std::lock_guard lock(m_mutex);
-    m_objects.erase(h);
-  }
+  void erase(rmi_handle h) { m_objects.erase(h); }
 
   [[nodiscard]] void* lookup(rmi_handle h) const
   {
-    std::lock_guard lock(m_mutex);
     auto it = m_objects.find(h);
     return it == m_objects.end() ? nullptr : it->second;
   }
 
  private:
-  mutable std::mutex m_mutex;
   std::unordered_map<rmi_handle, void*> m_objects;
 };
 

@@ -1,8 +1,8 @@
 // Memory-consistency model tests (Ch. VII): completion guarantees of
 // sync/async/split-phase methods, per-element per-source ordering, fence
 // semantics, the relaxed default model (Dekker, Fig. 22b) vs the
-// sequential-consistency restriction of Claim 3 — plus the Ch. VI
-// thread-safety managers and pMatrix tests.
+// sequential-consistency restriction of Claim 3 — plus owner-serialized
+// read-modify-writes (the Ch. VI concern) and pMatrix tests.
 
 #include "algorithms/p_algorithms.hpp"
 #include "containers/p_array.hpp"
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 namespace {
@@ -167,79 +166,6 @@ TEST(ThreadSafety, ConcurrentRemoteIncrementsSameElement)
       pa.apply_set(0, [](long& x) { x += 1; });
     rmi_fence();
     EXPECT_EQ(pa.get_element(0), 4000);
-    rmi_fence();
-  });
-}
-
-// The locking managers stay correct under real contention: plain threads
-// bracket non-atomic read-modify-writes of one bCID's data with
-// data_access_pre/post, as the invoke skeleton does.
-template <typename Manager>
-void expect_no_lost_updates()
-{
-  locking_policy_table const table;
-  Manager m(&table);
-  int const threads = 4;
-  int const iters = 20000;
-  long counter = 0;
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t)
-    pool.emplace_back([&] {
-      ths_info const ti{MP_APPLY, 3};
-      for (int i = 0; i < iters; ++i) {
-        m.data_access_pre(ti);
-        long const v = counter;
-        if (i % 64 == 0)
-          std::this_thread::yield(); // widen the window a lost update needs
-        counter = v + 1;
-        m.data_access_post(ti);
-      }
-    });
-  for (auto& th : pool)
-    th.join();
-  EXPECT_EQ(counter, static_cast<long>(threads) * iters);
-}
-
-TEST(ThreadSafety, ManagersSerializeConcurrentReadModifyWrites)
-{
-  expect_no_lost_updates<mutex_locking_manager>();
-  expect_no_lost_updates<hashed_locking_manager<64>>();
-}
-
-TEST(ThreadSafety, LockingPolicyTableDefaults)
-{
-  locking_policy_table t;
-  EXPECT_EQ(t.get(MP_GET_ELEMENT).data, rw_mode::read);
-  EXPECT_EQ(t.get(MP_SET_ELEMENT).data, rw_mode::write);
-  EXPECT_EQ(t.get(MP_SET_ELEMENT).granularity, lock_granularity::element);
-  EXPECT_EQ(t.get(MP_INSERT).granularity, lock_granularity::bcontainer);
-  EXPECT_EQ(t.get(MP_INSERT).metadata, rw_mode::write);
-  EXPECT_EQ(t.get(MP_SIZE).granularity, lock_granularity::local);
-  // Per-instance override (Ch. VI.D: users can modify attributes).
-  t.set(MP_GET_ELEMENT, {lock_granularity::none, rw_mode::read, rw_mode::read});
-  EXPECT_EQ(t.get(MP_GET_ELEMENT).granularity, lock_granularity::none);
-}
-
-TEST(ThreadSafety, LockingManagerTraitOverride)
-{
-  // Ch. VI.E customization: containers default to no locking, and the
-  // traits can select a locking manager instead; every method then runs
-  // under its policy's locks.
-  struct locking_traits {
-    using bcontainer_type = vector_bcontainer<int>;
-    using mapper_type = blocked_mapper;
-    using ths_manager_type = mutex_locking_manager;
-  };
-  execute(2, [] {
-    p_array<int, balanced_partition, locking_traits> pa(32, 5);
-    rmi_fence();
-    for (gid1d g = 0; g < 32; ++g)
-      pa.apply_set(g, [](int& x) { x += 1; });
-    rmi_fence();
-    long total = 0;
-    for (gid1d g = 0; g < 32; ++g)
-      total += pa.get_element(g);
-    EXPECT_EQ(total, 32 * (5 + 2));
     rmi_fence();
   });
 }

@@ -298,6 +298,35 @@ TEST(directory_test, ForwardingToElementMidFlight)
   });
 }
 
+// The home's record changes while a cache fill it queued earlier is still
+// in flight: location 2 looks g up (a fill naming owner 0 is queued to
+// it), then g moves to 2 and on to 3.  The fill lands after both moves, so
+// the move to 2 must invalidate location 2 as well, although it was the
+// new owner: the copyset forgets 2 at that point, and no later record
+// change would reach the stale entry.  This is the ForwardingToElementMid-
+// Flight flake, scripted on the home.
+TEST(directory_test, LateCacheFillAtNewOwnerIsInvalidated)
+{
+  execute(4, [] {
+    directory<std::size_t> dir;
+    dir.set_default_owner([](std::size_t) { return location_id{0}; });
+    std::size_t g = 0;
+    while (dir.home_of(g) == 2) // the subscriber must not be the home
+      ++g;
+    rmi_fence();
+    if (this_location() == dir.home_of(g)) {
+      (void)dir.handle_lookup(g, 2);
+      dir.handle_record_owner(g, 2, 1);
+      dir.handle_record_owner(g, 3, 2);
+    }
+    rmi_fence();
+    auto const owners = allgather(dir.resolve(g));
+    for (location_id l = 0; l < num_locations(); ++l)
+      EXPECT_EQ(owners[l], 3u) << "location " << l << " kept a stale owner";
+    rmi_fence();
+  });
+}
+
 // Element migrated away and back: it must land in its original
 // partition-assigned slot again (no overflow-store residue).
 TEST(directory_test, ArrayMigrateRoundTrip)

@@ -7,7 +7,9 @@
 // The base seed comes from STAPL_FAULT_SEED (default 42) so the CI chaos
 // lane replays the whole binary under several seeds.
 
+#include "algorithms/graph_algorithms.hpp"
 #include "algorithms/p_sort.hpp"
+#include "containers/graph_generators.hpp"
 #include "containers/p_array.hpp"
 #include "containers/p_associative.hpp"
 #include "core/migration.hpp"
@@ -434,6 +436,39 @@ TEST(Faults, CollectivesCompleteUnderDelayStorm)
     }
     EXPECT_EQ(r.seen().size(), 60u);
     rmi_fence();
+  });
+}
+
+// A location that naps inside a collective's polling barrier wakes up to
+// visit handlers a faster location sent after leaving that collective.
+// BFS must file the vertices they discover under the next level: each
+// vertex is counted once, at its true level.
+TEST(Faults, BfsLevelsExactUnderPollStalls)
+{
+  fault_guard guard;
+  auto poll_stall = make_plan(fault::site::rmi_poll, fault::act_stall);
+  poll_stall.probability = 0.5;
+  poll_stall.stall_us = 200;
+  fault::add_plan(poll_stall);
+  fault::arm(base_seed());
+
+  runtime_config cfg;
+  cfg.num_locations = 4;
+  cfg.aggregation = 1; // each visit handler is sent the moment it is issued
+  execute(cfg, [] {
+    std::size_t const n = 63; // complete binary tree of depth 5
+    p_graph<DIRECTED, NONMULTI, bfs_property, no_property> g(n);
+    generate_binary_tree(g, n);
+    for (int round = 0; round < 10; ++round) {
+      EXPECT_EQ(bfs_levels(g, 0), n) << "round " << round;
+      g.for_each_local_vertex([](vertex_descriptor v, auto& rec) {
+        long expect = 0;
+        for (std::size_t x = v + 1; x > 1; x /= 2)
+          ++expect;
+        EXPECT_EQ(rec.property.level, expect) << "vertex " << v;
+      });
+      rmi_fence();
+    }
   });
 }
 

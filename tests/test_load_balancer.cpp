@@ -280,14 +280,13 @@ TEST(load_balancer_test, AdvanceEpochHonorsInterval)
 }
 
 // ---------------------------------------------------------------------------
-// Lock-free note_access: sampled sketch, exact load counters
+// note_access: exact load counters and sketch counts
 // ---------------------------------------------------------------------------
 
-// The owner hot path now bumps relaxed atomic counters and only takes the
-// directory mutex for sampled (1-in-N) sketch updates.  The load counters
-// must match the old locked path exactly, and the weighted sketch must
-// keep every genuinely hot GID on the books.
-TEST(load_balancer_test, SampledNoteAccessCountsMatchLockedPath)
+// Every owner access lands in both the per-epoch load counter and the
+// hot-GID sketch: the counter sums to the exact access count on the owner
+// only, and the sketch tracks every hot GID with its exact count.
+TEST(load_balancer_test, NoteAccessCountsEveryOwnerAccess)
 {
   unsigned const p = 4;
   execute(p, [] {
@@ -295,45 +294,33 @@ TEST(load_balancer_test, SampledNoteAccessCountsMatchLockedPath)
     std::size_t const hot = 16; // location 0's closed-form block
     int const rounds = 40;
 
-    for (unsigned sample : {1u, 4u}) {
-      p_array<long> pa(n, 0);
-      load_balancer_config cfg;
-      cfg.hot_k = 64;
-      cfg.access_sample = sample;
-      pa.enable_load_balancing(cfg);
-      EXPECT_EQ(pa.get_directory().access_sample_every(), sample);
+    p_array<long> pa(n, 0);
+    load_balancer_config cfg;
+    cfg.hot_k = 64;
+    pa.enable_load_balancing(cfg);
 
-      skewed_workload(pa, hot, rounds);
+    skewed_workload(pa, hot, rounds);
 
-      // The per-epoch load counter counts *every* owner access, sampled
-      // sketch or not: identical to the locked path's verdict.
-      std::uint64_t const expect =
-          static_cast<std::uint64_t>(hot) * rounds * num_locations();
-      auto const loads = allgather(pa.get_directory().epoch_accesses());
-      std::uint64_t total = 0;
-      for (auto l : loads)
-        total += l;
-      EXPECT_EQ(total, expect)
-          << "lock-free counter diverged at sample=" << sample;
-      EXPECT_EQ(loads[0], expect) << "accesses counted off-owner";
+    std::uint64_t const expect =
+        static_cast<std::uint64_t>(hot) * rounds * num_locations();
+    auto const loads = allgather(pa.get_directory().epoch_accesses());
+    std::uint64_t total = 0;
+    for (auto l : loads)
+      total += l;
+    EXPECT_EQ(total, expect);
+    EXPECT_EQ(loads[0], expect) << "accesses counted off-owner";
 
-      // The sketch tracks all hot GIDs (weight-compensated sampling: each
-      // is expected ~rounds*P/sample times, so none can be missed), and
-      // its count estimates stay within the space-saving error bound.
-      if (this_location() == 0) {
-        auto const top = pa.get_directory().hot_elements();
-        EXPECT_GE(top.size(), hot);
-        std::uint64_t sketch_total = 0;
-        for (auto const& [g, count] : top) {
-          EXPECT_LT(g, hot);
-          sketch_total += count;
-        }
-        if (sample == 1) {
-          EXPECT_EQ(sketch_total, expect); // exact when unsampled
-        }
+    if (this_location() == 0) {
+      auto const top = pa.get_directory().hot_elements();
+      EXPECT_GE(top.size(), hot);
+      std::uint64_t sketch_total = 0;
+      for (auto const& [g, count] : top) {
+        EXPECT_LT(g, hot);
+        sketch_total += count;
       }
-      rmi_fence();
+      EXPECT_EQ(sketch_total, expect);
     }
+    rmi_fence();
   });
 }
 

@@ -356,20 +356,13 @@ TEST(NativeView, AlignedTraversalIsAllLocal)
 // Span path (storage views over closed-form containers) vs per-GID path
 // ---------------------------------------------------------------------------
 
-/// Element methods this location resolved through a container's
-/// thread-safety hooks (each location is one thread).  A per-GID read
-/// resolves every element through get_element; the span path none.
-thread_local std::size_t resolved_accesses = 0;
-
-struct counting_manager : no_locking_manager {
-  using no_locking_manager::no_locking_manager;
-  void data_access_pre(ths_info const&) noexcept { ++resolved_accesses; }
-};
-
-template <typename T>
-struct counting_traits : p_array_traits<T> {
-  using ths_manager_type = counting_manager;
-};
+/// Element methods this location has run inline (`rmi.local_rmis`).  A
+/// per-GID read resolves every local element through get_element, whose
+/// inline path counts one; the span path resolves none.
+std::uint64_t resolved_accesses()
+{
+  return metrics::snapshot()["rmi.local_rmis"];
+}
 
 // A read-only view's local pass walks const storage, so an update through
 // it does not compile.
@@ -439,11 +432,12 @@ void check_span_parity(C& c)
     return map_reduce(v, [](double x) { return x; }, std::plus<>{});
   };
   std::size_t const owned = c.local_gids().size();
-  std::size_t const before = resolved_accesses;
+  std::uint64_t const before = resolved_accesses();
   auto const span_sum = sum(av);
-  EXPECT_EQ(resolved_accesses - before, c.is_dynamic() ? owned : 0);
+  std::uint64_t const after_span = resolved_accesses();
+  EXPECT_EQ(after_span - before, c.is_dynamic() ? owned : 0);
   auto const gid_sum = sum(transform_view(av, [](double x) { return x; }));
-  EXPECT_EQ(resolved_accesses - before, (c.is_dynamic() ? 2 : 1) * owned);
+  EXPECT_EQ(resolved_accesses() - after_span, owned);
   ASSERT_EQ(span_sum.has_value(), n != 0);
   if (span_sum && gid_sum) {
     EXPECT_EQ(std::memcmp(&*span_sum, &*gid_sum, sizeof(double)), 0)
@@ -455,7 +449,7 @@ void check_span_parity(C& c)
 TEST_P(ViewAlgoTest, SpanParityBalancedPartition)
 {
   execute(GetParam(), [] {
-    p_array<double, balanced_partition, counting_traits<double>> pa(1000);
+    p_array<double> pa(1000);
     check_span_parity(pa);
   });
 }
@@ -463,8 +457,7 @@ TEST_P(ViewAlgoTest, SpanParityBalancedPartition)
 TEST_P(ViewAlgoTest, SpanParityBlockedPartition)
 {
   execute(GetParam(), [] {
-    p_array<double, blocked_partition, counting_traits<double>> pa(
-        1000, blocked_partition(7));
+    p_array<double, blocked_partition> pa(1000, blocked_partition(7));
     check_span_parity(pa);
   });
 }
@@ -472,7 +465,7 @@ TEST_P(ViewAlgoTest, SpanParityBlockedPartition)
 TEST_P(ViewAlgoTest, SpanParityBlockCyclicPartition)
 {
   execute(GetParam(), [] {
-    p_array<double, block_cyclic_partition, counting_traits<double>> pa(
+    p_array<double, block_cyclic_partition> pa(
         1000, block_cyclic_partition(2 * num_locations(), 5));
     check_span_parity(pa);
   });
@@ -482,7 +475,7 @@ TEST_P(ViewAlgoTest, SpanParityExplicitPartition)
 {
   execute(GetParam(), [] {
     // Uneven blocks, one of them empty.
-    p_array<double, explicit_partition, counting_traits<double>> pa(
+    p_array<double, explicit_partition> pa(
         1000, explicit_partition({500, 0, 1, 250, 249}));
     check_span_parity(pa);
   });
@@ -491,7 +484,7 @@ TEST_P(ViewAlgoTest, SpanParityExplicitPartition)
 TEST_P(ViewAlgoTest, SpanParityVectorAfterInsertFlush)
 {
   execute(GetParam(), [] {
-    p_vector<double, counting_traits<double>> pv(600);
+    p_vector<double> pv(600);
     if (this_location() == 0)
       for (gid1d at : {0u, 17u, 300u, 301u, 599u})
         pv.insert_async(at, -1.0);
@@ -505,7 +498,7 @@ TEST_P(ViewAlgoTest, DirectoryBackedPassVisitsExactlyTheOwnedElements)
 {
   execute(GetParam(), [] {
     std::size_t const n = 400;
-    p_array<double, balanced_partition, counting_traits<double>> pa(n);
+    p_array<double> pa(n);
     pa.make_dynamic();
     // Each location hands its first three elements to the next location,
     // so storage slots and ownership disagree everywhere.
