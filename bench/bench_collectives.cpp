@@ -240,9 +240,7 @@ int main(int argc, char** argv)
   std::printf("# Collectives — latency vs P, sender-side aggregation "
               "(pmax=%u)\n", pmax);
 
-  // Row key "<primitive>/p<P>" is unique, so bench_diff.py's row-matched
-  // differ tracks every point; its collectives-aware curve renderer parses
-  // the same key back into per-primitive latency-vs-P curves.
+  // One row per (primitive, P), keyed "<primitive>/p<P>".
   bench::table_header("collective latency vs P",
                       {"point", "locations", "latency_us"});
   for (primitive const& prim : primitives) {

@@ -107,9 +107,8 @@ inline void json_flush_table()
 }
 
 /// Serializes the process-wide metrics accumulator (every counter family
-/// the runtime folded at the end of each execute()) as one JSON object, so
-/// comm volume and task-graph counters are regression-tracked next to the
-/// timing tables.
+/// the runtime folded at the end of each execute()) as one JSON object,
+/// next to the timing tables.
 [[nodiscard]] inline std::string json_metrics()
 {
   std::string out = "{";

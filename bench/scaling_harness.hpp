@@ -16,10 +16,8 @@
 //   weak:    e(P) = t1 / tP         (fixed N per location: N = base_n * P)
 //
 // Output: tables through the bench_common row/column mirror (one table per
-// kernel x mode, rows keyed "pP" for the row-matching differ)
-// plus a machine-first "sweeps" JSON array attached to
-// BENCH_scaling.json via bench::set_extra_json — the input of
-// bench_diff.py's curve-aware diffing.
+// kernel x mode, rows keyed "pP") plus a machine-first "sweeps" JSON array
+// attached to BENCH_scaling.json via bench::set_extra_json.
 
 #include <atomic>
 #include <cstddef>
@@ -76,7 +74,7 @@ struct sweep_point {
 }
 
 /// Series identity: everything but P (and the P-derived N).  Efficiency is
-/// computed within a series; the differ matches curves by this key + p.
+/// computed within a series.
 [[nodiscard]] inline std::string series_key(sweep_point const& pt)
 {
   return pt.kernel + '/' + name(pt.mode);
@@ -221,9 +219,8 @@ metrics_json(stapl::metrics::counter_map const& m)
   return out + "}";
 }
 
-/// The "sweeps" JSON array: one object per point with the axes spelled out
-/// (bench_diff.py matches points by the axes tuple), timing, efficiency
-/// and the per-point metrics delta.
+/// The "sweeps" JSON array: one object per point with the axes spelled
+/// out, timing, efficiency and the per-point metrics delta.
 [[nodiscard]] inline std::string to_json(std::vector<point_result> const& rs)
 {
   std::string out = "[";
@@ -245,9 +242,8 @@ metrics_json(stapl::metrics::counter_map const& m)
   return out + "\n  ]";
 }
 
-/// Prints one table per kernel x mode through the bench_common mirror.
-/// The row key ("pP") is unique within a table, so the classic
-/// row-matching differ tracks every point too.
+/// Prints one table per kernel x mode through the bench_common mirror,
+/// one row per P (key "pP").
 inline void print_tables(std::vector<point_result> const& rs)
 {
   for (std::size_t i = 0; i < rs.size(); ++i) {

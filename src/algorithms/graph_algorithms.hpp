@@ -68,7 +68,6 @@ std::size_t bfs_levels(G& g, vertex_descriptor source)
   using graph_algo_detail::frontier_buffer;
   frontier_buffer frontier;
   rmi_handle const fh = frontier.get_handle();
-  rmi_handle const gh = g.get_handle();
 
   // Reset levels.
   g.for_each_local_vertex([](vertex_descriptor, auto& rec) {
@@ -109,7 +108,6 @@ std::size_t bfs_levels(G& g, vertex_descriptor source)
     }
     rmi_fence();
   }
-  (void)gh;
   rmi_fence();
   return visited;
 }

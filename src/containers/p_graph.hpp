@@ -495,11 +495,13 @@ class p_graph final
     this->get_directory().register_gid(gid);
   }
 
-  /// Deletes a vertex (its record and out-edges).  As in the dissertation,
-  /// this is not a transaction: directory update and record removal are
-  /// individually atomic, in-edges elsewhere are not chased.
+  /// Deletes a vertex (its record and out-edges).  Dynamic only: a static
+  /// vertex set is fixed.  As in the dissertation, this is not a
+  /// transaction: directory update and record removal are individually
+  /// atomic, in-edges elsewhere are not chased.
   void delete_vertex(gid_type v)
   {
+    assert(!is_static() && "delete_vertex on a static pGraph");
     this->invoke(v, [v](p_graph& g, bcid_type b) {
       g.bc(b).delete_vertex(v);
       g.dyn_forget(v);
@@ -661,7 +663,13 @@ class p_graph final
   // Global properties / traversal
   // -------------------------------------------------------------------------
 
-  [[nodiscard]] std::size_t get_num_vertices() { return this->size(); }
+  /// Global vertex count.  A static vertex set is fixed, so its count is
+  /// the partition's closed form, as for p_container_static; a dynamic
+  /// graph asks every location (p_container_dynamic::size).
+  [[nodiscard]] std::size_t get_num_vertices()
+  {
+    return is_static() ? this->m_partition.domain().size() : this->size();
+  }
 
   [[nodiscard]] std::size_t get_local_num_edges() const
   {

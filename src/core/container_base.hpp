@@ -359,18 +359,20 @@ class p_container_base : public p_object {
 
   /// Split-phase execution: returns a future for `action`'s result.  The
   /// request is routed like any other, and the owner fills the future in
-  /// (Ch. VII.F "split phase reads").
+  /// (Ch. VII.F "split phase reads"); as in invoke, only a call that runs
+  /// here counts as a local invocation.
   template <typename Action>
   [[nodiscard]] auto invoke_split(gid_type gid, Action action)
   {
     using result_type =
         std::invoke_result_t<Action&, Derived&, bcid_type>;
     auto st = std::make_shared<typename pc_future<result_type>::state>();
-    route(gid, [st, action = std::move(action)](Derived& c,
-                                                bcid_type b) mutable {
-      st->value.emplace(action(c, b));
-      st->ready.store(true, std::memory_order_release);
-    });
+    if (route(gid, [st, action = std::move(action)](Derived& c,
+                                                    bcid_type b) mutable {
+          st->value.emplace(action(c, b));
+          st->ready.store(true, std::memory_order_release);
+        }))
+      note_local_invocation();
     return pc_future<result_type>(std::move(st));
   }
 

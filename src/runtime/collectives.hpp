@@ -13,8 +13,8 @@
 // barriers per call, it makes every collective a location barrier, and
 // RMI traffic keeps progressing while a location waits.  Folds are
 // rank-ordered, so associative but non-commutative operators give one
-// deterministic answer on every location.  Each allreduce / broadcast /
-// reduce / allgather call at P > 1 counts one `coll.ops`.
+// deterministic answer on every location.  Each exchange at P > 1 counts
+// one `coll.ops`, so every collective call counts once.
 
 #include "runtime.hpp"
 
@@ -31,6 +31,8 @@ template <typename T, typename Reader>
 void exchange(T const& mine, Reader reader)
 {
   auto& self = rt().loc(tl_location);
+  if (rt().num_locations() > 1)
+    self.stats.coll_ops += 1;
   self.slot = &mine;
   polling_barrier_wait();
   reader();
@@ -56,7 +58,6 @@ template <typename T, typename BinaryOp>
   using namespace runtime_detail;
   if (num_locations() == 1)
     return value;
-  rt().loc(tl_location).stats.coll_ops += 1;
   T result = value;
   exchange(value, [&] {
     result = slot_of<T>(0);
@@ -73,7 +74,6 @@ template <typename T>
   using namespace runtime_detail;
   if (num_locations() == 1)
     return value;
-  rt().loc(tl_location).stats.coll_ops += 1;
   T result{};
   exchange(value, [&] { result = slot_of<T>(root); });
   return result;
@@ -89,7 +89,6 @@ template <typename T, typename BinaryOp>
   unsigned const p = num_locations();
   if (p == 1)
     return value;
-  rt().loc(tl_location).stats.coll_ops += 1;
   T result = value;
   exchange(value, [&] {
     if (tl_location != root)
@@ -109,7 +108,6 @@ template <typename T>
   unsigned const p = num_locations();
   if (p == 1)
     return std::vector<T>{value};
-  rt().loc(tl_location).stats.coll_ops += 1;
   std::vector<T> result(p);
   exchange(value, [&] {
     for (location_id l = 0; l < p; ++l)

@@ -66,16 +66,6 @@ struct runtime_config {
   /// RMI count is still below `aggregation` — large payloads should not
   /// sit in the buffer waiting for company.
   std::size_t agg_max_bytes = 4096;
-  /// Per-sender sequence numbers + receiver-side duplicate suppression on
-  /// queued delivery (exactly-once under duplication/reordering).  Latched
-  /// on whenever the fault layer is armed; off by default because the
-  /// in-process transport never duplicates.
-  bool sequenced_delivery = false;
-  /// Hard bound on the deferred-retry queue (parked requests whose target
-  /// has not registered yet).  Growth past this means a registration will
-  /// never arrive — the watchdog dumps and the debug build asserts instead
-  /// of letting the queue grow silently.
-  std::size_t max_deferred = std::size_t{1} << 20;
 };
 
 /// Per-location communication statistics (performance monitor).
@@ -351,11 +341,13 @@ class runtime_impl {
     }
     // Latched once per execution: arming the fault layer after execute()
     // starts cannot retroactively sequence in-flight traffic, so arm first.
-    m_sequenced = cfg.sequenced_delivery || fault::armed();
+    m_sequenced = fault::armed();
   }
 
   /// Whether queued delivery carries per-sender sequence numbers with
-  /// receiver-side duplicate suppression (see runtime_config).
+  /// receiver-side duplicate suppression (exactly-once under injected
+  /// duplication and reordering).  On whenever the fault layer is armed;
+  /// the in-process transport itself never duplicates.
   [[nodiscard]] bool sequenced() const noexcept { return m_sequenced; }
 
   [[nodiscard]] runtime_config const& config() const noexcept { return m_cfg; }
@@ -471,6 +463,12 @@ inline void flush_aggregation()
   }
 }
 
+/// Hard bound on the deferred-retry queue (parked requests whose target
+/// has not registered yet).  Growth past it means a registration will
+/// never arrive: the watchdog dumps and the debug build asserts instead of
+/// letting the queue grow silently.
+inline constexpr std::size_t max_deferred = std::size_t{1} << 20;
+
 /// Executes one round of incoming requests; returns true if any executed.
 inline bool poll_once()
 {
@@ -538,7 +536,7 @@ inline bool poll_once()
                             std::memory_order_relaxed);
   if (parked > self.stats.deferred_hw) {
     self.stats.deferred_hw = parked;
-    if (parked > rt().config().max_deferred) {
+    if (parked > max_deferred) {
       // Parked requests wait for a registration; past the bound that
       // registration is never coming.  Dump once per crossing, then trap
       // in debug builds rather than grow silently.

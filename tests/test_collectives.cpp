@@ -222,9 +222,9 @@ TEST(Collectives, BackToBackMixedPrimitives)
   }
 }
 
-// coll.ops counts one per call of the four primitives at P > 1 on every
-// location (exclusive_scan is not one of them), and the merged snapshot
-// carries the coll.* keys.
+// coll.ops counts one per collective call (each is one value exchange) at
+// P > 1 on every location, exclusive_scan included, and the merged
+// snapshot carries the coll.* keys.
 TEST(Collectives, GlobalSnapshotCarriesCollKeys)
 {
   execute(1, [] {
@@ -238,7 +238,7 @@ TEST(Collectives, GlobalSnapshotCarriesCollKeys)
     (void)allgather(1);
     (void)exclusive_scan(1, std::plus<>{}, 0);
     auto const m = metrics::global_snapshot();
-    EXPECT_EQ(m.at("coll.ops"), 8u * 4u);
+    EXPECT_EQ(m.at("coll.ops"), 8u * 5u);
     std::vector<std::string> keys;
     for (auto const& [k, v] : m)
       if (k.rfind("coll.", 0) == 0)

@@ -169,30 +169,6 @@ TEST_P(SampleSortDistTest, FewerElementsThanLocations)
 INSTANTIATE_TEST_SUITE_P(Locations, SampleSortDistTest,
                          ::testing::Values(1, 2, 4, 8));
 
-TEST(SampleSort, OneMessagePerOwnerWithManyBlocksPerLocation)
-{
-  execute(4, [] {
-    // 28 blocks of 37 elements, 7 consecutive ones per location.  600 equal
-    // keys fall into one bucket, so that location's sorted range covers
-    // several blocks of other owners; each owner still gets its part in
-    // one RMI, so a location sends at most one bucket batch and one
-    // write-back range to each other location.
-    p_array<long, blocked_partition> pa(1000, blocked_partition(37));
-    auto ref = random_values(1000);
-    std::fill_n(ref.begin(), 600, 0);
-    for (gid1d g = 0; g < ref.size(); ++g)
-      if (pa.is_local(g))
-        pa.local_element(g) = ref[g];
-    rmi_fence();
-    metrics::reset_all();
-    p_sample_sort(pa);
-    EXPECT_LE(metrics::snapshot().at("rmi.rmis_sent"),
-              2u * (num_locations() - 1));
-    EXPECT_TRUE(p_is_sorted(pa));
-    rmi_fence();
-  });
-}
-
 // ---------------------------------------------------------------------------
 // sort_detail: bucket index and splitter balance
 // ---------------------------------------------------------------------------
