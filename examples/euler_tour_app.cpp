@@ -2,6 +2,7 @@
 // postorder numbers with the Euler tour technique + parallel list ranking.
 //
 // Run: ./euler_tour_app [num_locations] [tree_vertices]
+// Exits non-zero when a result differs from the expectation it prints.
 
 #include "algorithms/euler_tour.hpp"
 #include "runtime/timer.hpp"
@@ -13,8 +14,9 @@ int main(int argc, char** argv)
 {
   unsigned const p = argc > 1 ? std::atoi(argv[1]) : 4;
   std::size_t const n = argc > 2 ? (std::size_t)std::atoll(argv[2]) : 1023;
+  bool ok = true; // written by location 0 only
 
-  stapl::execute(p, [n] {
+  stapl::execute(p, [n, &ok] {
     using namespace stapl;
 
     euler_tour_results results(n);
@@ -31,10 +33,11 @@ int main(int argc, char** argv)
                     results.parent.get_element(v),
                     results.level.get_element(v),
                     results.postorder.get_element(v));
-      std::printf("root postorder = %ld (expect %zu)\n",
-                  results.postorder.get_element(0), n);
+      long const root_post = results.postorder.get_element(0);
+      std::printf("root postorder = %ld (expect %zu)\n", root_post, n);
+      ok &= root_post == static_cast<long>(n);
     }
     rmi_fence();
   });
-  return 0;
+  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }

@@ -3,6 +3,7 @@
 // kernel the pView layer is designed for.
 //
 // Run: ./heat_stencil [num_locations] [cells] [steps]
+// Exits non-zero when the total heat is not conserved.
 
 #include "algorithms/p_algorithms.hpp"
 #include "containers/p_array.hpp"
@@ -16,8 +17,9 @@ int main(int argc, char** argv)
   unsigned const p = argc > 1 ? std::atoi(argv[1]) : 4;
   std::size_t const n = argc > 2 ? (std::size_t)std::atoll(argv[2]) : 1000;
   std::size_t const steps = argc > 3 ? (std::size_t)std::atoll(argv[3]) : 200;
+  bool ok = true; // written by location 0 only
 
-  stapl::execute(p, [n, steps] {
+  stapl::execute(p, [n, steps, &ok] {
     using namespace stapl;
 
     p_array<double> a(n, 0.0), b(n, 0.0);
@@ -50,8 +52,9 @@ int main(int argc, char** argv)
       std::printf("after %zu steps: total heat %.3f (conserved ~1000), "
                   "peak %.3f at cell %zu\n",
                   steps, total, mx->second, mx->first);
+      ok &= std::abs(total - 1000.0) < 1e-6;
     }
     rmi_fence();
   });
-  return 0;
+  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }

@@ -1,6 +1,7 @@
 // Quickstart: the Fig. 26-style introduction to stapl-pcf.
 //
 // Build & run:   ./quickstart [num_locations]
+// Exits non-zero when a result differs from the expectation it prints.
 //
 // Shows: SPMD execution, pArray construction with different partitions, the
 // shared-object view (every location can touch every element), sync/async/
@@ -15,8 +16,9 @@
 int main(int argc, char** argv)
 {
   unsigned const p = argc > 1 ? std::atoi(argv[1]) : 4;
+  bool ok = true; // written by location 0 only
 
-  stapl::execute(p, [] {
+  stapl::execute(p, [&ok] {
     using namespace stapl;
 
     // A pArray of 100 integers, balanced across locations (Fig. 26).
@@ -47,13 +49,14 @@ int main(int argc, char** argv)
     long const total = p_accumulate(view, 0L);
 
     if (this_location() == 0) {
-      std::printf("pa[42] = %d, pa[7] = %d (+%d)\n", v42, v7,
-                  local_work > 0 ? 0 : 1);
+      std::printf("pa[42] = %d, pa[7] = %d (+%d) (expect 42 and 7)\n", v42,
+                  v7, local_work > 0 ? 0 : 1);
       std::printf("sum of 2*0..2*99 = %ld (expect 9900)\n", total);
       std::printf("locations: %u, local elements here: %zu\n",
                   num_locations(), pa.local_size());
+      ok &= v42 == 42 && v7 == 7 && total == 9900;
     }
     rmi_fence();
   });
-  return 0;
+  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }

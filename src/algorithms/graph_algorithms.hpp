@@ -57,6 +57,16 @@ struct frontier_buffer : p_object {
   std::vector<vertex_descriptor> next;
 };
 
+/// Global vertex count inside a collective: the closed form on a static
+/// graph, one allreduce of the local counts on a dynamic one (whose
+/// get_num_vertices asks every other location in turn).
+template <typename G>
+[[nodiscard]] std::size_t num_vertices(G& g)
+{
+  return g.is_static() ? g.get_num_vertices()
+                       : allreduce(g.local_size(), std::plus<>{});
+}
+
 } // namespace graph_algo_detail
 
 /// Level-synchronous breadth-first traversal from `source`; fills
@@ -197,7 +207,7 @@ std::vector<vertex_descriptor> find_sources(G& g)
 template <typename G>
 void page_rank(G& g, std::size_t iterations, double damping = 0.85)
 {
-  std::size_t const n = g.get_num_vertices();
+  std::size_t const n = graph_algo_detail::num_vertices(g);
   if (n == 0)
     return;
   double const init = 1.0 / static_cast<double>(n);
@@ -251,7 +261,7 @@ struct dynamic_pagerank_property {
 template <typename G>
 void page_rank_push_init(G& g, double damping = 0.85)
 {
-  std::size_t const n = g.get_num_vertices();
+  std::size_t const n = graph_algo_detail::num_vertices(g);
   if (n == 0)
     return;
   double const r0 = (1.0 - damping) / static_cast<double>(n);

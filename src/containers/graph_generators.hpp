@@ -26,11 +26,7 @@ namespace generator_detail {
 /// The slice of [0, n) this location is responsible for creating.
 inline std::pair<std::size_t, std::size_t> my_slice(std::size_t n)
 {
-  std::size_t const p = num_locations();
-  std::size_t const me = this_location();
-  std::size_t const q = n / p, r = n % p;
-  std::size_t const lo = me < r ? me * (q + 1) : r * (q + 1) + (me - r) * q;
-  std::size_t const sz = me < r ? q + 1 : q;
+  auto const [lo, sz] = split1d(n, num_locations(), this_location());
   return {lo, lo + sz};
 }
 

@@ -23,10 +23,9 @@
 //   pa.enable_load_balancing({.imbalance_threshold = 1.25});  // collective
 //   ... skewed element-method traffic ...
 //   auto rep = pa.rebalance();     // hot elements spread over locations
-// or call pa.advance_epoch() from an iteration loop to rebalance
-// periodically.  Migrated-out slots of the contiguous bContainers stay
-// allocated (see extract_element below), so balancing trades that slack
-// space for method-routing throughput.
+// Migrated-out slots of the contiguous bContainers stay allocated (see
+// extract_element below), so balancing trades that slack space for
+// method-routing throughput.
 
 #include <cstddef>
 #include <utility>

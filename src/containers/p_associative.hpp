@@ -12,10 +12,10 @@
 // the Ch. XII storage trade-off.
 //
 // After make_dynamic(), hot keys can be redistributed at run time:
-// enable_load_balancing() + rebalance()/advance_epoch() migrate the most
-// frequently accessed keys off overloaded locations (see
-// core/load_balancer.hpp).  Associative bContainers absorb migrated-in
-// keys natively, so balanced placement costs no overflow storage here.
+// enable_load_balancing() + rebalance() migrate the most frequently
+// accessed keys off overloaded locations (see core/load_balancer.hpp).
+// Associative bContainers absorb migrated-in keys natively, so balanced
+// placement costs no overflow storage here.
 
 #include <cstddef>
 #include <map>

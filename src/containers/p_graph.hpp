@@ -17,19 +17,19 @@
 //                            fetches the owner from the home first (two
 //                            round trips, no computation migration).
 //
-// Vertex storage is customizable through the traits (Fig. 16): hashed map
-// storage for dynamic graphs or dense vector storage for static ones.
+// Vertex storage follows the partition kind (Fig. 16): a static graph
+// stores its slice densely and finds a vertex by offset, a dynamic one
+// finds it through a hashed index (graph_bcontainer below).
 //
 // Dynamic graphs are directory-backed from birth, so they opt straight into
 // hot-vertex load balancing (core/load_balancer.hpp):
 // enable_load_balancing() starts owner-side access tracking, and
-// rebalance()/advance_epoch() migrate the hottest vertices (property and
-// out-edge list, see the migration hooks below) off overloaded locations.
+// rebalance() migrates the hottest vertices (property and out-edge list,
+// see the migration hooks below) off overloaded locations.
 // High-degree hub vertices of skewed graphs are the canonical case.
 
 #include <cassert>
 #include <cstddef>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -83,8 +83,12 @@ struct graph_edge {
   EP property{};
 };
 
-/// Adjacency-list storage for the vertices of one location
-/// (hashed map storage; Ch. XI.D / Fig. 16 "std::map storage").
+/// Adjacency-list storage for the vertices of one location (Ch. XI.D): one
+/// vector of (descriptor, record) slots, whose lookup follows the partition
+/// kind as in Fig. 16.  A static graph's fixed slice [base, base + n) is
+/// created by the constructor and found by offset, with no hashing.  A
+/// dynamic graph's vertices come and go: an id -> slot index finds them,
+/// and removing one moves the last record into the freed slot.
 template <typename VP, typename EP>
 class graph_bcontainer {
  public:
@@ -97,8 +101,16 @@ class graph_bcontainer {
     std::vector<edge_type> edges;
   };
 
-  graph_bcontainer() = default;
+  /// Dynamic storage: starts empty.
   explicit graph_bcontainer(bcid_type bcid) : m_bcid(bcid) {}
+  /// Static storage: the fixed vertex slice [base, base + n).
+  graph_bcontainer(bcid_type bcid, vertex_descriptor base, std::size_t n)
+      : m_bcid(bcid), m_static(true), m_base(base)
+  {
+    m_v.reserve(n);
+    for (std::size_t i = 0; i != n; ++i)
+      m_v.emplace_back(base + i, vertex_record{});
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return m_v.size(); }
   [[nodiscard]] bool empty() const noexcept { return m_v.empty(); }
@@ -106,155 +118,60 @@ class graph_bcontainer {
   void clear()
   {
     m_v.clear();
+    m_index.clear();
     m_edges = 0;
   }
 
-  bool add_vertex(vertex_descriptor v, VP vp)
+  /// Stores a new vertex (dynamic storage only); false when `v` is here.
+  bool add_vertex(vertex_descriptor v, vertex_record rec)
   {
-    return m_v.emplace(v, vertex_record{std::move(vp), {}}).second;
+    assert(!m_static && "a static graph's vertex set is fixed");
+    if (!m_index.try_emplace(v, m_v.size()).second)
+      return false;
+    m_edges += rec.edges.size();
+    m_v.emplace_back(v, std::move(rec));
+    return true;
   }
   bool delete_vertex(vertex_descriptor v)
   {
-    auto it = m_v.find(v);
-    if (it == m_v.end())
+    if (!has_vertex(v))
       return false;
-    m_edges -= it->second.edges.size();
-    m_v.erase(it);
+    (void)extract_vertex(v);
     return true;
   }
-  /// Removes the vertex and returns its record (edge count stays
-  /// consistent — used by the migration protocol).
+  /// Removes the vertex and returns its record (dynamic storage only; used
+  /// by the migration protocol).  The last slot fills the hole.
   [[nodiscard]] vertex_record extract_vertex(vertex_descriptor v)
   {
-    auto it = m_v.find(v);
-    assert(it != m_v.end() && "extract_vertex: vertex not here");
-    vertex_record rec = std::move(it->second);
+    assert(!m_static && "a static graph's vertex set is fixed");
+    auto const it = m_index.find(v);
+    assert(it != m_index.end() && "extract_vertex: vertex not here");
+    std::size_t const s = it->second;
+    m_index.erase(it);
+    vertex_record rec = std::move(m_v[s].second);
     m_edges -= rec.edges.size();
-    m_v.erase(it);
+    if (s + 1 != m_v.size()) {
+      m_v[s] = std::move(m_v.back());
+      m_index[m_v[s].first] = s;
+    }
+    m_v.pop_back();
     return rec;
   }
   [[nodiscard]] bool has_vertex(vertex_descriptor v) const
   {
-    return m_v.count(v) != 0;
+    return m_static ? v - m_base < m_v.size() : m_index.count(v) != 0;
   }
   [[nodiscard]] vertex_record& vertex(vertex_descriptor v)
   {
-    return m_v.at(v);
+    return m_v[slot(v)].second;
   }
   [[nodiscard]] vertex_record const& vertex(vertex_descriptor v) const
   {
-    return m_v.at(v);
+    return m_v[slot(v)].second;
   }
 
   /// Adds an out-edge at `src` (which must be local).  Returns false when a
   /// duplicate target exists and multi-edges are disallowed.
-  bool add_edge(vertex_descriptor src, vertex_descriptor tgt, EP ep,
-                bool multi)
-  {
-    auto& rec = m_v.at(src);
-    if (!multi)
-      for (auto const& e : rec.edges)
-        if (e.target == tgt)
-          return false;
-    rec.edges.push_back(edge_type{tgt, std::move(ep)});
-    ++m_edges;
-    return true;
-  }
-
-  bool delete_edge(vertex_descriptor src, vertex_descriptor tgt)
-  {
-    auto it = m_v.find(src);
-    if (it == m_v.end())
-      return false;
-    auto& es = it->second.edges;
-    for (auto e = es.begin(); e != es.end(); ++e)
-      if (e->target == tgt) {
-        es.erase(e);
-        --m_edges;
-        return true;
-      }
-    return false;
-  }
-
-  [[nodiscard]] std::size_t num_local_edges() const noexcept
-  {
-    return m_edges;
-  }
-
-  [[nodiscard]] auto begin() noexcept { return m_v.begin(); }
-  [[nodiscard]] auto end() noexcept { return m_v.end(); }
-  [[nodiscard]] auto begin() const noexcept { return m_v.begin(); }
-  [[nodiscard]] auto end() const noexcept { return m_v.end(); }
-
-  [[nodiscard]] memory_report memory_size() const noexcept
-  {
-    std::size_t data = 0;
-    for (auto const& [v, rec] : m_v)
-      data += sizeof(vertex_record) + rec.edges.capacity() * sizeof(edge_type);
-    return {sizeof(*this) + m_v.size() * 4 * sizeof(void*), data};
-  }
-
- private:
-  bcid_type m_bcid = invalid_bcid;
-  std::unordered_map<vertex_descriptor, vertex_record> m_v;
-  std::size_t m_edges = 0;
-};
-
-/// Dense vector storage for *static* graphs (the Fig. 16 "vector storage"
-/// customization): vertices of the location's contiguous slice [base,
-/// base+n) are stored by offset in a flat vector — O(1) access without
-/// hashing.  Vertex deletion is not supported (static vertex set).
-template <typename VP, typename EP>
-class dense_graph_bcontainer {
- public:
-  using vertex_property = VP;
-  using edge_property = EP;
-  using edge_type = graph_edge<EP>;
-
-  struct vertex_record {
-    VP property{};
-    std::vector<edge_type> edges;
-  };
-
-  dense_graph_bcontainer() = default;
-  explicit dense_graph_bcontainer(bcid_type bcid) : m_bcid(bcid) {}
-
-  [[nodiscard]] std::size_t size() const noexcept { return m_v.size(); }
-  [[nodiscard]] bool empty() const noexcept { return m_v.empty(); }
-  [[nodiscard]] bcid_type get_bcid() const noexcept { return m_bcid; }
-  void clear()
-  {
-    m_v.clear();
-    m_edges = 0;
-  }
-
-  /// Vertices must arrive in ascending contiguous order (static init).
-  bool add_vertex(vertex_descriptor v, VP vp)
-  {
-    if (m_v.empty())
-      m_base = v;
-    assert(v == m_base + m_v.size() && "dense storage requires contiguous ids");
-    m_v.push_back({v, vertex_record{std::move(vp), {}}});
-    return true;
-  }
-  bool delete_vertex(vertex_descriptor)
-  {
-    assert(false && "dense (static) graph storage cannot delete vertices");
-    return false;
-  }
-  [[nodiscard]] bool has_vertex(vertex_descriptor v) const noexcept
-  {
-    return v >= m_base && v < m_base + m_v.size();
-  }
-  [[nodiscard]] vertex_record& vertex(vertex_descriptor v)
-  {
-    return m_v[v - m_base].second;
-  }
-  [[nodiscard]] vertex_record const& vertex(vertex_descriptor v) const
-  {
-    return m_v[v - m_base].second;
-  }
-
   bool add_edge(vertex_descriptor src, vertex_descriptor tgt, EP ep,
                 bool multi)
   {
@@ -297,22 +214,25 @@ class dense_graph_bcontainer {
     std::size_t data = 0;
     for (auto const& [v, rec] : m_v)
       data += sizeof(vertex_record) + rec.edges.capacity() * sizeof(edge_type);
-    return {sizeof(*this), data};
+    return {sizeof(*this) + m_index.size() * 4 * sizeof(void*), data};
   }
 
  private:
-  bcid_type m_bcid = invalid_bcid;
-  std::size_t m_base = 0;
-  std::vector<std::pair<vertex_descriptor, vertex_record>> m_v;
-  std::size_t m_edges = 0;
-};
+  /// The slot of a stored vertex: its offset in a static slice, its index
+  /// entry otherwise.
+  [[nodiscard]] std::size_t slot(vertex_descriptor v) const
+  {
+    std::size_t const s = m_static ? v - m_base : m_index.at(v);
+    assert(s < m_v.size() && "vertex not stored here");
+    return s;
+  }
 
-/// Traits selecting dense vector storage (static graphs only) — the
-/// Ch. V.H / Fig. 16 customization.
-template <typename VP, typename EP>
-struct p_static_graph_traits {
-  using bcontainer_type = dense_graph_bcontainer<VP, EP>;
-  using mapper_type = cyclic_mapper;
+  bcid_type m_bcid = invalid_bcid;
+  bool m_static = false;
+  vertex_descriptor m_base = 0;
+  std::vector<std::pair<vertex_descriptor, vertex_record>> m_v;
+  std::unordered_map<vertex_descriptor, std::size_t> m_index;
+  std::size_t m_edges = 0;
 };
 
 /// Partition facade for graphs: one bContainer per location.  Static graphs
@@ -336,9 +256,7 @@ class graph_partition {
   [[nodiscard]] bcid_type get_info(gid_type v) const noexcept
   {
     assert(m_kind == graph_partition_kind::static_balanced);
-    std::size_t const q = m_n / m_p, r = m_n % m_p;
-    std::size_t const big = r * (q + 1);
-    return v < big ? v / (q + 1) : r + (v - big) / (q > 0 ? q : 1);
+    return index1d(m_n, m_p, v);
   }
 
   void define_type(typer& t)
@@ -354,20 +272,14 @@ class graph_partition {
   unsigned m_p = 1;
 };
 
-template <typename VP, typename EP>
-struct p_graph_traits {
-  using bcontainer_type = graph_bcontainer<VP, EP>;
-  using mapper_type = cyclic_mapper; // bcid == location (identity for p==p)
-};
-
 namespace detail {
 
-template <typename VP, typename EP, typename Traits>
+template <typename VP, typename EP>
 struct graph_traits_bundle {
   using value_type = VP;
   using partition_type = graph_partition;
-  using mapper_type = typename Traits::mapper_type;
-  using bcontainer_type = typename Traits::bcontainer_type;
+  using mapper_type = cyclic_mapper; // bcid == location (identity for p==p)
+  using bcontainer_type = graph_bcontainer<VP, EP>;
 };
 
 } // namespace detail
@@ -377,19 +289,18 @@ struct graph_traits_bundle {
 // ---------------------------------------------------------------------------
 
 template <graph_directedness D, graph_multiplicity M,
-          typename VP = no_property, typename EP = no_property,
-          typename Traits = p_graph_traits<VP, EP>>
+          typename VP = no_property, typename EP = no_property>
 class p_graph final
-    : public p_container_dynamic<p_graph<D, M, VP, EP, Traits>,
-                                 detail::graph_traits_bundle<VP, EP, Traits>> {
-  using base = p_container_dynamic<p_graph<D, M, VP, EP, Traits>,
-                                   detail::graph_traits_bundle<VP, EP, Traits>>;
+    : public p_container_dynamic<p_graph<D, M, VP, EP>,
+                                 detail::graph_traits_bundle<VP, EP>> {
+  using base = p_container_dynamic<p_graph<D, M, VP, EP>,
+                                   detail::graph_traits_bundle<VP, EP>>;
 
  public:
   using vertex_property = VP;
   using edge_property = EP;
   using gid_type = vertex_descriptor;
-  using bcontainer_type = typename Traits::bcontainer_type;
+  using bcontainer_type = graph_bcontainer<VP, EP>;
   using vertex_record = typename bcontainer_type::vertex_record;
 
   static constexpr bool is_directed = (D == graph_directedness::directed);
@@ -456,10 +367,7 @@ class p_graph final
 
   void insert_migrated(gid_type v, vertex_record rec)
   {
-    auto& bc = this->bc(this->get_location_id());
-    (void)bc.add_vertex(v, std::move(rec.property));
-    for (auto& e : rec.edges)
-      (void)bc.add_edge(v, e.target, std::move(e.property), true);
+    (void)this->bc(this->get_location_id()).add_vertex(v, std::move(rec));
   }
 
   // -------------------------------------------------------------------------
@@ -477,21 +385,15 @@ class p_graph final
 
   /// Adds a vertex with an explicit descriptor.  Dynamic graphs store it on
   /// the *calling* location and register it with the directory home
-  /// (asynchronously — complete at the next fence).  Static graphs route the
-  /// property to the closed-form owner of `gid`.
+  /// (asynchronously — complete at the next fence).  A static vertex set is
+  /// fixed, so there it only sets the property of `gid`.
   void add_vertex(gid_type gid, VP vp)
   {
     if (is_static()) {
-      this->invoke(gid, [gid, vp = std::move(vp)](p_graph& g, bcid_type b) {
-        auto& bc = g.bc(b);
-        if (bc.has_vertex(gid))
-          bc.vertex(gid).property = vp;
-        else
-          bc.add_vertex(gid, vp);
-      });
+      set_vertex_property(gid, std::move(vp));
       return;
     }
-    this->bc(this->get_location_id()).add_vertex(gid, std::move(vp));
+    this->bc(this->get_location_id()).add_vertex(gid, {std::move(vp), {}});
     this->get_directory().register_gid(gid);
   }
 
@@ -735,15 +637,12 @@ class p_graph final
           kind == graph_partition_kind::dynamic_forwarding);
     }
     bcid_type const me = this->get_location_id();
-    auto& bc = this->m_lm.emplace_bcontainer(me, me);
     if (kind == graph_partition_kind::static_balanced) {
       // Pre-create the local slice of [0, n).
-      std::size_t const p = num_locations();
-      std::size_t const q = n / p, r = n % p;
-      std::size_t const lo = me < r ? me * (q + 1) : r * (q + 1) + (me - r) * q;
-      std::size_t const sz = me < r ? q + 1 : q;
-      for (std::size_t v = lo; v < lo + sz; ++v)
-        bc.add_vertex(v, VP{});
+      auto const [lo, sz] = split1d(n, num_locations(), me);
+      this->m_lm.emplace_bcontainer(me, me, lo, sz);
+    } else {
+      this->m_lm.emplace_bcontainer(me, me);
     }
     rmi_fence();
   }
@@ -756,8 +655,7 @@ class p_graph final
 
   std::uint64_t m_next_vertex = 0;
 
-  template <graph_directedness, graph_multiplicity, typename, typename,
-            typename>
+  template <graph_directedness, graph_multiplicity, typename, typename>
   friend class p_graph;
 };
 

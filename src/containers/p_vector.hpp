@@ -48,7 +48,7 @@ class pv_unbalanced_partition {
     std::size_t const parts = std::max<std::size_t>(size(), 1);
     std::vector<std::size_t> sizes(parts);
     for (std::size_t b = 0; b != parts; ++b)
-      sizes[b] = d.size() / parts + (b < d.size() % parts ? 1 : 0);
+      sizes[b] = split1d(d.size(), parts, b).second;
     set_sizes(sizes);
   }
 

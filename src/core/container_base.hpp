@@ -37,10 +37,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <type_traits>
 #include <unordered_map>
@@ -199,28 +197,19 @@ class p_container_base : public p_object {
 
   /// Collective: switches to directory-backed resolution (if not already)
   /// and starts tracking owner-side accesses, making the container eligible
-  /// for rebalance()/advance_epoch().
+  /// for rebalance().
   void enable_load_balancing(load_balancer_config cfg = {})
   {
     m_lb_cfg = cfg;
     derived().make_dynamic(); // no-op fence when already dynamic
     m_directory->enable_access_tracking(cfg.hot_k);
     m_lb_enabled = true;
-    m_lb_interval = std::max(1u, cfg.epoch_interval);
-    if (cfg.auto_epoch)
-      m_lb_interval = std::clamp(m_lb_interval, cfg.min_epoch_interval,
-                                 cfg.max_epoch_interval);
-    m_lb_countdown = cfg.epoch_interval == 0 ? 0 : m_lb_interval;
     rmi_fence(); // tracking live everywhere before anyone measures
   }
 
   [[nodiscard]] bool load_balancing_enabled() const noexcept
   {
     return m_lb_enabled;
-  }
-  [[nodiscard]] load_balancer_config const& lb_config() const noexcept
-  {
-    return m_lb_cfg;
   }
 
   /// Collective: one rebalance wave (measure -> plan -> batched migrations);
@@ -229,49 +218,6 @@ class p_container_base : public p_object {
   {
     assert(m_lb_enabled && "rebalance(): enable_load_balancing() first");
     return stapl::rebalance(derived(), m_lb_cfg);
-  }
-
-  /// Collective: marks the end of one computation epoch; runs a rebalance
-  /// wave when the epoch interval elapses.  With cfg.auto_epoch the
-  /// interval self-tunes from the imbalance drift observed between
-  /// consecutive waves' load summaries: a triggered wave or fast drift
-  /// halves it (re-measure soon — placement is in flux), a quiet stable
-  /// wave doubles it (stop paying measurement fences), clamped to
-  /// [min_epoch_interval, max_epoch_interval].  The reports are identical
-  /// on every location, so the tuned interval stays SPMD-consistent.
-  /// Returns the report when a wave ran.  Call from the application's
-  /// iteration loop.
-  std::optional<rebalance_report> advance_epoch()
-  {
-    if (!m_lb_enabled)
-      return std::nullopt; // epochs only count once balancing is live, so
-                           // the first wave fires a full interval after
-                           // enable_load_balancing(), not at an arbitrary
-                           // phase of the app's iteration count
-    m_lb_epoch += 1;
-    STAPL_TRACE(trace::event_kind::epoch_advance, m_lb_epoch);
-    if (m_lb_countdown == 0 || --m_lb_countdown != 0)
-      return std::nullopt;
-    auto const rep = rebalance();
-    if (m_lb_cfg.auto_epoch) {
-      double const drift =
-          std::abs(rep.imbalance_before - m_lb_last_imbalance);
-      m_lb_last_imbalance = rep.imbalance_before;
-      if (rep.triggered || drift > m_lb_cfg.auto_drift)
-        m_lb_interval =
-            std::max(m_lb_cfg.min_epoch_interval, m_lb_interval / 2);
-      else
-        m_lb_interval =
-            std::min(m_lb_cfg.max_epoch_interval, m_lb_interval * 2);
-    }
-    m_lb_countdown = m_lb_interval;
-    return rep;
-  }
-
-  /// Effective advance_epoch() interval (after auto-tuning).
-  [[nodiscard]] unsigned epoch_interval() const noexcept
-  {
-    return m_lb_interval;
   }
 
   /// Framework-internal: drops the dynamic-resolution bookkeeping of an
@@ -521,13 +467,9 @@ class p_container_base : public p_object {
   /// dynamic resolution — static containers stay directory-free.
   std::unique_ptr<directory_type> m_directory;
   bool m_dynamic = false;
-  /// Load-balancing state (enable_load_balancing / advance_epoch).
+  /// Load-balancing state (enable_load_balancing / rebalance).
   load_balancer_config m_lb_cfg;
   bool m_lb_enabled = false;
-  std::uint64_t m_lb_epoch = 0;
-  unsigned m_lb_interval = 1;    ///< effective interval (auto-tuned)
-  unsigned m_lb_countdown = 0;   ///< epochs until the next wave (0 = never)
-  double m_lb_last_imbalance = 1.0;
   /// bCID of migrated-in elements that do not belong to a local bContainer
   /// per the closed-form partition (value == migrated_bcid when the element
   /// lives in m_migrated).

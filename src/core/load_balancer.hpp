@@ -28,8 +28,7 @@
 //      wave.  Counters reset so the next epoch measures fresh traffic.
 //
 // Containers opt in through p_container_base::enable_load_balancing() and
-// either call rebalance() explicitly or drive advance_epoch() from their
-// computation loop (rebalances every N epochs).
+// call rebalance() between computation phases.
 
 #include <algorithm>
 #include <cassert>
@@ -51,28 +50,9 @@ namespace stapl {
 struct load_balancer_config {
   /// Tolerated max/avg owner-load ratio; rebalance() is a no-op below it.
   double imbalance_threshold = 1.25;
-  /// Capacity of the per-location space-saving hot-GID tracker.
+  /// Capacity of the per-location space-saving hot-GID tracker.  A wave
+  /// plans at most hot_k x P moves.
   std::size_t hot_k = 64;
-  /// Upper bound on migrations per rebalance wave (0 = unbounded: each
-  /// donor can contribute at most its hot_k tracked candidates anyway).
-  std::size_t max_moves = 0;
-  /// Upper bound on bytes transferred per rebalance wave (0 = unlimited).
-  /// Together with the density ordering below, this keeps one huge element
-  /// from dominating a wave's transfer cost.
-  std::uint64_t max_wave_bytes = 0;
-  /// advance_epoch(): run rebalance() every this many epochs
-  /// (0 = never rebalance automatically; rebalance() remains available).
-  unsigned epoch_interval = 1;
-  /// advance_epoch() auto-tuning: when true, the effective interval adapts
-  /// to the imbalance drift observed between consecutive waves' load
-  /// summaries — a triggered wave or drift above `auto_drift` halves it
-  /// (placement is in flux, re-measure soon), a quiet stable wave doubles
-  /// it (stop paying measurement fences), clamped to
-  /// [min_epoch_interval, max_epoch_interval].
-  bool auto_epoch = false;
-  unsigned min_epoch_interval = 1;
-  unsigned max_epoch_interval = 32;
-  double auto_drift = 0.25;
 };
 
 /// Outcome of one rebalance() wave (identical on every location).
@@ -146,16 +126,15 @@ struct planned_move {
 /// Greedy drain of overloaded locations.  `loads[l]` is location l's epoch
 /// load; `hot[l]` its tracked hot candidates.  Candidates are considered
 /// in *transfer-efficiency* order — load moved per byte shipped (density),
-/// count and lower GID as tie-breaks — so a huge element no longer beats a
-/// small one of equal hotness, and `max_wave_bytes` (0 = unlimited) caps
-/// the wave's total payload.  Deterministic: called with identical
+/// count and lower GID as tie-breaks — so a huge element does not beat a
+/// small one of equal hotness.  Deterministic: called with identical
 /// arguments on every location, it yields the same plan everywhere (ties
 /// break toward the lower location id).
 template <typename GID, typename Hash = std::hash<GID>>
 [[nodiscard]] std::vector<planned_move<GID>>
 greedy_plan(std::vector<std::uint64_t> const& loads,
             std::vector<std::vector<hot_candidate<GID>>> const& hot,
-            std::size_t max_moves, std::uint64_t max_wave_bytes = 0)
+            std::size_t max_moves)
 {
   unsigned const p = static_cast<unsigned>(loads.size());
   std::uint64_t total = 0;
@@ -180,7 +159,6 @@ greedy_plan(std::vector<std::uint64_t> const& loads,
            static_cast<double>(c.bytes == 0 ? 1 : c.bytes);
   };
 
-  std::uint64_t wave_bytes = 0;
   std::unordered_set<GID, Hash> planned;
   for (location_id const d : order) {
     auto candidates = hot[d];
@@ -198,8 +176,6 @@ greedy_plan(std::vector<std::uint64_t> const& loads,
         return plan;
       if (cur[d] <= avg)
         break; // donor drained to the mean: next donor
-      if (max_wave_bytes != 0 && wave_bytes + bytes > max_wave_bytes)
-        continue; // over the wave's transfer budget: try a smaller element
       // An element that migrated mid-epoch is counted in two sketches;
       // only its first (hottest-donor) appearance may be planned — a
       // second move of the same GID would race it and double-count load.
@@ -224,7 +200,6 @@ greedy_plan(std::vector<std::uint64_t> const& loads,
       }
       plan.push_back({g, d, r, count, bytes});
       planned.insert(g);
-      wave_bytes += bytes;
       cur[d] -= w;
       cur[r] += w;
     }
@@ -291,10 +266,8 @@ rebalance_report rebalance(C& c, load_balancer_config const& cfg)
   for (auto const& [g, count] : dir.hot_elements())
     my_hot.push_back({g, count, lb_detail::element_bytes(c, g)});
   auto const hot = allgather(my_hot);
-  std::size_t const max_moves =
-      cfg.max_moves != 0 ? cfg.max_moves : cfg.hot_k * num_locations();
   auto const plan = lb_detail::greedy_plan<gid_type>(
-      loads, hot, max_moves, cfg.max_wave_bytes);
+      loads, hot, cfg.hot_k * num_locations());
 
   rep.triggered = true;
   rep.moves = plan.size();

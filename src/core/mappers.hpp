@@ -77,13 +77,8 @@ class blocked_mapper {
 
   [[nodiscard]] location_id map(bcid_type b) const noexcept
   {
-    // Balanced contiguous assignment: first r locations get q+1 bContainers.
-    std::size_t const q = m_bcontainers / m_locs;
-    std::size_t const r = m_bcontainers % m_locs;
-    std::size_t const big = r * (q + 1);
-    if (b < big)
-      return static_cast<location_id>(b / (q + 1));
-    return static_cast<location_id>(r + (b - big) / (q > 0 ? q : 1));
+    // Balanced contiguous assignment of bContainers to locations.
+    return static_cast<location_id>(index1d(m_bcontainers, m_locs, b));
   }
   [[nodiscard]] bool is_local(bcid_type b) const noexcept
   {

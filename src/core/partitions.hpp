@@ -14,6 +14,7 @@
 #include <cassert>
 #include <cstddef>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "domains.hpp"
@@ -29,6 +30,24 @@ inline constexpr bcid_type invalid_bcid = static_cast<bcid_type>(-1);
 /// partition-assigned bContainers (they live in the container's overflow
 /// store; see container_base.hpp).
 inline constexpr bcid_type migrated_bcid = static_cast<bcid_type>(-2);
+
+/// The balanced split of [0, n) into `p` contiguous pieces, the first n % p
+/// of them one longer: piece `i` is [lo, lo + sz), returned as {lo, sz}.
+[[nodiscard]] inline std::pair<std::size_t, std::size_t>
+split1d(std::size_t n, std::size_t p, std::size_t i) noexcept
+{
+  std::size_t const q = n / p, r = n % p;
+  return {i * q + std::min(i, r), i < r ? q + 1 : q};
+}
+
+/// The piece of split1d(n, p, .) that holds offset `x`.
+[[nodiscard]] inline std::size_t index1d(std::size_t n, std::size_t p,
+                                         std::size_t x) noexcept
+{
+  std::size_t const q = n / p, r = n % p;
+  std::size_t const big = r * (q + 1);
+  return x < big ? x / (q + 1) : r + (x - big) / std::max<std::size_t>(q, 1);
+}
 
 // ---------------------------------------------------------------------------
 // Indexed partitions (pArray, pVector, static pGraph)
@@ -65,21 +84,12 @@ class balanced_partition {
 
   [[nodiscard]] bcid_type get_info(gid_type g) const noexcept
   {
-    std::size_t const n = m_domain.size();
-    std::size_t const off = m_domain.offset(g);
-    std::size_t const q = n / m_parts, r = n % m_parts;
-    // First r sub-domains have size q+1.
-    std::size_t const big = r * (q + 1);
-    return off < big ? off / (q + 1) : r + (off - big) / std::max<std::size_t>(q, 1);
+    return index1d(m_domain.size(), m_parts, m_domain.offset(g));
   }
 
   [[nodiscard]] domain_type subdomain(bcid_type b) const noexcept
   {
-    std::size_t const n = m_domain.size();
-    std::size_t const q = n / m_parts, r = n % m_parts;
-    std::size_t const lo =
-        b < r ? b * (q + 1) : r * (q + 1) + (b - r) * q;
-    std::size_t const sz = b < r ? q + 1 : q;
+    auto const [lo, sz] = split1d(m_domain.size(), m_parts, b);
     return {m_domain.first() + lo, m_domain.first() + lo + sz};
   }
 
@@ -330,24 +340,6 @@ class matrix_partition {
   [[nodiscard]] std::size_t size() const noexcept { return m_grows * m_gcols; }
   [[nodiscard]] std::size_t grid_rows() const noexcept { return m_grows; }
   [[nodiscard]] std::size_t grid_cols() const noexcept { return m_gcols; }
-
-  /// Block boundaries of dimension `n` split into `p` balanced pieces.
-  [[nodiscard]] static std::pair<std::size_t, std::size_t>
-  split1d(std::size_t n, std::size_t p, std::size_t i) noexcept
-  {
-    std::size_t const q = n / p, r = n % p;
-    std::size_t const lo = i < r ? i * (q + 1) : r * (q + 1) + (i - r) * q;
-    std::size_t const sz = i < r ? q + 1 : q;
-    return {lo, sz};
-  }
-
-  [[nodiscard]] static std::size_t index1d(std::size_t n, std::size_t p,
-                                           std::size_t x) noexcept
-  {
-    std::size_t const q = n / p, r = n % p;
-    std::size_t const big = r * (q + 1);
-    return x < big ? x / (q + 1) : r + (x - big) / std::max<std::size_t>(q, 1);
-  }
 
   [[nodiscard]] bcid_type get_info(gid_type g) const noexcept
   {

@@ -90,7 +90,6 @@ char const* name_of(event_kind k) noexcept
     case event_kind::task_run:        return "task_run";
     case event_kind::migration:       return "migration";
     case event_kind::rebalance_wave:  return "rebalance_wave";
-    case event_kind::epoch_advance:   return "epoch_advance";
     case event_kind::fault_inject:    return "fault_inject";
     case event_kind::watchdog:        return "watchdog";
     case event_kind::kind_count_:     break;

@@ -59,7 +59,6 @@ enum class event_kind : std::uint8_t {
   task_run,         ///< one pAlgorithm local pass (scope; arg: elements)
   migration,        ///< element migration arrived here (arg: gid)
   rebalance_wave,   ///< one load-balancer wave (scope; arg: moves planned)
-  epoch_advance,    ///< container epoch advance (arg: new epoch)
   fault_inject,     ///< fault-layer injection (arg: site<<8 | action bits)
   watchdog,         ///< hang watchdog fired on this location (arg: 0)
   kind_count_       ///< sentinel, keep last

@@ -52,8 +52,9 @@ TEST(Redistribution, RebalanceAfterExplicitSkew)
     sizes[0] = 80;
     p_array<int, explicit_partition> pa(80, explicit_partition(sizes));
     EXPECT_EQ(allreduce(pa.local_size(), std::plus<>{}), 80u);
-    if (this_location() == 0)
+    if (this_location() == 0) {
       EXPECT_EQ(pa.local_size(), 80u);
+    }
     p_for_each_gid(array_1d_view(pa),
                    [](gid1d g, int& x) { x = static_cast<int>(g); });
 
@@ -188,8 +189,9 @@ TEST_P(GraphAlgoTest, BfsUnreachableVerticesStayUnvisited)
     rmi_fence();
     EXPECT_EQ(bfs_levels(g, 0), 3u);
     g.for_each_local_vertex([](vertex_descriptor v, auto& rec) {
-      if (v > 2)
+      if (v > 2) {
         EXPECT_EQ(rec.property.level, -1);
+      }
     });
     rmi_fence();
   });
@@ -331,9 +333,10 @@ TEST_P(GraphAlgoTest, RewireEdgeAsyncDrivesIncrementalRecompute)
       EXPECT_EQ(after.size(), degree_before);
       EXPECT_NE(std::find(after.begin(), after.end(), new_tgt),
                 after.end());
-      if (old_tgt != new_tgt)
+      if (old_tgt != new_tgt) {
         EXPECT_EQ(std::find(after.begin(), after.end(), old_tgt),
                   after.end());
+      }
     }
     rmi_fence();
 

@@ -218,8 +218,9 @@ TEST(directory_test, StaleCacheForwardsExactlyOnce)
     if (this_location() == 3) {
       // The home's invalidation-or-update left no stale entry behind.
       auto const cached = pa.get_directory().try_resolve(gid);
-      if (cached.has_value())
+      if (cached.has_value()) {
         EXPECT_EQ(*cached, 1u);
+      }
       EXPECT_EQ(pa.get_directory().resolve(gid), 1u);
     }
     rmi_fence();
@@ -236,8 +237,9 @@ TEST(directory_test, CacheInvalidationOnMigration)
     std::size_t const gid = 1;
 
     // Everyone except the owner caches the current owner (location 0).
-    if (!pa.is_local(gid))
+    if (!pa.is_local(gid)) {
       EXPECT_EQ(pa.get_directory().resolve(gid), 0u);
+    }
     rmi_fence();
 
     if (this_location() == 0)
@@ -248,8 +250,9 @@ TEST(directory_test, CacheInvalidationOnMigration)
     // Every cached copy was either invalidated or refreshed; a fresh
     // resolve must agree on the new owner everywhere.
     auto const cached = pa.get_directory().try_resolve(gid);
-    if (this_location() != 2 && cached.has_value())
+    if (this_location() != 2 && cached.has_value()) {
       EXPECT_EQ(*cached, 2u) << "stale cache entry survived migration";
+    }
     EXPECT_EQ(pa.get_directory().resolve(gid), 2u);
     EXPECT_EQ(pa.get_element(gid), 7);
     rmi_fence();
@@ -421,8 +424,9 @@ TEST(directory_test, EraseRetiresDirectoryState)
     EXPECT_EQ(pm.is_local(k), this_location() == 1);
     rmi_fence(); // ownership checks before the erase phase starts
 
-    if (this_location() == 1)
+    if (this_location() == 1) {
       EXPECT_EQ(pm.erase(k), 1u);
+    }
     rmi_fence();
     rmi_fence(); // drain the unregister + invalidation traffic
 
@@ -544,9 +548,10 @@ TEST(directory_test, DynamicIndexedLocalTraversalFollowsOwnership)
     auto const gids = pa.local_gids();
     for (auto g : gids) {
       EXPECT_TRUE(pa.is_local(g)) << "local_gids listed a departed slot";
-      if (g < 4)
+      if (g < 4) {
         EXPECT_NE(this_location(), 0u)
             << "migrated-away element still listed at the source";
+      }
     }
     // Exactly-once cover: the union over locations is the whole domain.
     auto const total = allreduce(gids.size(), std::plus<>{});
@@ -580,12 +585,19 @@ TEST(directory_test, GraphVertexMigration)
   unsigned const p = 4;
   execute(p, [] {
     p_graph<DIRECTED, MULTI, int> g;
-    // Every location adds one vertex with a known descriptor.
+    // Every location adds one vertex with a known descriptor; location 0
+    // then adds vertex 110, so vertex 100 is not the last one it stores.
     vertex_descriptor const mine = 100 + this_location();
     g.add_vertex(mine, static_cast<int>(10 * this_location()));
+    if (this_location() == 0)
+      g.add_vertex(110, 11);
     rmi_fence();
     // A ring over the explicit descriptors.
     g.add_edge_async(mine, 100 + (this_location() + 1) % num_locations());
+    if (this_location() == 0) {
+      g.add_edge_async(110, 100);
+      g.add_edge_async(110, 102);
+    }
     rmi_fence();
 
     // Move vertex 100 (owned by location 0) to location 2, adjacency and
@@ -598,7 +610,11 @@ TEST(directory_test, GraphVertexMigration)
     EXPECT_TRUE(g.find_vertex(100));
     EXPECT_EQ(g.get_vertex_property(100), 0);
     EXPECT_EQ(g.out_degree(100), 1u);
-    EXPECT_EQ(g.get_num_edges(), static_cast<std::size_t>(num_locations()));
+    EXPECT_EQ(g.get_num_edges(), num_locations() + 2u);
+    // Vertex 110 filled the slot vertex 100 left and kept its record.
+    EXPECT_EQ(g.is_local(110), this_location() == 0);
+    EXPECT_EQ(g.get_vertex_property(110), 11);
+    EXPECT_EQ(g.out_edges(110), (std::vector<vertex_descriptor>{100, 102}));
 
     // Methods still route correctly post-migration.
     if (this_location() == 3)

@@ -425,9 +425,10 @@ TEST(Faults, CollectivesCompleteUnderDelayStorm)
                                   (num_locations() - 1) / 2));
       EXPECT_EQ(broadcast(2, me), 2L);
       long const red = reduce(1, me, [](long a, long b) { return a + b; });
-      if (this_location() == 1)
+      if (this_location() == 1) {
         EXPECT_EQ(red, static_cast<long>(num_locations() *
                                          (num_locations() - 1) / 2));
+      }
       auto const all = allgather(me);
       ASSERT_EQ(all.size(), num_locations());
       for (location_id l = 0; l < num_locations(); ++l)

@@ -325,7 +325,7 @@ TEST(InstrumentTest, DumpRoundTripsThroughJsonParser)
   trace::detach();
   // A second lane, so the exporter emits multiple thread_name records.
   trace::attach(1);
-  trace::emit(trace::event_kind::epoch_advance, 2);
+  trace::emit(trace::event_kind::msg_flush, 2);
   trace::detach();
 
   std::string const path = "test_instrument_trace.json";

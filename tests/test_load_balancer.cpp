@@ -126,25 +126,6 @@ TEST(greedy_plan, PrefersDenserElementsAndReportsBytes)
       << "moving the huge element was not needed to reach the mean";
 }
 
-TEST(greedy_plan, WaveByteBudgetCapsTransfers)
-{
-  std::vector<std::uint64_t> const loads{900, 0, 0};
-  std::vector<std::vector<lb_detail::hot_candidate<std::size_t>>> hot(3);
-  for (std::size_t g = 0; g < 8; ++g)
-    hot[0].push_back({g, 100, 100});
-
-  auto const capped =
-      lb_detail::greedy_plan<std::size_t>(loads, hot, 64, /*max_bytes=*/250);
-  std::uint64_t bytes = 0;
-  for (auto const& mv : capped)
-    bytes += mv.bytes;
-  EXPECT_LE(bytes, 250u);
-  EXPECT_EQ(capped.size(), 2u);
-
-  auto const uncapped = lb_detail::greedy_plan<std::size_t>(loads, hot, 64);
-  EXPECT_GT(uncapped.size(), capped.size());
-}
-
 TEST(greedy_plan, NoMovesWhenBalancedOrIdle)
 {
   std::vector<std::vector<lb_detail::hot_candidate<std::size_t>>> hot(4);
@@ -257,28 +238,6 @@ TEST(load_balancer_test, StaleCachesAfterRebalanceExactlyOnce)
   });
 }
 
-TEST(load_balancer_test, AdvanceEpochHonorsInterval)
-{
-  unsigned const p = 4;
-  execute(p, [] {
-    std::size_t const n = 8 * num_locations();
-    p_array<long> pa(n, 0);
-
-    load_balancer_config cfg;
-    cfg.imbalance_threshold = 1.3;
-    cfg.epoch_interval = 2;
-    pa.enable_load_balancing(cfg);
-
-    skewed_workload(pa, 8, 20);
-    auto const r1 = pa.advance_epoch();
-    EXPECT_FALSE(r1.has_value()) << "rebalanced before the interval elapsed";
-    auto const r2 = pa.advance_epoch();
-    ASSERT_TRUE(r2.has_value());
-    EXPECT_TRUE(r2->triggered);
-    rmi_fence();
-  });
-}
-
 // ---------------------------------------------------------------------------
 // note_access: exact load counters and sketch counts
 // ---------------------------------------------------------------------------
@@ -320,61 +279,6 @@ TEST(load_balancer_test, NoteAccessCountsEveryOwnerAccess)
       }
       EXPECT_EQ(sketch_total, expect);
     }
-    rmi_fence();
-  });
-}
-
-// ---------------------------------------------------------------------------
-// advance_epoch() auto-tuning from imbalance drift
-// ---------------------------------------------------------------------------
-
-TEST(load_balancer_test, AdvanceEpochAutoTunesInterval)
-{
-  unsigned const p = 4;
-  execute(p, [] {
-    std::size_t const n = 8 * num_locations();
-    p_array<long> pa(n, 0);
-
-    load_balancer_config cfg;
-    cfg.imbalance_threshold = 1.3;
-    cfg.epoch_interval = 4;
-    cfg.auto_epoch = true;
-    cfg.min_epoch_interval = 1;
-    cfg.max_epoch_interval = 8;
-    pa.enable_load_balancing(cfg);
-    EXPECT_EQ(pa.epoch_interval(), 4u);
-
-    // Skewed epoch: the wave triggers -> the interval halves (placement
-    // is in flux, re-measure sooner).
-    skewed_workload(pa, 8, 20);
-    std::optional<rebalance_report> rep;
-    for (int e = 0; e < 4; ++e) {
-      EXPECT_FALSE(rep.has_value());
-      rep = pa.advance_epoch();
-    }
-    ASSERT_TRUE(rep.has_value());
-    EXPECT_TRUE(rep->triggered);
-    EXPECT_EQ(pa.epoch_interval(), 2u);
-
-    // The next wave sees a big drift (skew collapsed to idle): halve
-    // again to the floor.
-    rep = pa.advance_epoch();
-    EXPECT_FALSE(rep.has_value());
-    rep = pa.advance_epoch();
-    ASSERT_TRUE(rep.has_value());
-    EXPECT_FALSE(rep->triggered);
-    EXPECT_EQ(pa.epoch_interval(), 1u);
-
-    // Quiet, stable epochs: the interval doubles back out toward the cap
-    // (stop paying measurement fences when nothing moves).
-    rep = pa.advance_epoch();
-    ASSERT_TRUE(rep.has_value());
-    EXPECT_EQ(pa.epoch_interval(), 2u);
-    rep = pa.advance_epoch();
-    EXPECT_FALSE(rep.has_value());
-    rep = pa.advance_epoch();
-    ASSERT_TRUE(rep.has_value());
-    EXPECT_EQ(pa.epoch_interval(), 4u);
     rmi_fence();
   });
 }

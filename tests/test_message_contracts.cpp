@@ -501,8 +501,8 @@ void add_graph_rows(std::vector<row>& t)
   add("page_rank", [](digraph& g, graph_info const& gi) {
     std::size_t const k = 3;
     route_model m = graph_model(g, gi);
-    if (!g.is_static()) // get_num_vertices asks every other location
-      m.want.sent = m.want.sync = num_locations() - 1;
+    if (!g.is_static()) // one allreduce of the local vertex counts
+      m.want.coll = 1;
     for (std::size_t it = 0; it != k; ++it, m.fence())
       for (vertex_descriptor v = 0; v != nv; ++v)
         visit(m, gi, v, false);

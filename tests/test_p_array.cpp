@@ -116,8 +116,9 @@ TEST_P(PartitionProperty, Balanced)
       mn = std::min(mn, p.subdomain_size(b));
       mx = std::max(mx, p.subdomain_size(b));
     }
-    if (n > 0)
+    if (n > 0) {
       EXPECT_LE(mx - mn, 1u);
+    }
   }
 }
 
@@ -382,8 +383,9 @@ TEST_P(PArrayTest, RandomizedMixedReadsWrites)
     }
     rmi_fence();
     for (gid1d g = 0; g < n; ++g)
-      if (expect[g] != -1)
+      if (expect[g] != -1) {
         EXPECT_EQ(pa.get_element(g), expect[g]);
+      }
     rmi_fence();
   });
 }

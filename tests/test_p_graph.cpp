@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 namespace {
@@ -193,20 +194,31 @@ TEST_P(PGraphDynamic, DeleteVertexRemovesIt)
   auto const kind = kind_of(k);
   execute(p, [kind] {
     p_graph<DIRECTED, MULTI, int, no_property> g(kind);
-    vertex_descriptor doomed{};
-    if (this_location() == 0) {
-      g.add_vertex(1000, 5);
-      doomed = 1000;
-    }
-    doomed = broadcast(0, doomed);
+    // Location 0 stores three vertices and deletes the middle one, so the
+    // last one moves into the freed slot.
+    if (this_location() == 0)
+      for (vertex_descriptor v = 1000; v != 1003; ++v)
+        g.add_vertex(v, static_cast<int>(v - 995));
     rmi_fence();
-    EXPECT_TRUE(g.find_vertex(doomed));
+    if (this_location() == 0) {
+      g.add_edge_async(1000, 1002);
+      g.add_edge_async(1001, 1000);
+      g.add_edge_async(1002, 1000);
+      g.add_edge_async(1002, 1001);
+    }
+    rmi_fence();
+    EXPECT_TRUE(g.find_vertex(1001));
     rmi_fence();
     if (this_location() == 0)
-      g.delete_vertex(doomed);
+      g.delete_vertex(1001);
     rmi_fence();
-    EXPECT_FALSE(g.find_vertex(doomed));
-    EXPECT_EQ(g.get_num_vertices(), 0u);
+    EXPECT_FALSE(g.find_vertex(1001));
+    EXPECT_EQ(g.get_num_vertices(), 2u);
+    EXPECT_EQ(g.get_num_edges(), 3u); // in-edges elsewhere are not chased
+    EXPECT_EQ(g.get_vertex_property(1000), 5);
+    EXPECT_EQ(g.get_vertex_property(1002), 7);
+    EXPECT_EQ(g.out_edges(1000), std::vector<vertex_descriptor>{1002});
+    EXPECT_EQ(g.out_edges(1002), (std::vector<vertex_descriptor>{1000, 1001}));
     rmi_fence();
   });
 }
@@ -332,15 +344,13 @@ TEST(GraphViews, InnerAndBoundaryPartitionLocalVertices)
 }
 
 // ---------------------------------------------------------------------------
-// Dense (vector) storage customization (Fig. 16)
+// Vertex storage (Fig. 16): by offset when static, by index when dynamic
 // ---------------------------------------------------------------------------
 
-TEST(DenseGraphStorage, StaticGraphWithVectorStorage)
+TEST(GraphStorage, StaticGraphEdgesAndProperties)
 {
   execute(4, [] {
-    using G = p_graph<DIRECTED, NONMULTI, int, int,
-                      p_static_graph_traits<int, int>>;
-    G g(64);
+    static_digraph g(64);
     EXPECT_EQ(g.get_num_vertices(), 64u);
     // Chain edges + properties through the shared-object view.
     if (this_location() == 0)
@@ -352,34 +362,49 @@ TEST(DenseGraphStorage, StaticGraphWithVectorStorage)
     EXPECT_EQ(g.get_num_edges(), 63u);
     for (vertex_descriptor v = 0; v < 64; v += 7) {
       EXPECT_EQ(g.get_vertex_property(v), static_cast<int>(v * 2));
-      if (v + 1 < 64)
+      if (v + 1 < 64) {
         EXPECT_TRUE(g.find_edge(v, v + 1));
+      }
     }
-    // delete_edge works on dense storage; out_degree consistent.
+    // Every location stores exactly its slice of [0, 64).
+    std::vector<vertex_descriptor> const mine = g.local_gids();
+    ASSERT_EQ(mine.size(), 16u);
+    for (std::size_t i = 0; i != mine.size(); ++i)
+      EXPECT_EQ(mine[i], 16 * this_location() + i);
+    rmi_fence();
+    // add_vertex on a static graph only sets the property.
     if (this_location() == 0)
+      g.add_vertex(63, -1);
+    // delete_edge keeps out_degree consistent.
+    if (this_location() == 1)
       g.delete_edge(10, 11);
     rmi_fence();
+    EXPECT_EQ(g.get_num_vertices(), 64u);
+    EXPECT_EQ(g.get_vertex_property(63), -1);
     EXPECT_FALSE(g.find_edge(10, 11));
     EXPECT_EQ(g.out_degree(10), 0u);
     rmi_fence();
   });
 }
 
-TEST(DenseGraphStorage, GeneratorAndTraversalEquivalence)
+TEST(GraphStorage, StaticAndDynamicGraphsAgreeOnSsca2)
 {
-  // The same SSCA2 workload must produce identical structure under hashed
-  // and dense storage.
+  // The same SSCA2 input must produce the same structure in a static graph
+  // (vertices by offset) and a dynamic one (vertices by index).
   execute(4, [] {
-    using GH = p_graph<DIRECTED, NONMULTI, int, no_property>;
-    using GD = p_graph<DIRECTED, NONMULTI, int, no_property,
-                       p_static_graph_traits<int, no_property>>;
-    GH gh(128);
-    GD gd(128);
-    generate_ssca2(gh, 128, 8, 0.2);
+    using G = p_graph<DIRECTED, NONMULTI, int, no_property>;
+    G gs(128);
+    G gd(graph_partition_kind::dynamic_forwarding);
+    generate_ssca2(gs, 128, 8, 0.2);
     generate_ssca2(gd, 128, 8, 0.2);
-    EXPECT_EQ(gh.get_num_edges(), gd.get_num_edges());
-    for (vertex_descriptor v = 0; v < 128; v += 11)
-      EXPECT_EQ(gh.out_degree(v), gd.out_degree(v));
+    EXPECT_EQ(gd.get_num_vertices(), 128u);
+    EXPECT_EQ(gs.get_num_edges(), gd.get_num_edges());
+    for (vertex_descriptor v = 0; v < 128; v += 11) {
+      auto es = gs.out_edges(v), ed = gd.out_edges(v);
+      std::sort(es.begin(), es.end());
+      std::sort(ed.begin(), ed.end());
+      EXPECT_EQ(es, ed) << "vertex " << v;
+    }
     rmi_fence();
   });
 }

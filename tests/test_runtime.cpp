@@ -77,8 +77,9 @@ TEST(Runtime, AsyncRmiDeliveredByFence)
     for (int i = 0; i < 10; ++i)
       async_rmi<counter_object>(0, c.get_handle(), &counter_object::add, 1);
     rmi_fence();
-    if (this_location() == 0)
+    if (this_location() == 0) {
       EXPECT_EQ(c.get(), 10 * static_cast<int>(num_locations()));
+    }
     rmi_fence();
   });
 }
@@ -202,8 +203,9 @@ TEST(Runtime, Collectives)
       EXPECT_EQ(allreduce(me, [](int a, int b) { return std::max(a, b); }),
                 n - 1);
       EXPECT_EQ(broadcast(0, me * 3), 0);
-      if (num_locations() > 1)
+      if (num_locations() > 1) {
         EXPECT_EQ(broadcast(1, me * 3), 3);
+      }
       EXPECT_EQ(exclusive_scan(1, std::plus<>{}, 0), me);
       auto all = allgather(me * 2);
       ASSERT_EQ(all.size(), num_locations());
@@ -259,8 +261,9 @@ TEST(Runtime, AggregationReducesMessageCount)
       rmi_fence();
       if (this_location() == 0)
         msgs.fetch_add(metrics::snapshot().at("rmi.msgs_sent"));
-      if (this_location() == 1)
+      if (this_location() == 1) {
         EXPECT_EQ(c.get(), 1000);
+      }
       rmi_fence();
     });
     (agg == 1 ? msgs_agg1 : msgs_agg32) = msgs.load();
