@@ -42,6 +42,7 @@ int main(int argc, char** argv)
     for (int i = 0; i < 1000; ++i)
       local_work += i;
     int const v7 = fut.get();
+    rmi_fence(); // every read is served before any location doubles
 
     // Views + pAlgorithms: double everything, then reduce.
     array_1d_view view(pa);

@@ -16,12 +16,11 @@
 //   4. each location sorts its bucket;
 //   5. the sorted sequence is written back in order: each location's start
 //      offset is the exclusive scan of the bucket sizes, and its range is
-//      cut where the owner changes.  A location copies the range that
-//      lands in its own storage in place, and ships every other range as
-//      one asynchronous RMI whose handler copies it into the owner's
-//      storage.  Both copies go one bContainer at a time: the range is cut
-//      again at sub-domain boundaries, so each piece fills consecutive
-//      slots of one bContainer.
+//      cut into pieces that each fill consecutive slots of one bContainer.
+//      A location copies the pieces that land in its own storage in place,
+//      and ships the pieces of each other owner together, as one
+//      asynchronous RMI whose handler copies them into that owner's
+//      storage.
 //
 // Directory-backed containers (after make_dynamic()) write back with one
 // set_element per element, which the directory routes to the element's
@@ -135,37 +134,15 @@ template <typename Partition>
   return lo;
 }
 
-/// Copies `values` into the local slots of GIDs first, first+1, ...: one
-/// run_length() piece, so one local bContainer, at a time.
+/// Moves one run_length() piece, `values`, into the consecutive local
+/// slots of GIDs first, first+1, ... of one bContainer.
 template <typename C, typename T>
-void store_runs(C& c, gid1d first, std::span<T> values)
+void store_run(C& c, gid1d first, std::span<T> values)
 {
   auto const& part = c.partition();
-  for (std::size_t b = 0; b < values.size();) {
-    gid1d const g = first + b;
-    auto const piece =
-        values.subspan(b, run_length(part, g, values.size() - b));
-    auto& block = c.bc(part.get_info(g)).data();
-    std::move(piece.begin(), piece.end(), block.data() + part.local_index(g));
-    b += piece.size();
-  }
-}
-
-/// Length of the run of GIDs g, g+1, ... (at most `max`) that g's owner
-/// holds: whole run_length() pieces, added while the owner stays the same.
-/// The write-back sends each such run in one message.
-template <typename C>
-[[nodiscard]] std::size_t owner_run_length(C const& c, gid1d g,
-                                           std::size_t max)
-{
-  auto const owner_of = [&](gid1d x) {
-    return c.mapper().map(c.partition().get_info(x));
-  };
-  location_id const owner = owner_of(g);
-  std::size_t len = 0;
-  while (len < max && owner_of(g + len) == owner)
-    len += run_length(c.partition(), g + len, max - len);
-  return len;
+  auto& block = c.bc(part.get_info(first)).data();
+  std::move(values.begin(), values.end(),
+            block.data() + part.local_index(first));
 }
 
 } // namespace sort_detail
@@ -223,24 +200,36 @@ void p_sample_sort(C& arr, Compare cmp = {})
     for (std::size_t i = 0; i != elems.size(); ++i)
       arr.set_element(offset + i, std::move(elems[i]));
   } else {
+    // Each other owner's pieces, as {first GID, length} over its values.
+    std::vector<std::vector<std::pair<gid1d, std::size_t>>> pieces(p);
+    std::vector<std::vector<T>> values(p);
+    auto const& part = arr.partition();
     for (std::size_t b = 0; b < elems.size();) {
       gid1d const first = offset + b;
-      std::size_t const e =
-          b + sort_detail::owner_run_length(arr, first, elems.size() - b);
-      std::span<T> const run(elems.data() + b, e - b);
-      location_id const owner =
-          arr.mapper().map(arr.partition().get_info(first));
-      if (owner == this_location())
-        sort_detail::store_runs(arr, first, run);
-      else
-        async_rmi<C>(
-            owner, arr.get_handle(),
-            [](C& c, gid1d at, auto&& values) {
-              sort_detail::store_runs(c, at, std::span<T>(values));
-            },
-            first, std::vector<T>(run.begin(), run.end()));
-      b = e;
+      std::span<T> const run(
+          elems.data() + b,
+          sort_detail::run_length(part, first, elems.size() - b));
+      location_id const owner = arr.mapper().map(part.get_info(first));
+      if (owner == this_location()) {
+        sort_detail::store_run(arr, first, run);
+      } else {
+        pieces[owner].emplace_back(first, run.size());
+        values[owner].insert(values[owner].end(), run.begin(), run.end());
+      }
+      b += run.size();
     }
+    for (unsigned l = 0; l < p; ++l)
+      if (!pieces[l].empty())
+        async_rmi<C>(
+            l, arr.get_handle(),
+            [](C& c, auto&& at, auto&& vals) {
+              std::span<T> rest(vals);
+              for (auto const& [first, len] : at) {
+                sort_detail::store_run(c, first, rest.first(len));
+                rest = rest.subspan(len);
+              }
+            },
+            std::move(pieces[l]), std::move(values[l]));
   }
   rmi_fence();
 }

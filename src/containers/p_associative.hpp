@@ -183,18 +183,14 @@ class p_container_associative : public p_container_dynamic<Derived, Traits> {
         f(kv.first, kv.second);
   }
 
+  /// Pointer to the local element of `k`, or nullptr when it is stored
+  /// elsewhere or absent.
   [[nodiscard]] mapped_type* local_element_ptr(key_type const& k)
   {
-    if (this->is_dynamic()) {
-      if (!this->get_directory().owns(k))
-        return nullptr;
-      auto& bc = this->bc(this->derived().dyn_local_bcid(k));
-      return bc.contains(k) ? &bc.at(k) : nullptr;
-    }
-    auto const r = this->derived().resolve(k);
-    if (r.loc != this->get_location_id())
+    bcid_type const b = this->local_bcid(k);
+    if (b == invalid_bcid)
       return nullptr;
-    auto& bc = this->bc(r.bcid);
+    auto& bc = this->bc(b);
     return bc.contains(k) ? &bc.at(k) : nullptr;
   }
 

@@ -607,18 +607,14 @@ class p_graph final
     return out;
   }
 
+  /// Pointer to the property of local vertex `v`, or nullptr when it is
+  /// stored elsewhere or absent.
   [[nodiscard]] VP* local_element_ptr(gid_type v)
   {
-    if (!is_static()) {
-      if (!this->get_directory().owns(v))
-        return nullptr;
-      auto& bc = this->bc(this->get_location_id());
-      return bc.has_vertex(v) ? &bc.vertex(v).property : nullptr;
-    }
-    auto const r = resolve(v);
-    if (r.loc != this->get_location_id())
+    bcid_type const b = this->local_bcid(v);
+    if (b == invalid_bcid)
       return nullptr;
-    auto& bc = this->bc(r.bcid);
+    auto& bc = this->bc(b);
     return bc.has_vertex(v) ? &bc.vertex(v).property : nullptr;
   }
 

@@ -221,12 +221,14 @@ class p_container_sequence : public p_container_dynamic<Derived, Traits> {
         f(gid, value);
   }
 
+  /// Pointer to the local element of `gid`, or nullptr when it is stored
+  /// elsewhere or was erased.
   [[nodiscard]] value_type* local_element_ptr(gid_type gid)
   {
-    auto const r = this->derived().resolve(gid);
-    if (r.loc != this->get_location_id())
+    bcid_type const b = this->local_bcid(gid);
+    if (b == invalid_bcid)
       return nullptr;
-    auto& bc = this->bc(r.bcid);
+    auto& bc = this->bc(b);
     return bc.contains(gid) ? &bc.at(gid) : nullptr;
   }
 };

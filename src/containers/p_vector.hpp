@@ -117,7 +117,7 @@ class p_vector final
   {
     std::vector<std::size_t> sizes(num_locations());
     for (std::size_t b = 0; b != sizes.size(); ++b)
-      sizes[b] = n / sizes.size() + (b < n % sizes.size() ? 1 : 0);
+      sizes[b] = split1d(n, sizes.size(), b).second;
     this->m_partition.set_sizes(sizes);
     this->m_mapper.init(sizes.size(), num_locations());
     for (bcid_type b : this->m_mapper.local_bcids(this->get_location_id()))

@@ -115,12 +115,23 @@ class p_container_base : public p_object {
     return {b, m_mapper.map(b)};
   }
 
+  /// The local bContainer that stores `g`, or invalid_bcid when another
+  /// location stores it: directory ownership on a directory-backed
+  /// container, the closed-form resolution otherwise.  The one locality
+  /// test of the method skeleton.
+  [[nodiscard]] bcid_type local_bcid(gid_type const& g) const
+  {
+    if (m_dynamic)
+      return m_directory->owns(g) ? derived().dyn_local_bcid(g)
+                                  : invalid_bcid;
+    auto const r = derived().resolve(g);
+    return r.loc == get_location_id() ? r.bcid : invalid_bcid;
+  }
+
   /// True when the element lives in a local bContainer.
   [[nodiscard]] bool is_local(gid_type const& g) const
   {
-    if (m_dynamic)
-      return m_directory->owns(g);
-    return derived().resolve(g).loc == get_location_id();
+    return local_bcid(g) != invalid_bcid;
   }
 
   /// Location that owns the GID.
@@ -274,35 +285,6 @@ class p_container_base : public p_object {
       note_local_invocation();
   }
 
-  /// Framework-internal: runs `action` when `gid` is stored here, else
-  /// forwards it toward the owner (computation migration); returns whether
-  /// it ran here.  Public because forwarded requests re-enter it on the
-  /// owner's representative.
-  template <typename Action>
-  bool route(gid_type gid, Action action)
-  {
-    if (m_dynamic) {
-      rmi_handle const h = this->get_handle();
-      return m_directory->invoke_where(
-          gid, [h, gid, action = std::move(action)]() mutable {
-            // Runs on the owner's thread: its representative is the one
-            // registered there.
-            get_registered_object<Derived>(h)->dyn_execute(gid,
-                                                           std::move(action));
-          });
-    }
-    auto const info = derived().resolve(gid);
-    if (info.loc == get_location_id()) {
-      action(derived(), info.bcid);
-      return true;
-    }
-    async_rmi<Derived>(info.loc, this->get_handle(),
-                       [gid, action = std::move(action)](Derived& c) mutable {
-                         c.route(gid, std::move(action));
-                       });
-    return false;
-  }
-
   /// Split-phase execution: returns a future for `action`'s result.  The
   /// request is routed like any other, and the owner fills the future in
   /// (Ch. VII.F "split phase reads"); as in invoke, only a call that runs
@@ -329,18 +311,11 @@ class p_container_base : public p_object {
   [[nodiscard]] auto invoke_ret(gid_type gid, Action action)
   {
     latency::timed_op lat_scope(latency::op::container_apply);
-    bcid_type b = invalid_bcid;
-    if (m_dynamic) {
-      if (m_directory->owns(gid)) {
-        m_directory->note_access(gid);
-        b = derived().dyn_local_bcid(gid);
-      }
-    } else if (auto const info = derived().resolve(gid);
-               info.loc == get_location_id()) {
-      b = info.bcid;
-    }
+    bcid_type const b = local_bcid(gid);
     if (b == invalid_bcid)
       return invoke_split(gid, std::move(action)).get();
+    if (m_dynamic)
+      m_directory->note_access(gid);
     note_local_invocation();
     return action(derived(), b);
   }
@@ -443,21 +418,49 @@ class p_container_base : public p_object {
     m_dynamic = true;
   }
 
-  /// Runs `action(container, b)` on the location storing bContainer `b`:
-  /// inline when that is this one, else as one RMI.  For methods that
-  /// address a bContainer rather than an element (push/pop at either end).
+  /// Runs `action` when `gid` is stored here, else forwards it toward the
+  /// owner (computation migration); returns whether it ran here.  A
+  /// directory-backed container hands the request to the directory; a
+  /// closed-form one resolves it here and runs it at that bContainer.
+  template <typename Action>
+  bool route(gid_type gid, Action action)
+  {
+    if (m_dynamic) {
+      rmi_handle const h = this->get_handle();
+      return m_directory->invoke_where(
+          gid, [h, gid, action = std::move(action)]() mutable {
+            // Runs on the owner's thread: its representative is the one
+            // registered there.
+            get_registered_object<Derived>(h)->dyn_execute(gid,
+                                                           std::move(action));
+          });
+    }
+    return run_at(derived().resolve(gid), std::move(action));
+  }
+
+  /// Runs `action(container, b)` on the location storing bContainer `b`.
+  /// For methods that address a bContainer rather than an element
+  /// (push/pop at either end).
   template <typename Action>
   void route_to_bcid(bcid_type b, Action action)
   {
-    location_id const loc = m_mapper.map(b);
-    if (loc == get_location_id()) {
-      action(derived(), b);
-      return;
+    (void)run_at({b, m_mapper.map(b)}, std::move(action));
+  }
+
+  /// Runs `action(container, r.bcid)` on location `r.loc`: inline when that
+  /// is this one (returns true), else as one RMI that runs it there on the
+  /// same bContainer, without resolving again (returns false).
+  template <typename Action>
+  bool run_at(resolution r, Action action)
+  {
+    if (r.loc == get_location_id()) {
+      action(derived(), r.bcid);
+      return true;
     }
-    async_rmi<Derived>(loc, this->get_handle(),
-                       [b, action = std::move(action)](Derived& c) mutable {
-                         action(c, b);
-                       });
+    async_rmi<Derived>(r.loc, this->get_handle(),
+                       [b = r.bcid, action = std::move(action)](
+                           Derived& c) mutable { action(c, b); });
+    return false;
   }
 
   partition_type m_partition;
@@ -711,33 +714,22 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
     return reference(this->derived(), gid);
   }
 
-  /// Direct reference to a *local* element (native-view fast path).
-  [[nodiscard]] value_type& local_element(gid_type gid)
-  {
-    if (this->is_dynamic()) {
-      assert(this->get_directory().owns(gid));
-      return element_at(gid, this->derived().dyn_local_bcid(gid));
-    }
-    auto const r = this->derived().resolve(gid);
-    assert(r.loc == this->get_location_id());
-    return this->bc(r.bcid).at(this->partition().local_index(gid));
-  }
-
   /// Pointer to a local element, or nullptr when the element is remote
   /// (lets views/algorithms take the direct path when possible).  The
   /// returned pointer, like any native-view reference, is only stable
   /// within a computation phase (no concurrent migration of the element).
   [[nodiscard]] value_type* local_element_ptr(gid_type gid)
   {
-    if (this->is_dynamic()) {
-      if (!this->get_directory().owns(gid))
-        return nullptr;
-      return &element_at(gid, this->derived().dyn_local_bcid(gid));
-    }
-    auto const r = this->derived().resolve(gid);
-    if (r.loc != this->get_location_id())
-      return nullptr;
-    return &this->bc(r.bcid).at(this->partition().local_index(gid));
+    bcid_type const b = this->local_bcid(gid);
+    return b == invalid_bcid ? nullptr : &element_at(gid, b);
+  }
+
+  /// Direct reference to a *local* element (native-view fast path).
+  [[nodiscard]] value_type& local_element(gid_type gid)
+  {
+    value_type* const p = local_element_ptr(gid);
+    assert(p != nullptr && "local_element(): element is not stored here");
+    return *p;
   }
 
   /// The block walk of a closed-form container: calls `f(bcid, block)` for
@@ -778,17 +770,8 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
       });
       return;
     }
-    auto const owned = this->get_directory().owned_snapshot();
-    for (auto& [bcid, bcptr] : this->m_lm) {
-      std::size_t const n = bcptr->size();
-      for (std::size_t i = 0; i != n; ++i) {
-        gid_type const g = this->partition().gid_of(bcid, i);
-        if (owned.count(g) != 0)
-          f(g, bcptr->at(i));
-      }
-    }
-    for (gid_type const& g : adopted_gids_sorted())
-      f(g, this->m_migrated.at(g));
+    for (gid_type const& g : local_gids())
+      f(g, element_at(g, this->derived().dyn_local_bcid(g)));
   }
 
   /// GIDs of all locally stored elements, in partition order.  Dynamic
@@ -815,22 +798,13 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
           out.push_back(g);
       }
     }
-    auto const adopted = adopted_gids_sorted();
-    out.insert(out.end(), adopted.begin(), adopted.end());
-    return out;
-  }
-
- private:
-  /// GIDs living in the migrated-element overflow store, ascending (a
-  /// deterministic traversal order for adopted elements).
-  [[nodiscard]] std::vector<gid_type> adopted_gids_sorted() const
-  {
-    std::vector<gid_type> adopted;
-    adopted.reserve(this->m_migrated.size());
+    // Adopted elements live in the overflow store: ascending GID order
+    // makes their traversal deterministic.
+    auto const adopted = static_cast<std::ptrdiff_t>(out.size());
     for (auto const& [g, v] : this->m_migrated)
-      adopted.push_back(g);
-    std::sort(adopted.begin(), adopted.end());
-    return adopted;
+      out.push_back(g);
+    std::sort(out.begin() + adopted, out.end());
+    return out;
   }
 };
 

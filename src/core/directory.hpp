@@ -216,13 +216,6 @@ class directory : public p_object {
     return m_stats;
   }
 
-  /// Number of owner records homed on this location.
-  [[nodiscard]] std::size_t local_registry_size() const
-  {
-    assert(on_own_thread());
-    return m_registry.size();
-  }
-
   /// Drops this location's owner cache (bench/test support).
   void clear_cache()
   {
@@ -253,17 +246,6 @@ class directory : public p_object {
     m_hot.clear();
     m_epoch_accesses = 0;
     m_track_accesses = true;
-  }
-
-  void disable_access_tracking()
-  {
-    assert(on_own_thread());
-    m_track_accesses = false;
-  }
-
-  [[nodiscard]] bool access_tracking_enabled() const noexcept
-  {
-    return m_track_accesses;
   }
 
   /// Records one element access executed on this location as the owner, in

@@ -242,9 +242,6 @@ class timed_op {
   timed_op(timed_op const&) = delete;
   timed_op& operator=(timed_op const&) = delete;
 
-  /// Drops the measurement (e.g. a path that turned out to be a no-op).
-  void cancel() noexcept { m_active = false; }
-
   ~timed_op()
   {
     if (m_active)
@@ -253,7 +250,7 @@ class timed_op {
 
  private:
   op m_op;
-  bool m_active;
+  bool const m_active;
   std::uint64_t m_start = 0;
 };
 

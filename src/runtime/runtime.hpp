@@ -877,52 +877,11 @@ void async_rmi(location_id dest, rmi_handle h, F f, Args... args)
   queued_rmi<Obj>(dest, h, std::move(f), std::move(args)...);
 }
 
-/// Synchronous RMI: executes `f` on the destination representative and
-/// blocks (driving progress) until the result is available.
-template <typename Obj, typename F, typename... Args>
-[[nodiscard]] auto sync_rmi(location_id dest, rmi_handle h, F f, Args... args)
-{
-  using namespace runtime_detail;
-  using R = decltype(std::invoke(f, std::declval<Obj&>(), args...));
-
-  if (dest == this_location()) {
-    auto& self = rt().loc(dest);
-    self.stats.local_rmis += 1;
-    Obj* o = static_cast<Obj*>(self.registry.lookup(h));
-    assert(o != nullptr && "sync_rmi: local object not registered");
-    return std::invoke(f, *o, std::move(args)...);
-  }
-
-  // Remote round trip from here on — the tail-latency-relevant part.
-  latency::timed_op lat_scope(latency::op::rmi_sync);
-
-  struct sync_state {
-    std::atomic<bool> done{false};
-    std::optional<R> value;
-  } st;
-
-  rt().loc(this_location()).stats.sync_rmis += 1;
-  std::size_t const bytes = wire_size(f, args...);
-  enqueue_remote(dest,
-                 [dest, h, &st, f = std::move(f),
-                  tup = std::make_tuple(std::move(args)...)]() mutable -> bool {
-                   void* p = rt().loc(dest).registry.lookup(h);
-                   if (p == nullptr)
-                     return false;
-                   st.value.emplace(apply_on(*static_cast<Obj*>(p), f, tup));
-                   st.done.store(true, std::memory_order_release);
-                   return true;
-                 },
-                 bytes);
-  runtime_detail::flush_aggregation();
-  runtime_detail::poll_until(
-      "rmi.sync", [&st] { return st.done.load(std::memory_order_acquire); });
-  return std::move(*st.value);
-}
-
 /// Split-phase RMI (Ch. V.B): returns a future immediately; the invocation
 /// executes asynchronously and fulfils the future.  `future.get()` blocks
-/// until the acknowledgment arrives, at the latest at the next fence.
+/// until the acknowledgment arrives, at the latest at the next fence.  A
+/// call to this location runs inline and returns a ready future.  The one
+/// body of a round trip: sync_rmi below is this call waited for at once.
 template <typename Obj, typename F, typename... Args>
 [[nodiscard]] auto opaque_rmi(location_id dest, rmi_handle h, F f, Args... args)
 {
@@ -953,6 +912,25 @@ template <typename Obj, typename F, typename... Args>
                  },
                  bytes);
   return pc_future<R>(st);
+}
+
+/// Synchronous RMI (Ch. VII.B): opaque_rmi with its future waited for at
+/// once, driving progress meanwhile.  A remote call also counts as one
+/// synchronous round trip (rmi.sync_rmis), is timed in the lat.rmi.sync
+/// family and waits under the watchdog name "rmi.sync"; a local one is an
+/// inline call.
+template <typename Obj, typename F, typename... Args>
+[[nodiscard]] auto sync_rmi(location_id dest, rmi_handle h, F f, Args... args)
+{
+  using namespace runtime_detail;
+  if (dest == this_location())
+    return opaque_rmi<Obj>(dest, h, std::move(f), std::move(args)...).get();
+  // Remote round trip from here on — the tail-latency-relevant part.
+  latency::timed_op lat_scope(latency::op::rmi_sync);
+  rt().loc(this_location()).stats.sync_rmis += 1;
+  auto fut = opaque_rmi<Obj>(dest, h, std::move(f), std::move(args)...);
+  poll_until("rmi.sync", [&fut] { return fut.is_ready(); });
+  return fut.get();
 }
 
 } // namespace stapl

@@ -2,14 +2,15 @@
 // core/migration.hpp) and its container wiring: GID registration across
 // home locations, request forwarding through stale caches and in-flight
 // migrations, cache invalidation on ownership change, the element
-// migration protocol on pArray / pMap / pGraph, and routed element
-// methods and pAlgorithm passes racing migrations — with at least 4
-// locations.
+// migration protocol on pArray / pMap / pGraph, the locality test of
+// every container kind, and routed element methods and pAlgorithm passes
+// racing migrations — with at least 4 locations.
 
 #include "algorithms/p_algorithms.hpp"
 #include "containers/p_array.hpp"
 #include "containers/p_associative.hpp"
 #include "containers/p_graph.hpp"
+#include "containers/p_list.hpp"
 #include "core/directory.hpp"
 #include "core/migration.hpp"
 
@@ -622,6 +623,118 @@ TEST(directory_test, GraphVertexMigration)
     rmi_fence();
     EXPECT_EQ(g.get_vertex_property(100), 77);
     rmi_fence();
+  });
+}
+
+// ---------------------------------------------------------------------------
+// The locality test of every container kind
+// ---------------------------------------------------------------------------
+
+/// On the calling location: local_element_ptr(g) is non-null exactly when
+/// is_local(g) holds, and points at value(g), for each stored element, of
+/// which exactly one location holds each; every absent element gives
+/// nullptr.  Collective.
+template <typename C, typename G, typename Value>
+void expect_pointer_iff_local(C& c, std::vector<G> const& present,
+                              std::vector<G> const& absent, Value value)
+{
+  for (std::size_t i = 0; i != present.size(); ++i) {
+    G const& g = present[i];
+    auto* const ptr = c.local_element_ptr(g);
+    EXPECT_EQ(ptr != nullptr, c.is_local(g)) << "element " << i;
+    if (ptr != nullptr) {
+      EXPECT_EQ(*ptr, value(g)) << "element " << i;
+    }
+    std::size_t const holders = c.is_local(g) ? 1 : 0;
+    EXPECT_EQ(allreduce(holders, std::plus<>{}), 1u) << "element " << i;
+  }
+  for (std::size_t i = 0; i != absent.size(); ++i)
+    EXPECT_EQ(c.local_element_ptr(absent[i]), nullptr) << "absent " << i;
+  rmi_fence();
+}
+
+TEST(locality_test, PointerExactlyWhenStoredHere)
+{
+  execute(4, [] {
+    location_id const me = this_location();
+    std::size_t const n = 4 * num_locations();
+    std::vector<std::size_t> all(n);
+    for (std::size_t g = 0; g != n; ++g)
+      all[g] = g;
+    auto const times3 = [](auto g) { return static_cast<long>(3 * g); };
+
+    // p_array, closed-form, then directory-backed with element 0 moved
+    // from location 0 into location 1's overflow store.
+    p_array<long> pa(n);
+    pa.for_each_local([&](gid1d g, long& x) { x = times3(g); });
+    rmi_fence();
+    expect_pointer_iff_local(pa, all, std::vector<std::size_t>{}, times3);
+    pa.make_dynamic();
+    if (me == 0)
+      pa.migrate(0, 1);
+    rmi_fence();
+    EXPECT_EQ(pa.is_local(0), me == 1);
+    expect_pointer_iff_local(pa, all, std::vector<std::size_t>{}, times3);
+
+    // p_hash_map: even keys stored, odd keys absent; then directory-backed
+    // with key 4 moved to location 3.
+    std::vector<int> even, odd;
+    for (int k = 0; k != 20; ++k)
+      (k % 2 == 0 ? even : odd).push_back(k);
+    auto const half = [](int k) { return k / 2; };
+    p_hash_map<int, int> pm;
+    if (me == 0)
+      for (int k : even)
+        pm.insert_async(k, half(k));
+    rmi_fence();
+    expect_pointer_iff_local(pm, even, odd, half);
+    pm.make_dynamic();
+    if (me == 0)
+      pm.migrate(4, 3);
+    rmi_fence();
+    EXPECT_EQ(pm.is_local(4), me == 3);
+    expect_pointer_iff_local(pm, even, odd, half);
+
+    // p_list: one element per location; location 0's second one erased.
+    p_list<long> pl;
+    dynamic_gid const kept = pl.push_anywhere(static_cast<long>(me));
+    dynamic_gid erased = pl.push_anywhere(-1);
+    auto const kept_all = allgather(kept);
+    erased = broadcast(0, erased);
+    rmi_fence();
+    if (me == 0)
+      pl.erase_element(erased);
+    rmi_fence();
+    expect_pointer_iff_local(
+        pl, kept_all, std::vector<dynamic_gid>{erased},
+        [](dynamic_gid g) { return static_cast<long>(g.bcid()); });
+
+    // p_graph, static over [0, n) (vertex n is absent), then dynamic with
+    // vertex 100 moved from location 0 to location 2 (vertex 999 absent).
+    p_graph<DIRECTED, MULTI, int> gs(n);
+    for (vertex_descriptor v = 0; v != n; ++v)
+      if (gs.is_local(v))
+        gs.set_vertex_property(v, static_cast<int>(v) + 1);
+    rmi_fence();
+    std::vector<vertex_descriptor> const vs(all.begin(), all.end());
+    expect_pointer_iff_local(gs, vs, std::vector<vertex_descriptor>{n},
+                             [](vertex_descriptor v) {
+                               return static_cast<int>(v) + 1;
+                             });
+    p_graph<DIRECTED, MULTI, int> gd;
+    gd.add_vertex(100 + me, static_cast<int>(me));
+    rmi_fence();
+    if (me == 0)
+      gd.migrate(100, 2);
+    rmi_fence();
+    EXPECT_EQ(gd.is_local(100), me == 2);
+    std::vector<vertex_descriptor> dyn;
+    for (location_id l = 0; l != num_locations(); ++l)
+      dyn.push_back(100 + l);
+    expect_pointer_iff_local(gd, dyn, std::vector<vertex_descriptor>{999},
+                             [](vertex_descriptor v) {
+                               return static_cast<int>(v - 100);
+                             });
   });
 }
 

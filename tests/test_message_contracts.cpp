@@ -316,18 +316,18 @@ void add_array_rows(std::vector<row>& t)
   });
   // Equal keys all land in the last bucket, so the last location writes
   // back every element: a directory-backed array routes one set_element
-  // per element, a closed-form one sends one RMI per run of elements of
-  // one other owner.
+  // per element, a closed-form one sends one RMI to each other owner.
   add("p_sample_sort", [](auto&, auto& b) {
     location_id const last = num_locations() - 1;
     route_model m = array_model(b);
+    std::set<location_id> written;
     for (std::size_t g = 0; g != n; ++g) {
       if (b.is_dynamic())
         m.access(last, g);
-      else if (this_location() == last && m.owner(g) != last &&
-               (g == 0 || m.owner(g - 1) != m.owner(g)))
-        m.want.sent += 1;
+      else if (this_location() == last && m.owner(g) != last)
+        written.insert(m.owner(g));
     }
+    m.want.sent += written.size();
     m.want.sent += this_location() != last && b.local_size() != 0;
     m.want.fences = 2;
     m.want.coll = 2; // the splitters' allgather and the offsets' scan
@@ -336,7 +336,7 @@ void add_array_rows(std::vector<row>& t)
   // Many blocks per location and 600 equal keys: the bucket holding them
   // covers blocks of several owners, yet each owner gets its part in one
   // RMI, so a location sends at most one bucket batch and one write-back
-  // range to each other location.
+  // message to each other location.
   t.push_back({"p_sample_sort/blocked37_random_keys", [] {
     p_array<long, blocked_partition> pa(1000, blocked_partition(37));
     std::mt19937 gen(99);

@@ -78,6 +78,24 @@ TEST_P(PAssocTest, SplitPhaseFind)
   });
 }
 
+TEST_P(PAssocTest, SplitPhaseContains)
+{
+  execute(GetParam(), [] {
+    p_hash_set<int> ps;
+    if (this_location() == 0)
+      for (int k = 0; k < 20; k += 2)
+        ps.insert_async(k);
+    rmi_fence();
+    std::vector<pc_future<bool>> futs;
+    for (int k = 0; k < 20; ++k)
+      futs.push_back(ps.split_phase_contains(k));
+    for (int k = 0; k < 20; ++k)
+      EXPECT_EQ(futs[static_cast<std::size_t>(k)].get(), k % 2 == 0)
+          << "key " << k;
+    rmi_fence();
+  });
+}
+
 TEST_P(PAssocTest, ApplyAsyncAccumulates)
 {
   execute(GetParam(), [] {

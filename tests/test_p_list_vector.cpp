@@ -83,6 +83,37 @@ TEST_P(PListTest, PushAnywhereIsLocalAndBalanced)
   });
 }
 
+// The other anywhere methods of Ch. V.B: get_anywhere is a reference into
+// this location's home bContainer (its front element), and remove_element
+// drops one of its elements (a no-op when it is empty).  Neither
+// communicates.
+TEST_P(PListTest, GetAnywhereAndRemoveElementStayLocal)
+{
+  execute(GetParam(), [] {
+    p_list<int> pl;
+    int const base = 10 * static_cast<int>(this_location());
+    for (int i = 0; i < 3; ++i)
+      pl.push_anywhere_async(base + i);
+    rmi_fence();
+    metrics::reset_all();
+    int& front = pl.get_anywhere();
+    EXPECT_EQ(front, base);
+    front = -1;
+    pl.remove_element();
+    pl.remove_element();
+    EXPECT_EQ(metrics::snapshot().at("rmi.rmis_sent"), 0u);
+    std::vector<int> left;
+    pl.for_each_local([&](dynamic_gid, int& v) { left.push_back(v); });
+    EXPECT_EQ(left, std::vector<int>{-1});
+    pl.remove_element();
+    pl.remove_element();
+    EXPECT_TRUE(pl.local_empty());
+    rmi_fence();
+    EXPECT_TRUE(pl.empty());
+    rmi_fence();
+  });
+}
+
 TEST_P(PListTest, ElementAccessByGid)
 {
   execute(GetParam(), [] {

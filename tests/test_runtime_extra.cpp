@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -23,6 +24,9 @@ std::uint64_t counter(char const* key)
 
 // The runtime primitives' own counters.  What each element method and
 // pAlgorithm sends is pinned per location by test_message_contracts.cpp.
+// sync_rmi is opaque_rmi waited for at once: both send one RMI to another
+// location and count one local invocation for this one, and only a remote
+// sync_rmi counts a synchronous round trip.
 TEST(Instrumentation, CountersTrackTrafficClasses)
 {
   execute(2, [] {
@@ -30,13 +34,33 @@ TEST(Instrumentation, CountersTrackTrafficClasses)
     rmi_fence();
     metrics::reset_all();
 
-    // A raw sync_rmi moves the sync counter.
-    auto const before_sync = counter("rmi.sync_rmis");
-    (void)sync_rmi<p_array<int>>(1 - this_location(), pa.get_handle(),
-                                 [](p_array<int> const& c) {
-                                   return c.local_size();
-                                 });
-    EXPECT_GT(counter("rmi.sync_rmis"), before_sync);
+    using A = p_array<int>;
+    using counts = std::array<std::uint64_t, 3>;
+    auto const size_of = [](A const& c) { return c.local_size(); };
+    // {rmi.sync_rmis, rmi.rmis_sent, rmi.local_rmis} moved by `op`.
+    auto const delta = [](auto op) {
+      auto const read = [] {
+        return counts{counter("rmi.sync_rmis"), counter("rmi.rmis_sent"),
+                      counter("rmi.local_rmis")};
+      };
+      counts const before = read();
+      op();
+      counts d = read();
+      for (std::size_t i = 0; i != d.size(); ++i)
+        d[i] -= before[i];
+      return d;
+    };
+    location_id const me = this_location(), other = 1 - me;
+    rmi_handle const h = pa.get_handle();
+
+    EXPECT_EQ(delta([&] { (void)sync_rmi<A>(other, h, size_of); }),
+              (counts{1, 1, 0}));
+    EXPECT_EQ(delta([&] { (void)opaque_rmi<A>(other, h, size_of).get(); }),
+              (counts{0, 1, 0}));
+    EXPECT_EQ(delta([&] { (void)sync_rmi<A>(me, h, size_of); }),
+              (counts{0, 0, 1}));
+    EXPECT_EQ(delta([&] { (void)opaque_rmi<A>(me, h, size_of).get(); }),
+              (counts{0, 0, 1}));
 
     auto const fences_before = counter("rmi.fences");
     rmi_fence();
