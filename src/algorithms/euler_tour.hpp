@@ -74,7 +74,9 @@ namespace et_detail {
 } // namespace et_detail
 
 /// Batched distributed gather: values[k] = view of arr at indices[k], with
-/// one synchronous request per owning location instead of one per element.
+/// one split-phase request per owning location instead of one per element.
+/// Every request goes out before the first reply is waited for, so the
+/// gather costs about one round trip, not one per owner.
 template <typename C>
 [[nodiscard]] std::vector<typename C::value_type>
 p_gather(C& arr, std::vector<gid1d> const& indices)
@@ -86,24 +88,33 @@ p_gather(C& arr, std::vector<gid1d> const& indices)
   for (std::size_t k = 0; k < indices.size(); ++k)
     per_owner[arr.lookup(indices[k])].push_back(k);
 
-  for (auto& [owner, ks] : per_owner) {
+  // Every remote request goes out first; the second walk, in the same
+  // map order, serves the local indices and waits for the replies.
+  std::vector<pc_future<std::vector<T>>> replies;
+  for (auto const& [owner, ks] : per_owner) {
+    if (owner == this_location())
+      continue;
+    std::vector<gid1d> gids;
+    gids.reserve(ks.size());
+    for (auto k : ks)
+      gids.push_back(indices[k]);
+    replies.push_back(opaque_rmi<C>(owner, arr.get_handle(),
+                                    [gids = std::move(gids)](C& a) {
+                                      std::vector<T> vs;
+                                      vs.reserve(gids.size());
+                                      for (auto g : gids)
+                                        vs.push_back(a.local_element(g));
+                                      return vs;
+                                    }));
+  }
+  auto reply = replies.begin();
+  for (auto const& [owner, ks] : per_owner) {
     if (owner == this_location()) {
       for (auto k : ks)
         out[k] = arr.local_element(indices[k]);
       continue;
     }
-    std::vector<gid1d> gids;
-    gids.reserve(ks.size());
-    for (auto k : ks)
-      gids.push_back(indices[k]);
-    auto vals = sync_rmi<C>(owner, arr.get_handle(),
-                            [gids](C& a) {
-                              std::vector<T> vs;
-                              vs.reserve(gids.size());
-                              for (auto g : gids)
-                                vs.push_back(a.local_element(g));
-                              return vs;
-                            });
+    auto vals = (reply++)->get();
     for (std::size_t j = 0; j < ks.size(); ++j)
       out[ks[j]] = std::move(vals[j]);
   }

@@ -13,7 +13,13 @@
 //   3. each local element's bucket is found by a branch-free binary search
 //      over the splitters (sort_detail::bucket_of), and every bucket is
 //      shipped to its location in one bulk asynchronous batch;
-//   4. each location sorts its bucket;
+//   4. each location sorts its bucket in one counting pass
+//      (sort_detail::sort_bucket): it counts the received keys by digit,
+//      scatters them into one vector, and std::sorts each digit's
+//      sub-bucket.  Integral keys under std::less take their digit from
+//      the top bits of the key's offset in the range of the bucket's keys;
+//      any other key or comparator has one sub-bucket, the whole bucket.
+//      The pass sends no message;
 //   5. the sorted sequence is written back in order: each location's start
 //      offset is the exclusive scan of the bucket sizes, and its range is
 //      cut into pieces that each fill consecutive slots of one bContainer.
@@ -29,10 +35,15 @@
 // Sorts any indexed container with 1D gids (pArray, pVector).
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <functional>
+#include <limits>
+#include <numeric>
 #include <random>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "../runtime/runtime.hpp"
@@ -48,19 +59,14 @@ namespace sort_detail {
 /// holds within ±5% of the mean (tests/test_p_sort.cpp).
 inline constexpr std::size_t samples_per_location = 4096;
 
-/// One location's bucket: the batches every location ships here, appended
-/// by RMIs that run on this location's thread.
+/// One location's bucket: the batches every location ships here, kept as
+/// they arrive by RMIs that run on this location's thread.  sort_bucket's
+/// scatter concatenates them.
 template <typename T>
 struct bucket_buffer : p_object {
-  std::vector<T> elems;
+  std::vector<std::vector<T>> batches;
 
-  void deliver(std::vector<T> batch)
-  {
-    if (elems.empty())
-      elems = std::move(batch);
-    else
-      elems.insert(elems.end(), batch.begin(), batch.end());
-  }
+  void deliver(std::vector<T> batch) { batches.push_back(std::move(batch)); }
 };
 
 /// The P-1 splitters: each location draws up to samples_per_location
@@ -107,6 +113,86 @@ template <typename T, typename Compare>
     base = cmp(x, base[n / 2]) ? base : base + n / 2;
   return static_cast<std::size_t>(base - splitters.data()) +
          (cmp(x, *base) ? 0 : 1);
+}
+
+/// Whether sort_bucket splits a bucket by counting digits: integral keys
+/// other than bool, under std::less.
+template <typename T, typename Compare>
+inline constexpr bool counting_digits =
+    std::is_integral_v<T> && !std::is_same_v<T, bool> &&
+    (std::is_same_v<Compare, std::less<>> ||
+     std::is_same_v<Compare, std::less<T>>);
+
+/// Phase 4: a bucket, received as `batches`, sorted by `cmp` into one
+/// vector.  One counting pass: the keys are counted by digit, scattered in
+/// batch order into their digits' sub-buckets, and each sub-bucket is
+/// std::sorted.  For counting_digits keys the digit is the top
+/// b = clamp(bit_width(n) - 4, 1, 16) bits of x - lo, where n is the
+/// bucket's size and [lo, hi] its keys' range, from one read-only pass; so
+/// keys spread evenly over any range fill sub-buckets of 8 to 32 (more
+/// once n passes 2^20, where b stops at 16).  Any other key or comparator
+/// has one sub-bucket, so the pass concatenates the batches and
+/// std::sorts the whole bucket.
+template <typename T, typename Compare>
+[[nodiscard]] std::vector<T> sort_bucket(std::vector<std::vector<T>> batches,
+                                         Compare cmp)
+{
+  std::size_t n = 0;
+  for (auto const& batch : batches)
+    n += batch.size();
+  if (n == 0) // no key range
+    return {};
+
+  // digit(x) < digits for every key of the bucket.
+  auto const [digit, digits] = [&] {
+    if constexpr (counting_digits<T, Compare>) {
+      T lo = std::numeric_limits<T>::max();
+      T hi = std::numeric_limits<T>::min();
+      for (auto const& batch : batches)
+        for (T const x : batch) {
+          lo = std::min(lo, x);
+          hi = std::max(hi, x);
+        }
+      // x - lo in the unsigned type of T's width: exact for signed keys
+      // too, since 0 <= x - lo <= hi - lo fits, and cast back after the
+      // subtraction promotes a narrow type to int.
+      using U = std::make_unsigned_t<T>;
+      auto const offset = [base = static_cast<U>(lo)](T x) {
+        return static_cast<U>(static_cast<U>(x) - base);
+      };
+      int const b = std::clamp(static_cast<int>(std::bit_width(n)) - 4, 1, 16);
+      int const shift =
+          std::max(static_cast<int>(std::bit_width(offset(hi))) - b, 0);
+      auto const digit = [offset, shift](T x) {
+        return static_cast<std::size_t>(offset(x) >> shift);
+      };
+      return std::pair(digit, digit(hi) + 1);
+    } else {
+      return std::pair([](T const&) { return std::size_t{0}; }, std::size_t{1});
+    }
+  }();
+
+  // pos[d + 1] counts digit d; after the prefix sum pos[d] is where the
+  // next key of digit d goes, and after the scatter it is where
+  // sub-bucket d ends.
+  std::vector<std::size_t> pos(digits + 1, 0);
+  for (auto const& batch : batches)
+    for (T const& x : batch)
+      ++pos[digit(x) + 1];
+  std::partial_sum(pos.begin(), pos.end(), pos.begin());
+  std::vector<T> out(n);
+  for (auto& batch : batches) {
+    for (T& x : batch)
+      out[pos[digit(x)]++] = std::move(x);
+    std::vector<T>().swap(batch);
+  }
+  auto begin = out.begin();
+  for (std::size_t d = 0; d != digits; ++d) {
+    auto const end = out.begin() + static_cast<std::ptrdiff_t>(pos[d]);
+    std::sort(begin, end, cmp);
+    begin = end;
+  }
+  return out;
 }
 
 /// Length of the run of GIDs g, g+1, ... (at most `max`) that occupy
@@ -189,8 +275,8 @@ void p_sample_sort(C& arr, Compare cmp = {})
   rmi_fence();
 
   // 4. Local bucket sort.
-  std::vector<T>& elems = bucket.elems;
-  std::sort(elems.begin(), elems.end(), cmp);
+  std::vector<T> elems = sort_detail::sort_bucket(std::move(bucket.batches),
+                                                  cmp);
 
   // 5. Write back in global order: bucket l starts where buckets 0..l-1
   //    end.

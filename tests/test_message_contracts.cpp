@@ -1,6 +1,7 @@
 // Message-count contracts: the traffic of every pAlgorithm, of every
-// element method of p_array, p_hash_map and p_graph, and of the graph
-// algorithms, per location, at P = 2, 3 and 4.
+// element method of p_array, p_hash_map and p_graph, of the graph
+// algorithms and of the Euler tour's p_gather, per location, at P = 2, 3
+// and 4.
 //
 // A row runs one operation on every location between two fences and
 // compares the calling location's deltas of rmi.rmis_sent,
@@ -16,6 +17,7 @@
 // buckets depend on the sampled splitters.  rmi.msgs_sent is only checked
 // against rmi.rmis_sent: how RMIs batch into messages depends on timing.
 
+#include "algorithms/euler_tour.hpp"
 #include "algorithms/graph_algorithms.hpp"
 #include "algorithms/map_reduce.hpp"
 #include "algorithms/p_algorithms.hpp"
@@ -349,6 +351,27 @@ void add_array_rows(std::vector<row>& t)
                    {.sent = 2 * (num_locations() - 1u), .fences = 2,
                     .coll = 2, .sent_is_bound = true});
     EXPECT_TRUE(p_is_sorted(pa));
+  }});
+
+  // Every location gathers one element from each other location: one
+  // split-phase request per owner, all sent before the first reply is
+  // waited for, so none is a synchronous round trip.
+  t.push_back({"p_gather/balanced", [] {
+    p_array<double> a(n);
+    a.for_each_local([](gid1d g, double& x) { x = static_cast<double>(g); });
+    std::vector<gid1d> idx;
+    for (location_id l = 0; l != num_locations(); ++l) {
+      gid1d g = 0;
+      while (a.resolve(g).loc != l)
+        ++g;
+      if (l != this_location())
+        idx.push_back(g);
+    }
+    std::vector<double> got;
+    expect_traffic("p_gather", [&] { got = p_gather(a, idx); },
+                   {.sent = num_locations() - 1u});
+    for (std::size_t k = 0; k != idx.size(); ++k)
+      EXPECT_EQ(got[k], static_cast<double>(idx[k]));
   }});
 
   auto method = [&add](std::string const& name, auto f) {

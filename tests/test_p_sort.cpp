@@ -9,8 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <random>
+#include <type_traits>
+#include <utility>
 
 namespace {
 
@@ -19,7 +24,8 @@ using namespace stapl;
 struct sort_case {
   unsigned locations;
   std::size_t n;
-  int pattern; // 0 = random, 1 = sorted, 2 = reverse, 3 = constant
+  int pattern; // 0 = random, 1 = sorted, 2 = reverse, 3 = constant,
+               // 4 = full range (LONG_MIN and LONG_MAX repeated)
 };
 
 class SampleSortTest : public ::testing::TestWithParam<sort_case> {};
@@ -37,6 +43,11 @@ TEST_P(SampleSortTest, SortsAndPreservesMultiset)
         case 1: v = static_cast<long>(g); break;
         case 2: v = static_cast<long>(n - g); break;
         case 3: v = 42; break;
+        case 4:
+          v = g % 7 == 0   ? LONG_MIN
+              : g % 7 == 1 ? LONG_MAX
+                           : static_cast<long>(g * 0x9E3779B97F4A7C15ull);
+          break;
       }
       ref[g] = v;
       if (pa.is_local(g))
@@ -59,7 +70,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(sort_case{1, 100, 0}, sort_case{2, 128, 0},
                       sort_case{4, 1000, 0}, sort_case{8, 2048, 0},
                       sort_case{4, 777, 1}, sort_case{4, 777, 2},
-                      sort_case{4, 500, 3}, sort_case{3, 97, 0}));
+                      sort_case{4, 500, 3}, sort_case{3, 97, 0},
+                      sort_case{1, 1000, 4}, sort_case{2, 1000, 4},
+                      sort_case{4, 1000, 4}, sort_case{8, 1000, 4}));
 
 TEST(SampleSort, DescendingComparator)
 {
@@ -170,8 +183,19 @@ INSTANTIATE_TEST_SUITE_P(Locations, SampleSortDistTest,
                          ::testing::Values(1, 2, 4, 8));
 
 // ---------------------------------------------------------------------------
-// sort_detail: bucket index and splitter balance
+// sort_detail: bucket index, splitter balance and the bucket's counting pass
 // ---------------------------------------------------------------------------
+
+// Integral keys under std::less take counting digits; every other key or
+// comparator sorts its bucket as one sub-bucket.
+static_assert(sort_detail::counting_digits<std::uint64_t, std::less<>>);
+static_assert(
+    sort_detail::counting_digits<std::uint64_t, std::less<std::uint64_t>>);
+static_assert(sort_detail::counting_digits<long, std::less<>>);
+static_assert(sort_detail::counting_digits<long, std::less<long>>);
+static_assert(!sort_detail::counting_digits<bool, std::less<>>);
+static_assert(!sort_detail::counting_digits<double, std::less<>>);
+static_assert(!sort_detail::counting_digits<long, std::greater<>>);
 
 TEST(SampleSortDetail, BucketOfMatchesUpperBound)
 {
@@ -217,6 +241,94 @@ TEST(SampleSortDetail, BucketsWithinFivePercentOfTheMean)
       EXPECT_NEAR(static_cast<double>(total[b]) / mean, 1.0, 0.05)
           << "bucket " << b << " holds " << total[b];
   });
+}
+
+/// A uniform key in [lo, hi] (narrow types are drawn as int: the standard
+/// distributions take no char-sized type).
+template <typename T>
+[[nodiscard]] T draw(std::mt19937_64& gen, T lo, T hi)
+{
+  if constexpr (std::is_floating_point_v<T>)
+    return std::uniform_real_distribution<T>(lo, hi)(gen);
+  else {
+    using D = std::conditional_t<(sizeof(T) < sizeof(int)), int, T>;
+    return static_cast<T>(std::uniform_int_distribution<D>(lo, hi)(gen));
+  }
+}
+
+/// Checks sort_bucket(batches, cmp) against std::sort of the batches'
+/// concatenation, `keys` cut into batches at random points (empty batches
+/// included).
+template <typename T, typename Compare = std::less<>>
+void expect_sorted_like_std(std::vector<T> keys, std::mt19937_64& gen,
+                            Compare cmp = {})
+{
+  std::vector<std::size_t> cuts{0, keys.size()};
+  for (std::size_t k = gen() % 8; k-- > 0;)
+    cuts.push_back(gen() % (keys.size() + 1));
+  std::sort(cuts.begin(), cuts.end());
+  std::vector<std::vector<T>> batches;
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i)
+    batches.emplace_back(keys.begin() + static_cast<std::ptrdiff_t>(cuts[i]),
+                         keys.begin() +
+                             static_cast<std::ptrdiff_t>(cuts[i + 1]));
+  auto const got = sort_detail::sort_bucket(batches, cmp);
+  std::sort(keys.begin(), keys.end(), cmp);
+  EXPECT_EQ(got, keys) << keys.size() << " keys";
+}
+
+/// `n` random keys of [lo, hi], lo and hi among them.
+template <typename T>
+[[nodiscard]] std::vector<T> keys_in(T lo, T hi, std::size_t n,
+                                     std::mt19937_64& gen)
+{
+  std::vector<T> keys{lo, hi};
+  while (keys.size() < n)
+    keys.push_back(draw(gen, lo, hi));
+  return keys;
+}
+
+/// Buckets whose keys span the type's whole range, its bottom and top
+/// ends, and a window of at most 1000003 values (the range of
+/// bench_scaling's keys) around the middle; each also with all keys equal;
+/// then a single key and no key.
+template <typename T, typename Compare = std::less<>>
+void check_ranges(std::mt19937_64& gen, Compare cmp = {})
+{
+  using lim = std::numeric_limits<T>;
+  auto const w = static_cast<T>(
+      std::min<std::uintmax_t>(lim::max() / 4, std::uintmax_t{1000002}));
+  T const mid = lim::is_signed ? T{0} : static_cast<T>(lim::max() / 2);
+  std::pair<T, T> const ranges[] = {
+      {lim::lowest(), lim::max()},
+      {lim::lowest(), static_cast<T>(lim::lowest() + w)},
+      {static_cast<T>(lim::max() - w), lim::max()},
+      {static_cast<T>(mid - w / 2), static_cast<T>(mid + w / 2)}};
+  for (auto const& [lo, hi] : ranges) {
+    expect_sorted_like_std(keys_in(lo, hi, 3000, gen), gen, cmp);
+    expect_sorted_like_std(std::vector<T>(3000, hi), gen, cmp);
+  }
+  expect_sorted_like_std(std::vector<T>{lim::max()}, gen, cmp);
+  expect_sorted_like_std(std::vector<T>{}, gen, cmp);
+}
+
+TEST(SampleSortDetail, SortBucketMatchesStdSort)
+{
+  std::mt19937_64 gen(24);
+  check_ranges<std::uint64_t>(gen);
+  check_ranges<long>(gen);
+  check_ranges<std::int16_t>(gen); // x - lo promotes to int
+  check_ranges<unsigned char>(gen);
+
+  // 2^19 keys, so the digit takes its cap of 16 bits.
+  expect_sorted_like_std(
+      keys_in<std::uint64_t>(0, UINT64_MAX, std::size_t{1} << 19, gen), gen);
+
+  // One sub-bucket: a floating-point key, and a comparator other than
+  // std::less.
+  expect_sorted_like_std(keys_in(-1e6, 1e6, 3000, gen), gen);
+  expect_sorted_like_std(std::vector<double>(3000, 2.25), gen);
+  check_ranges<int>(gen, std::greater<>{});
 }
 
 } // namespace
