@@ -4,8 +4,9 @@
 //      least 5x faster than a cold lookup for the cache to pay for its
 //      invalidation traffic.
 //   2. Element-method throughput through the directory: before migration
-//      (closed-form placement), first touch after migration (stale routes:
-//      forwarding-hint chases), and steady state after caches re-warm.
+//      (each element homed at its owner, its placement), first touch after
+//      migration (through the home, which fills the caller's cache), and
+//      steady state with warm caches.
 //
 // Run with --json to also write BENCH_directory.json.
 
@@ -102,8 +103,9 @@ void migration_throughput(unsigned p)
     if (this_location() == 0)
       before.store(bench::mops(targets.size(), t));
 
-    // Move the slice to the last location; location 0's cache entries (and
-    // the home records) go stale and must be chased/invalidated.
+    // Move the slice to the last location.  Its home stays location 1, its
+    // placement, so location 0's first touch goes through the home, which
+    // forwards it and fills location 0's cache.
     if (this_location() == 1)
       for (auto g : targets)
         pa.migrate(g, num_locations() - 1);
@@ -111,14 +113,14 @@ void migration_throughput(unsigned p)
 
     t = bench::timed_kernel([&] {
       if (this_location() == 0)
-        read_all(); // first touch: stale routes, hint chases
+        read_all(); // first touch: through the home
     });
     if (this_location() == 0)
       first_touch.store(bench::mops(targets.size(), t));
 
     t = bench::timed_kernel([&] {
       if (this_location() == 0)
-        read_all(); // steady state: re-warmed caches
+        read_all(); // steady state: warm caches
     });
     if (this_location() == 0)
       warm.store(bench::mops(targets.size(), t));

@@ -5,11 +5,12 @@
 //
 // A *kernel* is a named SPMD body plus a base problem size; the harness
 // crosses it with the sweep axes — location count P and strong/weak
-// scaling mode — runs one stapl::execute per sweep point, and reports
-// per-point wall time, parallel efficiency against the P=1 point of the
+// scaling mode — runs each sweep point runs_per_point times, each in a
+// fresh stapl::execute so every run sees the same input, and reports the
+// median run's wall time, parallel efficiency against the P=1 point of the
 // same series, and the `metrics::global_snapshot()` delta of that
-// execution (threads are fresh per execute, so the
-// collective snapshot covers exactly one sweep point).
+// execution (threads are fresh per execute, so the collective snapshot
+// covers exactly one run).
 //
 // Efficiency definitions (t1 = seconds of the same series at P=1):
 //   strong:  e(P) = t1 / (P * tP)   (fixed total N)
@@ -19,6 +20,7 @@
 // kernel x mode, rows keyed "pP") plus a machine-first "sweeps" JSON array
 // attached to BENCH_scaling.json via bench::set_extra_json.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <functional>
@@ -112,10 +114,11 @@ struct point_result {
 
 /// When nonempty, every sweep point records into a keep-last circular
 /// trace ring and dumps its own Perfetto-loadable timeline to
-/// "<prefix><point-tag>.json" right after the point's execute returns —
-/// so a regressed curve point ships the trace of exactly that execution
-/// (its final window; the ring keeps the newest events).  Set from the
-/// bench's --trace-points flag before run_sweep.
+/// "<prefix><point-tag>.json" after the point's last run — so a regressed
+/// curve point ships the trace of one run of that point on the same input,
+/// not necessarily the median run it reports (the final window of that
+/// run; the ring keeps the newest events).  Set from the bench's
+/// --trace-points flag before run_sweep.
 [[nodiscard]] inline std::string& trace_points_prefix()
 {
   static std::string prefix;
@@ -132,29 +135,43 @@ struct point_result {
   return tag;
 }
 
-/// Runs one sweep point: a fresh stapl::execute with the point's location
-/// count, the kernel body inside, and the collective metrics
-/// snapshot captured before the threads join.
+/// Runs per sweep point.  The median damps a run that a busy host slowed;
+/// it does not remove the host's swing between sweeps.
+inline constexpr int runs_per_point = 5;
+
+/// Runs one sweep point: runs_per_point fresh stapl::executes with the
+/// point's location count, the kernel body inside each, and the collective
+/// metrics snapshot captured before the threads join.  Reports the median
+/// run with its own metrics; a traced point dumps the trace of its last
+/// run (trace_points_prefix).
 [[nodiscard]] inline point_result run_point(kernel_def const& k,
                                             sweep_point const& pt)
 {
-  point_result res;
-  res.pt = pt;
   bool const tracing = !trace_points_prefix().empty();
   if (tracing)
     stapl::trace::enable(std::size_t{1} << 14, /*keep_last=*/true);
-  std::atomic<double> secs{0.0};
-  auto metrics_out = std::make_shared<stapl::metrics::counter_map>();
-  stapl::execute(pt.p, [&] {
-    double const s = k.body(pt);
-    auto m = stapl::metrics::global_snapshot();
-    if (stapl::this_location() == 0) {
-      secs.store(s);
-      *metrics_out = std::move(m);
-    }
-  });
-  res.seconds = secs.load();
-  res.metrics = std::move(*metrics_out);
+  std::vector<point_result> runs;
+  for (int r = 0; r != runs_per_point; ++r) {
+    if (tracing)
+      stapl::trace::clear();
+    std::atomic<double> secs{0.0};
+    auto metrics_out = std::make_shared<stapl::metrics::counter_map>();
+    stapl::execute(pt.p, [&] {
+      double const s = k.body(pt);
+      auto m = stapl::metrics::global_snapshot();
+      if (stapl::this_location() == 0) {
+        secs.store(s);
+        *metrics_out = std::move(m);
+      }
+    });
+    runs.push_back({pt, secs.load(), 0.0, std::move(*metrics_out)});
+  }
+  auto const mid = runs.begin() + runs_per_point / 2;
+  std::nth_element(runs.begin(), mid, runs.end(),
+                   [](auto const& a, auto const& b) {
+                     return a.seconds < b.seconds;
+                   });
+  point_result res = std::move(*mid);
   if (tracing) {
     std::string const path =
         trace_points_prefix() + point_file_tag(pt) + ".json";

@@ -230,14 +230,15 @@ void page_rank(G& g, std::size_t iterations, double damping = 0.85)
         });
     });
     rmi_fence();
-    // Gather.
+    // Gather.  It neither polls nor sends, and a remote share of the next
+    // scatter runs only when its target polls, after the target's own
+    // gather: one fence per iteration orders both phases.
     g.for_each_local_vertex([&](vertex_descriptor, auto& rec) {
       rec.property.rank =
           (1.0 - damping) / static_cast<double>(n) +
           damping * rec.property.incoming;
       rec.property.incoming = 0.0;
     });
-    rmi_fence();
   }
 }
 

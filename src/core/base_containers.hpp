@@ -168,7 +168,6 @@ class list_bcontainer {
   [[nodiscard]] const_iterator end() const noexcept { return m_list.end(); }
 
   [[nodiscard]] dynamic_gid front_gid() const { return m_list.front().first; }
-  [[nodiscard]] dynamic_gid back_gid() const { return m_list.back().first; }
 
   [[nodiscard]] memory_report memory_size() const noexcept
   {

@@ -172,8 +172,9 @@ class p_container_base : public p_object {
   /// Collective: switches the container to directory-backed resolution.
   /// Every location takes local ownership of its current elements;
   /// afterwards elements may migrate between locations (see migrate()).
-  /// The closed-form owner is installed as the directory's default, so no
-  /// home records are materialized up front: elements that never move
+  /// The closed-form owner is installed as the directory's default, which
+  /// is also each GID's home, so no home records are materialized up
+  /// front: elements that never move are homed where they live and
   /// resolve lazily to the same owner, and fresh GIDs are adopted by
   /// their arithmetic owner.
   void make_dynamic()
@@ -362,19 +363,6 @@ class p_container_base : public p_object {
   {
     derived().insert_migrated(gid, std::move(payload));
     m_directory->migration_arrived(gid, seq);
-  }
-
-  /// Runs `f(container)` on every location of the container (one-sided
-  /// broadcast of work); completion at the next fence.
-  template <typename F>
-  void for_all_locations(F f)
-  {
-    for (location_id l = 0; l < num_locations(); ++l) {
-      if (l == get_location_id())
-        f(derived());
-      else
-        async_rmi<Derived>(l, this->get_handle(), f);
-    }
   }
 
   /// Memory footprint of the local representative: (metadata, data) bytes

@@ -4,9 +4,13 @@
 // Distributed directory (dissertation Ch. V.C.3 / Ch. XI.F.2).
 //
 // The directory is the mechanism that frees a pContainer from purely
-// arithmetic GID resolution: each GID has a hash-determined *home location*
-// holding its authoritative owner record, so elements can be registered,
-// found and *moved* at run time without replicating global metadata.
+// arithmetic GID resolution: each GID has a *home location* holding its
+// authoritative owner record, so elements can be registered, found and
+// *moved* at run time without replicating global metadata.  The home is the
+// GID's placement when the directory has a default owner (the partition and
+// mapper a container installs in make_dynamic), so a GID that never moved
+// is homed where it lives and a request for it costs one hop; without a
+// default owner (dynamic pGraph) the home is a hash of the GID.
 //
 // Per-location state of one directory:
 //   * m_registry — authoritative owner records of the GIDs *homed* here,
@@ -17,9 +21,11 @@
 //     "dynamic with forwarding"); bounded by home-driven reclamation:
 //     each record update retires the hints of all but the most recent
 //     former owner;
-//   * m_cache    — owner cache filled by cold home lookups and by the home
-//     piggybacking answers onto forwarded work; invalidated by the home
-//     when the owner record changes (migration, re-registration, erase).
+//   * m_cache    — owner cache filled by the home: on every cold lookup
+//     (resolve), and once per copyset subscription when it forwards work to
+//     an owner other than itself, where the fill saves the next access a
+//     hop; invalidated by the home when the owner record changes
+//     (migration, re-registration, erase).
 //
 // Work routing (`invoke_where`) migrates the *request* to the data: caller
 // -> (cache | home) -> owner, with at most one hop added per stale level.
@@ -136,8 +142,8 @@ class space_saving_tracker {
 /// location (collective construction, like any p_object).
 ///
 /// The element *owner* is the location whose bContainer currently stores
-/// the element; the *home* of a GID is the hash-determined location holding
-/// its owner record.  Owners register/unregister; anyone may resolve or
+/// the element; the *home* of a GID (home_of) is the location holding its
+/// owner record.  Owners register/unregister; anyone may resolve or
 /// route work; migration updates the record and invalidates stale caches.
 template <typename GID, typename Hash = std::hash<GID>>
 class directory : public p_object {
@@ -170,10 +176,11 @@ class directory : public p_object {
 
   ~directory() override { metrics::unregister_contributor(m_metrics_id); }
 
-  /// Installs the fallback owner function consulted by the home for GIDs
-  /// without a record (e.g. the closed-form partition+mapper owner of a
-  /// container).  Without it, requests for unknown GIDs park until a
-  /// registration arrives.
+  /// Installs the placement: the closed-form owner of every GID (e.g. a
+  /// container's partition + mapper), which is also its home.  The home
+  /// consults it for GIDs without a record.  Without it, requests for
+  /// unknown GIDs park until a registration arrives.  Install it on every
+  /// location before any traffic, so all agree on each GID's home.
   void set_default_owner(std::function<location_id(GID const&)> f)
   {
     m_default_owner = std::move(f);
@@ -184,10 +191,13 @@ class directory : public p_object {
   /// requester synchronously fetches the owner first (two round trips).
   void set_forwarding(bool enable) noexcept { m_forwarding = enable; }
 
-  /// Home location of a GID's owner record (golden-ratio mix of the hash so
-  /// clustered GIDs spread over all locations).
-  [[nodiscard]] location_id home_of(GID const& g) const noexcept
+  /// Home location of a GID's owner record: its placement when one is
+  /// installed, else a golden-ratio mix of the hash so clustered GIDs
+  /// spread over all locations.
+  [[nodiscard]] location_id home_of(GID const& g) const
   {
+    if (m_default_owner)
+      return m_default_owner(g);
     auto const h = static_cast<std::uint64_t>(Hash{}(g));
     return static_cast<location_id>((h * 0x9E3779B97F4A7C15ull >> 32) %
                                     get_num_locations());
@@ -216,10 +226,19 @@ class directory : public p_object {
     return m_stats;
   }
 
-  /// Drops this location's owner cache (bench/test support).
+  /// Drops this location's owner cache and its subscriptions at the
+  /// homes, so the next routed access to each GID is cold and is filled
+  /// again (bench/test support; the homes learn of it by the next fence).
   void clear_cache()
   {
     assert(on_own_thread());
+    for (auto const& entry : m_cache)
+      run_on(home_of(entry.first),
+             [g = entry.first, me = get_location_id()](directory& d) {
+               if (auto const it = d.m_registry.find(g);
+                   it != d.m_registry.end())
+                 std::erase(it->second.copyset, me);
+             });
     m_cache.clear();
   }
 
@@ -289,10 +308,10 @@ class directory : public p_object {
   // -------------------------------------------------------------------------
 
   /// Takes local ownership of `g` without creating a home record.  Only
-  /// valid when the installed default owner already resolves `g` to this
-  /// location (e.g. a container seeding its current elements in
-  /// make_dynamic): the home then materializes an identical record lazily
-  /// on first use, so no registration traffic is needed.
+  /// valid when `g`'s placement is this location (e.g. a container seeding
+  /// its current elements in make_dynamic): this location is then `g`'s
+  /// home and materializes an identical record lazily on first use, so no
+  /// registration traffic is needed.
   void seed_ownership(GID const& g)
   {
     assert(on_own_thread());
@@ -322,13 +341,7 @@ class directory : public p_object {
     m_away.erase(g);
     m_cache.erase(g);
     m_hot.erase(g);
-    location_id const home = home_of(g);
-    if (home == get_location_id()) {
-      handle_erase_record(g);
-      return;
-    }
-    async_rmi<directory>(home, this->get_handle(),
-                         [g](directory& d) { d.handle_erase_record(g); });
+    run_on(home_of(g), [g](directory& d) { d.handle_erase_record(g); });
   }
 
   // -------------------------------------------------------------------------
@@ -457,13 +470,11 @@ class directory : public p_object {
   // -------------------------------------------------------------------------
 
   /// At the home: installs/overwrites the owner record of `g` and
-  /// invalidates every location that cached the old owner.  The home's
-  /// cache fills and invalidations travel as queued messages, which reach
-  /// each location in the order the home sent them, so an invalidation
-  /// always lands after every fill it supersedes.  The new owner is
-  /// invalidated too: a fill queued to it before the move can land after
-  /// the element has moved on again, and once the copyset has forgotten
-  /// the new owner, no later record change would invalidate that entry.
+  /// invalidates every location that cached the old owner; it lands after
+  /// every fill it supersedes (run_on).  The new owner is invalidated too:
+  /// a fill sent to it before the move can land after the element has
+  /// moved on again, and no later record change would invalidate that
+  /// entry once the copyset has forgotten the new owner.
   ///
   /// Updates carry the element's migration sequence number, because they
   /// arrive over per-sender channels that do not order hops of the same
@@ -506,15 +517,11 @@ class directory : public p_object {
       stale.swap(rec.copyset);
       invalidate_copies(g, stale);
       location_id prev = rec.owner;
-      if (prev == invalid_location && m_default_owner) {
-        // First update the home ever sees: the element departed a seeded
-        // owner (make_dynamic) that never registered.  Its hint lives at
-        // the closed-form location, which therefore counts as the
-        // previous owner for reclamation purposes.
-        location_id const def = m_default_owner(g);
-        if (def != owner)
-          prev = def;
-      }
+      // First update of a placed GID: it left this home, which seeded it
+      // (make_dynamic) and holds its hint.
+      if (prev == invalid_location && m_default_owner &&
+          owner != get_location_id())
+        prev = get_location_id();
       std::vector<location_id> reclaim;
       reclaim.swap(rec.former);
       if (prev != invalid_location)
@@ -541,14 +548,9 @@ class directory : public p_object {
     former.swap(it->second.former);
     m_registry.erase(it);
     invalidate_copies(g, stale);
-    for (location_id l : former) {
-      if (l == get_location_id()) {
-        m_away.erase(g);
-        continue;
-      }
-      queued_rmi<directory>(l, this->get_handle(),
-                            [g](directory& d) { d.handle_clear_hint(g); });
-    }
+    // Hints of the former owners belong to a dead incarnation.
+    for (location_id l : former)
+      run_on(l, [g](directory& d) { d.m_away.erase(g); });
   }
 
   /// At the home: owner of `g`, subscribing `requester` to invalidations
@@ -559,61 +561,44 @@ class directory : public p_object {
     home_record* rec = record_of(g);
     if (rec == nullptr)
       return invalid_location;
-    fill_cache(g, *rec, requester);
+    fill_cache(g, *rec, requester, false);
     return rec->owner;
   }
 
-  /// At the home: routes `f` toward the recorded owner of `g`.  Unknown
-  /// GIDs either adopt the default owner or park until registration
-  /// arrives; records pointing at an in-flight element park as well.
-  void handle_home_exec(GID g, location_id requester, work_item f)
+  /// At a presumed owner: executes `f` if the element is here and chases
+  /// the forwarding hint if the element left.  Otherwise the knowledge
+  /// that routed `f` here was stale (a cache pointed here, or the record
+  /// outran an in-flight migration — an empty state that is always a
+  /// transient race): the request tells the requester to drop its cache
+  /// entry, so the next access resolves fresh instead of re-bouncing here,
+  /// and parks to re-route afresh next poll.  A forward never adopts
+  /// `g`; only the home does (try_home_route).
+  void handle_forward_exec(GID g, work_item f, location_id requester)
   {
-    if (try_home_route(g, requester, f))
+    if (run_or_chase(g, f, requester, false, requester))
       return;
-    park_retry(g, requester, std::move(f));
-  }
-
-  /// At a presumed owner: executes `f` if the element is here, chases the
-  /// forwarding hint if the element left, and otherwise adopts the GID
-  /// when `designated` — i.e. the home's current record is *synthesized*
-  /// from the default-owner function and names this location.  Adoption is
-  /// safe exactly then: no registration or migration ever produced the
-  /// record, so no live element exists anywhere and this location is the
-  /// GID's rightful closed-form creator.  For registered records the
-  /// empty state is always a transient race (record update, hint
-  /// reclamation or migration payload still in flight), so the request
-  /// parks and re-routes instead — adopting would fork ownership.  A
-  /// request that finds this location stale tells the requester to drop
-  /// its cache entry, so the next access resolves fresh instead of
-  /// re-bouncing here.  The chase does not inherit designation: only the
-  /// home's record confers it.
-  void handle_forward_exec(GID g, work_item f, bool designated,
-                           location_id requester)
-  {
-    if (run_or_chase(g, f, requester, designated, requester))
-      return;
-    // Stale knowledge (cache pointed here, or the record outran an
-    // in-flight migration): park and re-route from scratch next poll.
     m_stats.stale_bounces += 1;
     notify_stale(g, requester);
     park_retry(g, requester, std::move(f));
   }
 
-  /// Cache maintenance messages.
+  /// Cache maintenance messages.  A stale notice from location `stale`
+  /// drops the entry only while it names `stale`: the notice is not ordered
+  /// against the home's messages, and a fill the home sent since is newer.
   void handle_cache_update(GID const& g, location_id owner)
   {
     if (!m_owned.count(g))
       m_cache[g] = owner;
   }
-  void handle_cache_invalidate(GID const& g)
+  void handle_cache_invalidate(GID const& g,
+                               location_id stale = invalid_location)
   {
-    m_cache.erase(g);
+    auto const it = m_cache.find(g);
+    if (it != m_cache.end() &&
+        (stale == invalid_location || it->second == stale))
+      m_cache.erase(it);
     m_stats.invalidations += 1;
   }
-
-  /// The GID's record was erased: any forwarding hint held here belongs
-  /// to a dead incarnation.
-  void handle_clear_hint(GID const& g) { m_away.erase(g); }
 
   /// The home retired this location's forwarding hint for `g` (a newer
   /// owner record supersedes it; see handle_record_owner).
@@ -632,15 +617,15 @@ class directory : public p_object {
     /// (the per-sender channels do not order different hops of the same
     /// element against each other).
     std::uint32_t seq = 0;
-    /// True when the record was materialized lazily from the default-owner
-    /// function instead of an explicit registration.  Only such records
-    /// confer the *adopt* privilege on forwarded work: their owner may
-    /// legitimately hold neither element nor hint (a fresh GID the
-    /// container creates on first touch).  A registered/migrated owner
-    /// always holds one or the other, so an empty designated location is a
-    /// transient race (e.g. a reclaimed hint outrunning the next record
-    /// update) and must park instead of adopting — adoption there would
-    /// fork ownership.
+    /// True when the record was materialized lazily from the placement
+    /// instead of an explicit registration; it then names the home itself.
+    /// Only such records let the home adopt `g`: no registration or
+    /// migration ever produced them, so the home may legitimately hold
+    /// neither element nor hint (a fresh GID the container creates on first
+    /// touch).  A registered/migrated owner always holds one or the other,
+    /// so an empty owner is a transient race (e.g. a reclaimed hint
+    /// outrunning the next record update) and must park instead of
+    /// adopting — adoption there would fork ownership.
     bool synthesized = false;
     /// Locations whose cache holds this record's answer (never the home).
     std::vector<location_id> copyset;
@@ -657,20 +642,28 @@ class directory : public p_object {
     return this_location() == get_location_id();
   }
 
+  /// Runs `handler(d)` on the representative `d` of location `l`: inline
+  /// when `l` is this location, without counting a local invocation, else
+  /// as an RMI through `l`'s inbox.  Handlers one location sends another
+  /// run there in the order they were sent, so the home's cache fills and
+  /// invalidations reach each location in the order the home emitted them
+  /// — all the coherence argument needs.
+  template <typename Handler>
+  void run_on(location_id l, Handler handler)
+  {
+    if (l == get_location_id())
+      handler(*this);
+    else
+      async_rmi<directory>(l, this->get_handle(), std::move(handler));
+  }
+
   /// Points `g`'s home record at this location (registration and
   /// migration-arrival share this step; seq 0 marks a registration).
   void update_home_record(GID const& g, std::uint32_t seq = 0)
   {
-    location_id const home = home_of(g);
-    location_id const owner = get_location_id();
-    if (home == owner) {
-      handle_record_owner(g, owner, seq);
-      return;
-    }
-    async_rmi<directory>(home, this->get_handle(),
-                         [g, owner, seq](directory& d) {
-                           d.handle_record_owner(g, owner, seq);
-                         });
+    run_on(home_of(g), [g, owner = get_location_id(), seq](directory& d) {
+      d.handle_record_owner(g, owner, seq);
+    });
   }
 
   /// At the home: the record of `g`, materialized from the default owner
@@ -691,10 +684,11 @@ class directory : public p_object {
   }
 
   /// At the home: subscribes `requester` to invalidations of `g` and
-  /// pushes the recorded owner into its cache, as a queued message that
-  /// keeps its order against later invalidations.  No-op for anonymous
-  /// requests, the owner and the home itself.
-  void fill_cache(GID const& g, home_record& rec, location_id requester)
+  /// pushes the recorded owner into its cache.  No-op for anonymous
+  /// requests, the owner and the home itself, and, when `once`, for a
+  /// requester already subscribed, whose fill was sent.
+  void fill_cache(GID const& g, home_record& rec, location_id requester,
+                  bool once)
   {
     if (requester == invalid_location || requester == rec.owner ||
         requester == get_location_id())
@@ -702,66 +696,45 @@ class directory : public p_object {
     if (std::find(rec.copyset.begin(), rec.copyset.end(), requester) ==
         rec.copyset.end())
       rec.copyset.push_back(requester);
-    queued_rmi<directory>(requester, this->get_handle(),
-                          [g, owner = rec.owner](directory& d) {
-                            d.handle_cache_update(g, owner);
-                          });
+    else if (once)
+      return;
+    run_on(requester, [g, owner = rec.owner](directory& d) {
+      d.handle_cache_update(g, owner);
+    });
   }
 
-  /// Retires the forwarding hint for `g` at `l` (locally, or via a queued
-  /// message, as in invalidate_copies).
+  /// Retires the forwarding hint for `g` at `l`.
   void reclaim_hint(GID const& g, location_id l)
   {
-    if (l == invalid_location)
-      return;
-    if (l == get_location_id()) {
-      if (m_away.erase(g) != 0)
-        m_stats.hints_reclaimed += 1;
-      return;
-    }
-    queued_rmi<directory>(l, this->get_handle(),
-                          [g](directory& d) { d.handle_reclaim_hint(g); });
+    if (l != invalid_location)
+      run_on(l, [g](directory& d) { d.handle_reclaim_hint(g); });
   }
 
   /// Drops `g` from the caches of `targets` (copyset members, so never the
-  /// home) with queued messages: delivery preserves push order, which is
-  /// all the coherence argument needs — fills and invalidations reach each
-  /// location in the order the home emitted them.
+  /// home).
   void invalidate_copies(GID const& g, std::vector<location_id> const& targets)
   {
     for (location_id l : targets)
-      queued_rmi<directory>(
-          l, this->get_handle(),
-          [g](directory& d) { d.handle_cache_invalidate(g); });
+      run_on(l, [g](directory& d) { d.handle_cache_invalidate(g); });
   }
 
-  void send_forward(location_id dest, GID const& g, work_item f, bool adopt,
+  void send_forward(location_id dest, GID const& g, work_item f,
                     location_id requester)
   {
     STAPL_FAULT_POINT(fault::site::dir_forward);
-    if (dest == get_location_id()) {
-      handle_forward_exec(g, std::move(f), adopt, requester);
-      return;
-    }
-    async_rmi<directory>(
-        dest, this->get_handle(),
-        [g, f = std::move(f), adopt, requester](directory& d) mutable {
-          d.handle_forward_exec(g, std::move(f), adopt, requester);
-        });
+    run_on(dest, [g, f = std::move(f), requester](directory& d) mutable {
+      d.handle_forward_exec(g, std::move(f), requester);
+    });
   }
 
   /// Tells `requester` that the knowledge which routed a request here was
-  /// stale (no-op for anonymous or local requesters).
+  /// stale (no-op for anonymous requests).
   void notify_stale(GID const& g, location_id requester)
   {
-    if (requester == invalid_location)
-      return;
-    if (requester == get_location_id()) {
-      handle_cache_invalidate(g);
-      return;
-    }
-    queued_rmi<directory>(requester, this->get_handle(),
-                          [g](directory& d) { d.handle_cache_invalidate(g); });
+    if (requester != invalid_location)
+      run_on(requester, [g, me = get_location_id()](directory& d) {
+        d.handle_cache_invalidate(g, me);
+      });
   }
 
   /// The step every routing stage shares.  Runs `f` when this location
@@ -778,7 +751,7 @@ class directory : public p_object {
         location_id const next = hint->second;
         m_stats.forwards += 1;
         notify_stale(g, stale);
-        send_forward(next, g, std::move(f), false, requester);
+        send_forward(next, g, std::move(f), requester);
         return true;
       }
       if (!adopt)
@@ -796,58 +769,53 @@ class directory : public p_object {
   {
     if (auto const hint = m_away.find(g); hint != m_away.end()) {
       m_stats.forwards += 1;
-      send_forward(hint->second, g, std::move(f), false, requester);
+      send_forward(hint->second, g, std::move(f), requester);
       return;
     }
     if (auto const it = m_cache.find(g); it != m_cache.end()) {
       m_stats.cache_hits += 1;
-      send_forward(it->second, g, std::move(f), false, requester);
+      send_forward(it->second, g, std::move(f), requester);
       return;
     }
     location_id const home = home_of(g);
-    if (home == get_location_id()) {
-      handle_home_exec(g, requester, std::move(f));
-      return;
-    }
-    if (!m_forwarding) {
+    bool const remote = home != get_location_id();
+    if (remote && !m_forwarding) {
       // Ch. XI.F.2 "dynamic without forwarding": fetch the owner first.
       location_id const owner = resolve(g);
       if (owner == invalid_location) {
         park_retry(g, requester, std::move(f));
         return;
       }
-      send_forward(owner, g, std::move(f), false, requester);
+      send_forward(owner, g, std::move(f), requester);
       return;
     }
-    m_stats.home_routed += 1;
-    async_rmi<directory>(home, this->get_handle(),
-                         [g, requester, f = std::move(f)](directory& d) mutable {
-                           d.handle_home_exec(g, requester, std::move(f));
-                         });
+    m_stats.home_routed += remote;
+    run_on(home, [g, requester, f = std::move(f)](directory& d) mutable {
+      if (!d.try_home_route(g, requester, f))
+        d.park_retry(g, requester, std::move(f));
+    });
   }
 
-  /// Home-side routing step; false when no progress is possible yet (`f`
-  /// not consumed).
+  /// At the home: routes `f` toward the recorded owner of `g`.  An unknown
+  /// GID is adopted here, at its placement; false, with `f` untouched, when
+  /// its registration is still in flight or the record points at an
+  /// in-flight element.
   [[nodiscard]] bool try_home_route(GID const& g, location_id requester,
                                     work_item& f)
   {
     home_record* rec = record_of(g);
     if (rec == nullptr)
       return false; // registration still in flight: park
-    // Piggyback the answer so the requester's next access skips the home.
-    fill_cache(g, *rec, requester);
-    if (rec->owner != get_location_id()) {
-      // The forward carries the adopt privilege only for synthesized
-      // records: their designated owner may legitimately hold neither
-      // element nor hint (fresh GID).  A registered owner found empty is a
-      // transient race and must park instead (see home_record).
-      send_forward(rec->owner, g, std::move(f), rec->synthesized, requester);
-      return true;
-    }
-    // The record points at the home itself: same rules, applied locally.
-    // A registered record with no element or hint here outran an
-    // in-flight move: park and retry.
-    return run_or_chase(g, f, requester, rec->synthesized);
+    if (rec->owner == get_location_id())
+      // Adopt a synthesized record's fresh GID; a registered record with
+      // no element or hint here outran an in-flight move: park and retry.
+      return run_or_chase(g, f, requester, rec->synthesized);
+    assert(!rec->synthesized && "a synthesized record names its home");
+    // The owner is not the home, so the fill saves the requester's next
+    // access this hop.
+    fill_cache(g, *rec, requester, true);
+    send_forward(rec->owner, g, std::move(f), requester);
+    return true;
   }
 
   /// Parks `f` on this location's inbox (counted as pending traffic, so

@@ -74,14 +74,6 @@ class indexed_domain {
     return m_first + n;
   }
 
-  /// Intersection with another range (domain algebra).
-  [[nodiscard]] indexed_domain intersect(indexed_domain const& o) const noexcept
-  {
-    gid_type const lo = std::max(m_first, o.m_first);
-    gid_type const hi = std::min(m_last, o.m_last);
-    return lo < hi ? indexed_domain(lo, hi) : indexed_domain();
-  }
-
   [[nodiscard]] bool operator==(indexed_domain const&) const = default;
 
   void define_type(typer& t)
@@ -173,95 +165,6 @@ class domain2d {
  private:
   std::size_t m_rows = 0;
   std::size_t m_cols = 0;
-};
-
-/// Explicit enumeration domain: an ordered list of arbitrary GIDs
-/// (Ch. IV.B.3, "enumeration of individual elements").
-template <typename Gid>
-class enumerated_domain {
- public:
-  using gid_type = Gid;
-
-  enumerated_domain() = default;
-  explicit enumerated_domain(std::vector<Gid> gids) : m_gids(std::move(gids)) {}
-
-  [[nodiscard]] std::size_t size() const noexcept { return m_gids.size(); }
-  [[nodiscard]] bool empty() const noexcept { return m_gids.empty(); }
-  [[nodiscard]] gid_type first() const { return m_gids.front(); }
-
-  [[nodiscard]] bool contains(Gid const& g) const
-  {
-    for (auto const& x : m_gids)
-      if (x == g)
-        return true;
-    return false;
-  }
-
-  [[nodiscard]] std::size_t offset(Gid const& g) const
-  {
-    for (std::size_t i = 0; i != m_gids.size(); ++i)
-      if (m_gids[i] == g)
-        return i;
-    assert(false && "gid not in enumerated domain");
-    return m_gids.size();
-  }
-  [[nodiscard]] Gid at_offset(std::size_t n) const { return m_gids[n]; }
-
-  [[nodiscard]] std::vector<Gid> const& gids() const noexcept { return m_gids; }
-
-  void define_type(typer& t) { t.member(m_gids); }
-
- private:
-  std::vector<Gid> m_gids;
-};
-
-/// Open ordered key domain [lower, upper) for sorted associative
-/// pContainers (Ch. IV.B.3, "open ordered domains").  Conceptually infinite:
-/// has no size(); supports containment and comparison only.
-template <typename Key, typename Compare = std::less<Key>>
-class continuous_domain {
- public:
-  using gid_type = Key;
-
-  continuous_domain() = default;
-  continuous_domain(Key lower, Key upper, bool unbounded_above = false,
-                    bool unbounded_below = false)
-      : m_lower(std::move(lower)),
-        m_upper(std::move(upper)),
-        m_unbounded_above(unbounded_above),
-        m_unbounded_below(unbounded_below)
-  {}
-
-  /// The whole key universe.
-  [[nodiscard]] static continuous_domain universe()
-  {
-    continuous_domain d;
-    d.m_unbounded_above = true;
-    d.m_unbounded_below = true;
-    return d;
-  }
-
-  [[nodiscard]] bool contains(Key const& k) const
-  {
-    Compare cmp;
-    bool const above_lower = m_unbounded_below || !cmp(k, m_lower);
-    bool const below_upper = m_unbounded_above || cmp(k, m_upper);
-    return above_lower && below_upper;
-  }
-
-  [[nodiscard]] static bool less(Key const& a, Key const& b)
-  {
-    return Compare{}(a, b);
-  }
-
-  [[nodiscard]] Key const& lower() const noexcept { return m_lower; }
-  [[nodiscard]] Key const& upper() const noexcept { return m_upper; }
-
- private:
-  Key m_lower{};
-  Key m_upper{};
-  bool m_unbounded_above = false;
-  bool m_unbounded_below = false;
 };
 
 /// Filtered domain: lazily enumerates the GIDs of a base domain that satisfy

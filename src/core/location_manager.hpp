@@ -43,8 +43,6 @@ class location_manager {
         bcid, std::make_unique<BContainer>(std::forward<Args>(args)...));
   }
 
-  void delete_bcontainer(bcid_type bcid) { m_bcs.erase(bcid); }
-
   /// Releases ownership (used by redistribution to migrate storage).
   [[nodiscard]] std::unique_ptr<BContainer> extract_bcontainer(bcid_type bcid)
   {

@@ -486,23 +486,6 @@ class native_view {
   C* m_c;
 };
 
-/// Factory helpers.
-template <typename C>
-[[nodiscard]] array_1d_view<C> make_array_view(C& c)
-{
-  return array_1d_view<C>(c);
-}
-template <typename C>
-[[nodiscard]] native_view<C> make_native_view(C& c)
-{
-  return native_view<C>(c);
-}
-template <typename C>
-[[nodiscard]] balanced_view<C> make_balanced_view(C& c, std::size_t chunks = 0)
-{
-  return balanced_view<C>(c, chunks);
-}
-
 } // namespace stapl
 
 #endif

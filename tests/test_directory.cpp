@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 namespace {
@@ -331,6 +332,58 @@ TEST(directory_test, LateCacheFillAtNewOwnerIsInvalidated)
   });
 }
 
+// A stale notice travels beside the home's messages.  Location 2's cached
+// request can reach the old owner 1 after the element moved on to 3, while
+// the home has already refilled 2's cache with 3; the old owner's notice
+// lands last.  It must spare the newer entry, so the next access still
+// takes one hop, and a cleared cache must be filled again.
+TEST(directory_test, LateStaleNoticeSparesNewerFill)
+{
+  std::atomic<int> at_owner{0};
+  execute(4, [&at_owner] {
+    directory<std::size_t> dir;
+    dir.set_default_owner([](std::size_t) { return location_id{0}; });
+    std::size_t const g = 5;
+    location_id const old_owner = 1, requester = 2, owner = 3;
+    auto access = [&] {
+      if (this_location() == requester)
+        dir.invoke_where(g, [&at_owner] {
+          if (this_location() == owner)
+            at_owner.fetch_add(1);
+        });
+      rmi_fence();
+    };
+    rmi_fence();
+    if (this_location() == owner)
+      dir.migration_arrived(g, 1);
+    rmi_fence();
+    access(); // through the home, which fills the requester's cache
+    if (this_location() == requester) {
+      EXPECT_EQ(dir.try_resolve(g), std::optional<location_id>(owner));
+      dir.handle_cache_invalidate(g, old_owner); // the late notice
+      EXPECT_EQ(dir.try_resolve(g), std::optional<location_id>(owner));
+    }
+    auto const before = dir.stats();
+    access();
+    if (this_location() == requester) {
+      EXPECT_EQ(dir.stats().cache_hits, before.cache_hits + 1);
+      EXPECT_EQ(dir.stats().home_routed, before.home_routed);
+      dir.clear_cache();
+    }
+    rmi_fence();
+    access(); // cold again: the home fills the cache once more
+    if (this_location() == requester) {
+      EXPECT_EQ(dir.stats().home_routed, before.home_routed + 1);
+      EXPECT_EQ(dir.try_resolve(g), std::optional<location_id>(owner));
+      dir.handle_cache_invalidate(g, owner); // the entry's own location
+      EXPECT_EQ(dir.try_resolve(g), std::nullopt);
+    }
+    EXPECT_EQ(dir.stats().stale_bounces, 0u);
+    EXPECT_EQ(at_owner.load(), 3);
+    rmi_fence();
+  });
+}
+
 // Element migrated away and back: it must land in its original
 // partition-assigned slot again (no overflow-store residue).
 TEST(directory_test, ArrayMigrateRoundTrip)
@@ -405,13 +458,16 @@ TEST(directory_test, MapDynamicInsertFindMigrate)
 
 // Erasing a key from a dynamic container must also retire its directory
 // state: the home record disappears and a later insert/find resolves via
-// the closed-form default again.
+// the closed-form default again.  The key is placed at location 3, moved
+// to 1 and erased there, so the re-insert from location 0 comes from a
+// third location and must re-create it at its placement.
 TEST(directory_test, EraseRetiresDirectoryState)
 {
   execute(4, [] {
     p_map<int, long> pm;
     pm.make_dynamic();
     int const k = 11;
+    ASSERT_EQ(pm.resolve(k).loc, 3u);
     if (this_location() == 0) {
       pm.insert_async(k, 5L);
     }
@@ -443,6 +499,7 @@ TEST(directory_test, EraseRetiresDirectoryState)
     if (this_location() == 0)
       pm.insert_async(k, 9L);
     rmi_fence();
+    EXPECT_EQ(pm.is_local(k), this_location() == pm.resolve(k).loc);
     EXPECT_EQ(pm.find_val(k), (std::pair<long, bool>{9L, true}));
     rmi_fence();
   });
