@@ -30,7 +30,7 @@ int main(int argc, char** argv)
       };
       kernel(); // warmup
       rmi_fence();
-      metrics::reset_all(); // every stats family, not just location_stats
+      metrics::reset_all(); // every counter of every layer
       double const tt = bench::timed_kernel(kernel);
       auto const m = metrics::global_snapshot().at("rmi.msgs_sent");
       if (this_location() == 0) {

@@ -5,9 +5,9 @@
 //      barriers and O(P) slot reads per participant.
 //   2. sender-side aggregation on a Zipf chunk workload at P=8: the same
 //      owner-pinned chunks run with aggregation disabled
-//      (aggregation=1) vs the default batching (16 RMIs or agg_max_bytes
-//      per message), comparing wall time, messages sent, and the
-//      coll.agg_* batching counters.
+//      (aggregation=1) vs the default batching (16 RMIs or the runtime's
+//      4 KiB byte cap per message), comparing wall time, messages sent,
+//      and the coll.agg_* batching counters.
 //
 // Run with --json to also write BENCH_collectives.json.
 // --pmax N caps the swept location counts (default 64).
@@ -255,7 +255,7 @@ int main(int argc, char** argv)
 
   // Aggregation win on the Zipf chunk workload at P=8.  agg=1
   // disables coalescing (every RMI is its own message); the default
-  // batches up to 16 RMIs (or agg_max_bytes) per destination per flush.
+  // batches up to 16 RMIs (or 4 KiB) per destination per flush.
   bench::table_header("sender-side aggregation (Zipf chunk workload, P=8)",
                       {"aggregation", "seconds", "msgs_sent", "agg_batches",
                        "agg_bytes"});

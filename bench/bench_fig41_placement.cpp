@@ -42,7 +42,7 @@ int main(int argc, char** argv)
         };
         kernel(); // warmup: allocator arenas, buffers
         rmi_fence();
-        metrics::reset_all(); // every stats family, not just location_stats
+        metrics::reset_all(); // every counter of every layer
         double const tt = bench::timed_kernel(kernel);
         auto const total_msgs =
             metrics::global_snapshot().at("rmi.msgs_sent");

@@ -149,7 +149,7 @@ inline constexpr int runs_per_point = 5;
 {
   bool const tracing = !trace_points_prefix().empty();
   if (tracing)
-    stapl::trace::enable(std::size_t{1} << 14, /*keep_last=*/true);
+    stapl::trace::enable(std::size_t{1} << 14);
   std::vector<point_result> runs;
   for (int r = 0; r != runs_per_point; ++r) {
     if (tracing)

@@ -102,8 +102,6 @@ class p_array final
       this->m_lm.emplace_bcontainer(
           b, b, this->m_partition.subdomain_size(b), init);
   }
-
-  friend class redistribution_access;
 };
 
 } // namespace stapl

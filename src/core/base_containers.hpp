@@ -242,17 +242,6 @@ class map_bcontainer {
     return {it->second, true};
   }
   [[nodiscard]] mapped_type& at(key_type const& k) { return m_map.at(k); }
-  /// Removes exactly one occurrence of `k` and returns its mapped value
-  /// (multi containers keep their other occurrences) — migration support.
-  [[nodiscard]] mapped_type extract_one(key_type const& k)
-  {
-    auto it = m_map.find(k);
-    assert(it != m_map.end() && "extract_one: key not in this bContainer");
-    mapped_type v = std::move(it->second);
-    m_map.erase(it);
-    return v;
-  }
-
   /// Removes every occurrence of `k` and returns the mapped values in
   /// equal-range order — the migration payload of pair-associative
   /// containers (multi containers move the whole key atomically; unique

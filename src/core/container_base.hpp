@@ -279,9 +279,6 @@ class p_container_base : public p_object {
   template <typename Action>
   void invoke(gid_type gid, Action action)
   {
-    // For async routes this measures the initiation (resolve + enqueue)
-    // cost only; the rmi.sync family times synchronous round trips.
-    latency::timed_op lat_scope(latency::op::container_apply);
     if (route(gid, std::move(action)))
       note_local_invocation();
   }
@@ -307,14 +304,16 @@ class p_container_base : public p_object {
 
   /// Synchronous execution: blocks until the result is available
   /// (Ch. VII.F "synchronous reads").  An element stored here is accessed
-  /// inline, without a future.
+  /// inline, without a future or a timer; a remote one is timed in the
+  /// container.apply latency family, request to reply.
   template <typename Action>
   [[nodiscard]] auto invoke_ret(gid_type gid, Action action)
   {
-    latency::timed_op lat_scope(latency::op::container_apply);
     bcid_type const b = local_bcid(gid);
-    if (b == invalid_bcid)
+    if (b == invalid_bcid) {
+      latency::timed_op lat_scope(latency::op::container_apply);
       return invoke_split(gid, std::move(action)).get();
+    }
     if (m_dynamic)
       m_directory->note_access(gid);
     note_local_invocation();

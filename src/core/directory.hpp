@@ -54,22 +54,6 @@
 
 namespace stapl {
 
-/// Performance counters of one location's directory representative.
-struct directory_stats {
-  std::uint64_t local_hits = 0;      ///< resolved on the owner, no traffic
-  std::uint64_t cache_hits = 0;      ///< resolved from the owner cache
-  std::uint64_t home_routed = 0;     ///< requests routed through the home
-  std::uint64_t cold_lookups = 0;    ///< synchronous home lookups
-  std::uint64_t forwards = 0;        ///< forwarding hops taken by work items
-  std::uint64_t stale_bounces = 0;   ///< work that hit a stale owner
-  std::uint64_t invalidations = 0;   ///< cache entries dropped on update
-  std::uint64_t retries = 0;         ///< requests parked for in-flight metadata
-  std::uint64_t migrations_in = 0;   ///< elements that arrived here
-  std::uint64_t migrations_out = 0;  ///< elements that departed from here
-  std::uint64_t owner_accesses = 0;  ///< accesses executed here as owner
-  std::uint64_t hints_reclaimed = 0; ///< forwarding hints retired by the home
-};
-
 /// Bounded top-k frequency sketch (space-saving, Metwally et al.): at most
 /// `capacity` candidates are tracked; when full, the minimum-count candidate
 /// is evicted and its count is inherited by the newcomer as an error bound.
@@ -154,28 +138,6 @@ class directory : public p_object {
   /// its container through get_registered_object.
   using work_item = std::function<void()>;
 
-  directory()
-      : m_metrics_id(metrics::register_contributor(
-            [this](metrics::counter_map& m) {
-              directory_stats const& s = m_stats;
-              m["dir.local_hits"] += s.local_hits;
-              m["dir.cache_hits"] += s.cache_hits;
-              m["dir.home_routed"] += s.home_routed;
-              m["dir.cold_lookups"] += s.cold_lookups;
-              m["dir.forwards"] += s.forwards;
-              m["dir.stale_bounces"] += s.stale_bounces;
-              m["dir.invalidations"] += s.invalidations;
-              m["dir.retries"] += s.retries;
-              m["dir.migrations_in"] += s.migrations_in;
-              m["dir.migrations_out"] += s.migrations_out;
-              m["dir.owner_accesses"] += s.owner_accesses;
-              m["dir.hints_reclaimed"] += s.hints_reclaimed;
-            },
-            [this] { m_stats = {}; }))
-  {}
-
-  ~directory() override { metrics::unregister_contributor(m_metrics_id); }
-
   /// Installs the placement: the closed-form owner of every GID (e.g. a
   /// container's partition + mapper), which is also its home.  The home
   /// consults it for GIDs without a record.  Without it, requests for
@@ -219,11 +181,12 @@ class directory : public p_object {
     return m_owned;
   }
 
-  /// Copy of this location's counters.
-  [[nodiscard]] directory_stats stats() const
+  /// Copy of this location's directory counters.  Every directory on a
+  /// location counts into the same block (`metrics::counters::dir`).
+  [[nodiscard]] auto stats() const
   {
     assert(on_own_thread());
-    return m_stats;
+    return metrics::local().dir;
   }
 
   /// Drops this location's owner cache and its subscriptions at the
@@ -276,7 +239,7 @@ class directory : public p_object {
     if (!m_track_accesses)
       return;
     m_epoch_accesses += 1;
-    m_stats.owner_accesses += 1;
+    metrics::local().dir.owner_accesses += 1;
     m_hot.note(g);
   }
 
@@ -379,18 +342,18 @@ class directory : public p_object {
     assert(on_own_thread());
     latency::timed_op lat_scope(latency::op::dir_resolve);
     if (m_owned.count(g)) {
-      m_stats.local_hits += 1;
+      metrics::local().dir.local_hits += 1;
       return get_location_id();
     }
     if (auto const it = m_cache.find(g); it != m_cache.end()) {
-      m_stats.cache_hits += 1;
+      metrics::local().dir.cache_hits += 1;
       return it->second;
     }
     location_id const home = home_of(g);
     if (home == get_location_id())
       return handle_lookup(g, invalid_location);
     location_id const me = get_location_id();
-    m_stats.cold_lookups += 1;
+    metrics::local().dir.cold_lookups += 1;
     return sync_rmi<directory>(
         home, this->get_handle(),
         [g, me](directory& d) { return d.handle_lookup(g, me); });
@@ -411,7 +374,7 @@ class directory : public p_object {
   {
     assert(on_own_thread());
     if (m_owned.count(g)) {
-      m_stats.local_hits += 1;
+      metrics::local().dir.local_hits += 1;
       f();
       return true;
     }
@@ -436,7 +399,7 @@ class directory : public p_object {
     assert(on_own_thread());
     m_owned.erase(g);
     m_away[g] = dest;
-    m_stats.migrations_out += 1;
+    metrics::local().dir.migrations_out += 1;
     STAPL_TRACE(trace::event_kind::migration,
                 static_cast<std::uint64_t>(Hash{}(g)));
     auto const it = m_owned_seq.find(g);
@@ -458,7 +421,7 @@ class directory : public p_object {
     m_owned_seq[g] = seq;
     m_away.erase(g);
     m_cache.erase(g);
-    m_stats.migrations_in += 1;
+    metrics::local().dir.migrations_in += 1;
     STAPL_TRACE(trace::event_kind::migration,
                 static_cast<std::uint64_t>(Hash{}(g)));
     update_home_record(g, seq);
@@ -577,7 +540,7 @@ class directory : public p_object {
   {
     if (run_or_chase(g, f, requester, false, requester))
       return;
-    m_stats.stale_bounces += 1;
+    metrics::local().dir.stale_bounces += 1;
     notify_stale(g, requester);
     park_retry(g, requester, std::move(f));
   }
@@ -597,7 +560,7 @@ class directory : public p_object {
     if (it != m_cache.end() &&
         (stale == invalid_location || it->second == stale))
       m_cache.erase(it);
-    m_stats.invalidations += 1;
+    metrics::local().dir.invalidations += 1;
   }
 
   /// The home retired this location's forwarding hint for `g` (a newer
@@ -605,7 +568,7 @@ class directory : public p_object {
   void handle_reclaim_hint(GID const& g)
   {
     if (m_away.erase(g) != 0)
-      m_stats.hints_reclaimed += 1;
+      metrics::local().dir.hints_reclaimed += 1;
   }
 
  private:
@@ -749,7 +712,7 @@ class directory : public p_object {
     if (!m_owned.count(g)) {
       if (auto const hint = m_away.find(g); hint != m_away.end()) {
         location_id const next = hint->second;
-        m_stats.forwards += 1;
+        metrics::local().dir.forwards += 1;
         notify_stale(g, stale);
         send_forward(next, g, std::move(f), requester);
         return true;
@@ -768,12 +731,12 @@ class directory : public p_object {
   void route_work(GID const& g, work_item f, location_id requester)
   {
     if (auto const hint = m_away.find(g); hint != m_away.end()) {
-      m_stats.forwards += 1;
+      metrics::local().dir.forwards += 1;
       send_forward(hint->second, g, std::move(f), requester);
       return;
     }
     if (auto const it = m_cache.find(g); it != m_cache.end()) {
-      m_stats.cache_hits += 1;
+      metrics::local().dir.cache_hits += 1;
       send_forward(it->second, g, std::move(f), requester);
       return;
     }
@@ -789,7 +752,7 @@ class directory : public p_object {
       send_forward(owner, g, std::move(f), requester);
       return;
     }
-    m_stats.home_routed += remote;
+    metrics::local().dir.home_routed += remote;
     run_on(home, [g, requester, f = std::move(f)](directory& d) mutable {
       if (!d.try_home_route(g, requester, f))
         d.park_retry(g, requester, std::move(f));
@@ -824,7 +787,7 @@ class directory : public p_object {
   /// ordinary RMI traffic and lands between polls.
   void park_retry(GID const& g, location_id requester, work_item f)
   {
-    m_stats.retries += 1;
+    metrics::local().dir.retries += 1;
     rmi_handle const h = this->get_handle();
     post_to_self([h, g, requester, f = std::move(f)]() mutable -> bool {
       auto* d = get_registered_object<directory>(h);
@@ -860,12 +823,10 @@ class directory : public p_object {
   std::unordered_map<GID, std::uint32_t, Hash> m_owned_seq;
   std::unordered_map<GID, location_id, Hash> m_away;
   std::unordered_map<GID, location_id, Hash> m_cache;
-  directory_stats m_stats;
   /// Load-balancing support: owner-side access counting (note_access).
   bool m_track_accesses = false;
   std::uint64_t m_epoch_accesses = 0;
   space_saving_tracker<GID, Hash> m_hot;
-  metrics::contributor_id m_metrics_id = 0;
 };
 
 } // namespace stapl

@@ -241,7 +241,7 @@ rebalance_report rebalance(C& c, load_balancer_config const& cfg)
 
   trace::trace_scope wave_scope(trace::event_kind::rebalance_wave);
   latency::timed_op lat_scope(latency::op::lb_wave_stall);
-  metrics::add("lb.waves", 1);
+  metrics::local().lb.waves += 1;
 
   // Quiesce: in-flight accesses execute (and are counted) before measuring.
   rmi_fence();
@@ -274,9 +274,10 @@ rebalance_report rebalance(C& c, load_balancer_config const& cfg)
   for (auto const& mv : plan)
     rep.bytes_moved += mv.bytes;
   wave_scope.set_arg(rep.moves);
-  metrics::add("lb.triggered", 1);
-  metrics::add("lb.moves", rep.moves);
-  metrics::add("lb.bytes_moved", rep.bytes_moved);
+  auto& lb = metrics::local().lb;
+  lb.triggered += 1;
+  lb.moves += rep.moves;
+  lb.bytes_moved += rep.bytes_moved;
   {
     std::vector<double> projected(loads.begin(), loads.end());
     for (auto const& mv : plan) {

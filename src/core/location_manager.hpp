@@ -43,17 +43,6 @@ class location_manager {
         bcid, std::make_unique<BContainer>(std::forward<Args>(args)...));
   }
 
-  /// Releases ownership (used by redistribution to migrate storage).
-  [[nodiscard]] std::unique_ptr<BContainer> extract_bcontainer(bcid_type bcid)
-  {
-    auto it = m_bcs.find(bcid);
-    if (it == m_bcs.end())
-      return nullptr;
-    auto p = std::move(it->second);
-    m_bcs.erase(it);
-    return p;
-  }
-
   [[nodiscard]] std::size_t size() const noexcept { return m_bcs.size(); }
   [[nodiscard]] bool has(bcid_type bcid) const { return m_bcs.count(bcid) != 0; }
 

@@ -2,8 +2,8 @@
 #define STAPL_CORE_MIGRATION_HPP
 
 // Element migration protocol (dissertation Ch. V.C.3: the directory's
-// "update" operations; the element-granularity analogue of the bContainer
-// handoff used by redistribution.hpp).
+// "update" operations; the element-granularity analogue of
+// redistribution.hpp's bulk moves).
 //
 // migrate(c, gid, dest) moves one element of a directory-backed pContainer
 // between bContainers of different locations:
@@ -12,10 +12,9 @@
 //      (so migration composes with forwarding and with other in-flight
 //      migrations of the same GID);
 //   2. A extracts the element from its bContainer
-//      (`Container::extract_element`, the element-granularity counterpart
-//      of location_manager::extract_bcontainer), marks the GID departed in
-//      its directory representative (leaving a forwarding hint), and ships
-//      the payload to `dest`;
+//      (`Container::extract_element`), marks the GID departed in its
+//      directory representative (leaving a forwarding hint), and ships the
+//      payload to `dest`;
 //   3. `dest` stores the payload (`Container::insert_migrated`), takes
 //      ownership, and the directory updates the home record — which
 //      invalidates every stale owner cache.

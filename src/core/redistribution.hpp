@@ -84,26 +84,6 @@ void redistribute(Container& c, Partition new_partition, Mapper new_mapper)
   rmi_fence();
 }
 
-/// Redistributes keeping the current partition type but replacing only the
-/// sub-domain -> location mapping.
-template <typename Container, typename Mapper>
-void remap(Container& c, Mapper new_mapper)
-{
-  redistribute(c, c.partition(), std::move(new_mapper));
-}
-
-/// rebalance() (Ch. V.G): even share of elements per location.
-template <typename Container>
-void rebalance(Container& c)
-{
-  using P = std::decay_t<decltype(c.partition())>;
-  if constexpr (std::is_constructible_v<P, indexed_domain, std::size_t>)
-    redistribute(c, P(c.partition().domain(), num_locations()),
-                 typename Container::mapper_type{});
-  else
-    redistribute(c, c.partition(), typename Container::mapper_type{});
-}
-
 /// rotate() (Ch. V.G): cyclically shifts each bContainer `shift` locations.
 /// Requires a container whose traits select the arbitrary_mapper (see
 /// relocatable_array_traits), since block mappers cannot express rotation.
@@ -122,8 +102,8 @@ void rotate(Container& c, std::size_t shift)
   redistribute(c, c.partition(), arbitrary_mapper(std::move(table)));
 }
 
-/// pArray traits selecting the arbitrary mapper, enabling rotate()/remap()
-/// with free-form bContainer placement (a Ch. V.H traits customization).
+/// pArray traits selecting the arbitrary mapper, enabling rotate() with
+/// free-form bContainer placement (a Ch. V.H traits customization).
 template <typename T>
 struct relocatable_array_traits {
   using bcontainer_type = vector_bcontainer<T>;

@@ -32,7 +32,7 @@ void exchange(T const& mine, Reader reader)
 {
   auto& self = rt().loc(tl_location);
   if (rt().num_locations() > 1)
-    self.stats.coll_ops += 1;
+    metrics::local().coll.ops += 1;
   self.slot = &mine;
   polling_barrier_wait();
   reader();
@@ -138,11 +138,8 @@ template <typename T, typename BinaryOp>
 namespace metrics {
 
 /// Collective: the union of every location's `snapshot()`, counters summed
-/// by name (latency gauge keys — quantiles, max — merge by max instead;
-/// see `sums_on_merge`).  Must be called by all locations.  This is the
-/// one map that surfaces all stats families — runtime, directory,
-/// load-balancer, idle time — plus the byte counters and per-family
-/// latency keys.
+/// by name (the two depth gauges merge by max instead; see
+/// `sums_on_merge`).  Must be called by all locations.
 [[nodiscard]] inline counter_map global_snapshot()
 {
   return allreduce(snapshot(), [](counter_map a, counter_map const& b) {

@@ -18,7 +18,6 @@ namespace fault {
 namespace fault_detail {
 
 std::atomic<bool> g_armed{false};
-std::atomic<bool> g_paused{false};
 std::atomic<std::uint64_t> g_seed{0};
 std::atomic<std::uint64_t> g_gate_mask{0};
 std::atomic<std::uint64_t> g_watchdog_ms{30000};
@@ -121,7 +120,6 @@ void clear_plans()
 void arm(std::uint64_t seed)
 {
   g_seed.store(seed, std::memory_order_relaxed);
-  g_paused.store(false, std::memory_order_relaxed);
   g_armed.store(true, std::memory_order_release);
 }
 
@@ -133,16 +131,6 @@ void disarm()
 std::uint64_t seed() noexcept
 {
   return g_seed.load(std::memory_order_relaxed);
-}
-
-void pause() noexcept
-{
-  g_paused.store(true, std::memory_order_relaxed);
-}
-
-void resume() noexcept
-{
-  g_paused.store(false, std::memory_order_relaxed);
 }
 
 void set_gate(std::uint64_t mask) noexcept
@@ -166,8 +154,6 @@ outcome on_site(site s)
 {
   auto& st = tl_state();
   if (st.loc == invalid_location)
-    return {};
-  if (g_paused.load(std::memory_order_relaxed))
     return {};
   std::uint64_t const n = ++st.hits[static_cast<unsigned>(s)];
 
@@ -198,7 +184,7 @@ outcome on_site(site s)
   if (o.actions == 0)
     return o;
 
-  auto& c = tl_counters();
+  auto& c = metrics::local().fault;
   c.injected += 1;
   if (o.actions & act_delay)
     c.delays += 1;
@@ -221,8 +207,9 @@ outcome on_site(site s)
               (static_cast<std::uint64_t>(s) << 8) | o.actions);
 
   if ((o.actions & act_stall) && o.stall_us != 0) {
-    metrics::idle().sleeps += 1;
-    metrics::idle().nap_us += o.stall_us;
+    auto& idle = metrics::local().idle;
+    idle.sleeps += 1;
+    idle.nap_us += o.stall_us;
     std::this_thread::sleep_for(std::chrono::microseconds(o.stall_us));
   }
   return o;
@@ -333,7 +320,7 @@ void set_watchdog_ms(std::uint64_t ms) noexcept
 void watchdog_fire(char const* what)
 {
   using namespace runtime_detail;
-  robust::tl().watchdog_dumps += 1;
+  metrics::local().robust.watchdog_dumps += 1;
   STAPL_TRACE(trace::event_kind::watchdog);
 
   // Build the report from cross-thread-safe state only: atomics (fence

@@ -7,24 +7,22 @@
 // completion) are exercised only on perfectly reliable in-process transports
 // today; the pluggable out-of-process backend will expose them to delay,
 // duplication, reordering and stalls.  This header provides the adversarial
-// seam at the transport boundary plus the observability the hardened paths
-// report through:
+// seam at the transport boundary: a seeded, deterministic injection
+// registry.  Named sites (`STAPL_FAULT(site)`) inside the RMI
+// enqueue/flush/poll paths, directory forwarding and migration consult the
+// registry; a `fault::plan` arms a site with an action (message delay
+// through a held-then-delivered queue, duplication, reordering, allocation
+// failure, or a location stall) triggered every Nth hit or with a seeded
+// probability.  Decisions are a pure function of (seed, site, location,
+// per-site hit count), so an identical seed + plan replays an identical
+// per-location injection trace regardless of thread interleaving.
+// Disabled cost is one relaxed atomic load per site, exactly like
+// STAPL_TRACE.
 //
-//   * fault::  — a seeded, deterministic injection registry.  Named sites
-//     (`STAPL_FAULT(site)`) inside the RMI enqueue/flush/poll paths,
-//     directory forwarding and migration consult the registry; a
-//     `fault::plan` arms a site with an action (message delay through a
-//     held-then-delivered queue, duplication, reordering, allocation
-//     failure, or a location stall) triggered every Nth hit or with a
-//     seeded probability.
-//     Decisions are a pure function of (seed, site, location, per-site hit
-//     count), so an identical seed + plan replays an identical per-location
-//     injection trace regardless of thread interleaving.  Disabled cost is
-//     one relaxed atomic load per site, exactly like STAPL_TRACE.
-//
-//   * robust:: — counters of the hardening machinery: the deadline-aware
-//     backoff's retry escalations, receiver-side duplicate suppression and
-//     hang-watchdog dumps.
+// Injected actions count as "fault.*", and the hardened paths (the
+// backoff's retry escalations, receiver-side duplicate suppression,
+// hang-watchdog dumps) as "robust.*": both are blocks of the location's
+// `metrics::counters` (instrument.hpp).
 //
 // Configuration: programmatic (`fault::add_plan` + `fault::arm(seed)`,
 // outside stapl::execute) or via `STAPL_FAULTS=` in the environment, e.g.
@@ -126,12 +124,6 @@ void disarm();
 
 [[nodiscard]] std::uint64_t seed() noexcept;
 
-/// Suspends / resumes injection while staying armed (sequenced delivery
-/// stays on).  Cheap relaxed-atomic gate, SPMD-safe to toggle after a
-/// fence — every location stores the same value.
-void pause() noexcept;
-void resume() noexcept;
-
 /// Sets the global gate mask consulted by gated plans (see plan::gate).
 void set_gate(std::uint64_t mask) noexcept;
 
@@ -174,23 +166,6 @@ struct event {
 /// Drops all recorded injection events.
 void clear_events();
 
-/// Per-thread injected-event counters, folded into metrics as "fault.*"
-/// by the runtime contributor.
-struct counters {
-  std::uint64_t injected = 0;     ///< site hits with at least one action
-  std::uint64_t delays = 0;
-  std::uint64_t dups = 0;
-  std::uint64_t reorders = 0;
-  std::uint64_t stalls = 0;
-  std::uint64_t alloc_fails = 0;
-};
-
-[[nodiscard]] inline counters& tl_counters() noexcept
-{
-  thread_local counters c;
-  return c;
-}
-
 /// Parses STAPL_FAULTS / STAPL_FAULT_SEED / STAPL_WATCHDOG_MS once per
 /// process (idempotent); arms the layer when STAPL_FAULTS is set.  Called
 /// at the start of every stapl::execute().
@@ -217,27 +192,6 @@ void watchdog_fire(char const* what);
 [[nodiscard]] std::string last_watchdog_report();
 
 } // namespace fault
-
-// ---------------------------------------------------------------------------
-// robust — hardening counters
-// ---------------------------------------------------------------------------
-
-namespace robust {
-
-/// Per-thread hardening counters, folded into metrics as "robust.*".
-struct counters {
-  std::uint64_t retries = 0;          ///< deadline-backoff escalations
-  std::uint64_t dups_suppressed = 0;  ///< duplicate deliveries suppressed
-  std::uint64_t watchdog_dumps = 0;
-};
-
-[[nodiscard]] inline counters& tl() noexcept
-{
-  thread_local counters c;
-  return c;
-}
-
-} // namespace robust
 
 } // namespace stapl
 

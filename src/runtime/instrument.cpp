@@ -22,20 +22,16 @@ std::atomic<bool> g_trace_enabled{false};
 
 namespace {
 
-/// One location's event storage.  A location is a thread, so each ring has
-/// exactly one writer; `size` is released by the writer and acquired by
-/// readers (dump/tests run after a fence or after execute() joined).
-/// In keep-first mode `size` counts stored events (capped at capacity);
-/// in keep-last (circular) mode it counts *all* events ever emitted —
-/// slot `size % capacity` is the next write position and the stored
-/// window is the trailing `min(size, capacity)` events.
+/// One location's event storage: a circular buffer.  A location is a
+/// thread, so each ring has exactly one writer; `size` counts every event
+/// ever emitted, is released by the writer and acquired by readers
+/// (dump/tests run after a fence or after execute() joined).  Slot
+/// `size % capacity` is the next write position, and the stored window is
+/// the trailing `min(size, capacity)` events.
 struct ring {
-  ring(location_id l, std::size_t cap, bool kl)
-      : loc(l), keep_last(kl), buf(cap)
-  {}
+  ring(location_id l, std::size_t cap) : loc(l), buf(cap) {}
 
   location_id loc;
-  bool keep_last;
   std::vector<event> buf;
   std::atomic<std::size_t> size{0};
   std::atomic<std::uint64_t> drops{0};
@@ -50,9 +46,8 @@ struct ring {
   [[nodiscard]] std::vector<event> ordered() const
   {
     std::size_t const n = size.load(std::memory_order_acquire);
-    if (!keep_last || n <= buf.size())
-      return {buf.begin(),
-              buf.begin() + static_cast<std::ptrdiff_t>(std::min(n, buf.size()))};
+    if (n <= buf.size())
+      return {buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n)};
     std::vector<event> out;
     out.reserve(buf.size());
     std::size_t const start = n % buf.size();
@@ -65,7 +60,6 @@ struct ring {
 std::mutex g_ring_mutex;                      // guards the registry only
 std::vector<std::unique_ptr<ring>> g_rings;   // one per traced location
 std::size_t g_capacity = std::size_t{1} << 16;
-bool g_keep_last = false;
 std::chrono::steady_clock::time_point g_epoch{};
 
 thread_local ring* tl_ring = nullptr;
@@ -97,11 +91,10 @@ char const* name_of(event_kind k) noexcept
   return "unknown";
 }
 
-void enable(std::size_t capacity_per_location, bool keep_last)
+void enable(std::size_t capacity_per_location)
 {
   std::lock_guard lock(g_ring_mutex);
   g_capacity = std::max<std::size_t>(1, capacity_per_location);
-  g_keep_last = keep_last;
   g_epoch = std::chrono::steady_clock::now();
   instrument_detail::g_trace_enabled.store(true, std::memory_order_release);
 }
@@ -126,7 +119,7 @@ void attach(location_id id)
   std::lock_guard lock(g_ring_mutex);
   ring* r = find_ring(id);
   if (r == nullptr) {
-    g_rings.push_back(std::make_unique<ring>(id, g_capacity, g_keep_last));
+    g_rings.push_back(std::make_unique<ring>(id, g_capacity));
     r = g_rings.back().get();
   }
   tl_ring = r;
@@ -153,18 +146,9 @@ void record(event const& e) noexcept
   if (r == nullptr || !enabled())
     return;
   std::size_t const n = r->size.load(std::memory_order_relaxed);
-  if (r->keep_last) {
-    r->buf[n % r->buf.size()] = e;
-    if (n >= r->buf.size())
-      r->drops.fetch_add(1, std::memory_order_relaxed);
-    r->size.store(n + 1, std::memory_order_release);
-    return;
-  }
-  if (n >= r->buf.size()) {
+  r->buf[n % r->buf.size()] = e;
+  if (n >= r->buf.size())
     r->drops.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  r->buf[n] = e;
   r->size.store(n + 1, std::memory_order_release);
 }
 
@@ -290,85 +274,62 @@ namespace metrics {
 
 namespace {
 
-struct contributor {
-  contributor_id id;
-  std::function<void(counter_map&)> fold;
-  std::function<void()> reset;
-};
-
-/// Per-location-thread registry state.  Contributors register and fold on
-/// their owning thread, so no lock is needed.
-struct registry_state {
-  std::vector<contributor> live;
-  counter_map accumulated;  ///< finals of unregistered contributors
-  contributor_id next_id = 1;
-};
-
-registry_state& tls()
-{
-  thread_local registry_state s;
-  return s;
-}
-
 std::mutex g_process_mutex;
 counter_map g_process_totals;
 
 } // namespace
 
-contributor_id register_contributor(std::function<void(counter_map&)> fold,
-                                    std::function<void()> reset)
-{
-  auto& s = tls();
-  contributor_id const id = s.next_id++;
-  s.live.push_back({id, std::move(fold), std::move(reset)});
-  return id;
-}
-
-void unregister_contributor(contributor_id id)
-{
-  auto& s = tls();
-  auto it = std::find_if(s.live.begin(), s.live.end(),
-                         [id](contributor const& c) { return c.id == id; });
-  if (it == s.live.end())
-    return;
-  it->fold(s.accumulated);
-  s.live.erase(it);
-}
-
-void add(std::string const& name, std::uint64_t delta)
-{
-  tls().accumulated[name] += delta;
-}
-
 counter_map snapshot()
 {
-  auto& s = tls();
-  counter_map m = s.accumulated;
-  for (auto const& c : s.live)
-    c.fold(m);
-  for (std::size_t i = 0; i != latency::op_count; ++i) {
-    auto const o = static_cast<latency::op>(i);
-    auto const h = latency::local_snapshot(o);
-    if (h.empty())
-      continue;
-    std::string const stem = std::string("lat.") + latency::name_of(o);
-    m[stem + ".count"] = h.count;
-    m[stem + ".sum_ns"] = h.sum_ns;
-    m[stem + ".p50_ns"] = h.p50();
-    m[stem + ".p90_ns"] = h.p90();
-    m[stem + ".p99_ns"] = h.p99();
-    m[stem + ".p999_ns"] = h.p999();
-    m[stem + ".max_ns"] = h.max();
-  }
-  return m;
+  counters const& c = local();
+  return {
+      {"rmi.rmis_sent", c.rmi.rmis_sent},
+      {"rmi.rmis_executed", c.rmi.rmis_executed},
+      {"rmi.local_rmis", c.rmi.local_rmis},
+      {"rmi.msgs_sent", c.rmi.msgs_sent},
+      {"rmi.sync_rmis", c.rmi.sync_rmis},
+      {"rmi.fences", c.rmi.fences},
+      {"rmi.rmi_bytes", c.rmi.rmi_bytes},
+      {"rmi.msg_bytes", c.rmi.msg_bytes},
+      {"rmi.inbox_depth", c.rmi.inbox_depth},
+      {"rmi.deferred_depth", c.rmi.deferred_depth},
+      {"coll.ops", c.coll.ops},
+      {"coll.agg_batches", c.coll.agg_batches},
+      {"coll.agg_bytes", c.coll.agg_bytes},
+      {"idle.spins", c.idle.spins},
+      {"idle.sleeps", c.idle.sleeps},
+      {"idle.nap_us", c.idle.nap_us},
+      {"fault.injected", c.fault.injected},
+      {"fault.delays", c.fault.delays},
+      {"fault.dups", c.fault.dups},
+      {"fault.reorders", c.fault.reorders},
+      {"fault.stalls", c.fault.stalls},
+      {"fault.alloc_fails", c.fault.alloc_fails},
+      {"robust.retries", c.robust.retries},
+      {"robust.dups_suppressed", c.robust.dups_suppressed},
+      {"robust.watchdog_dumps", c.robust.watchdog_dumps},
+      {"dir.local_hits", c.dir.local_hits},
+      {"dir.cache_hits", c.dir.cache_hits},
+      {"dir.home_routed", c.dir.home_routed},
+      {"dir.cold_lookups", c.dir.cold_lookups},
+      {"dir.forwards", c.dir.forwards},
+      {"dir.stale_bounces", c.dir.stale_bounces},
+      {"dir.invalidations", c.dir.invalidations},
+      {"dir.retries", c.dir.retries},
+      {"dir.migrations_in", c.dir.migrations_in},
+      {"dir.migrations_out", c.dir.migrations_out},
+      {"dir.owner_accesses", c.dir.owner_accesses},
+      {"dir.hints_reclaimed", c.dir.hints_reclaimed},
+      {"lb.waves", c.lb.waves},
+      {"lb.triggered", c.lb.triggered},
+      {"lb.moves", c.lb.moves},
+      {"lb.bytes_moved", c.lb.bytes_moved},
+  };
 }
 
 void reset_all()
 {
-  auto& s = tls();
-  for (auto const& c : s.live)
-    c.reset();
-  s.accumulated.clear();
+  local() = {};
   latency::reset();
 }
 

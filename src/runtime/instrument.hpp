@@ -1,34 +1,32 @@
 #ifndef STAPL_RUNTIME_INSTRUMENT_HPP
 #define STAPL_RUNTIME_INSTRUMENT_HPP
 
-// Runtime instrumentation layer: structured event tracing and a unified
-// metrics registry.
+// Runtime instrumentation layer: structured event tracing and the
+// per-location counters.
 //
 // Everything the runtime can *count* or *timestamp* reports through this
-// header so that later transport/collective backends observe through one
-// pipe instead of growing yet another ad-hoc stats family:
+// header:
 //
 //   * trace::   — a per-location, single-writer ring-buffer event tracer
 //     with typed events (RMI send/execute, aggregated message flush, fence,
-//     algorithm pass, migration, rebalance wave, epoch advance).  Disabled
-//     cost is one relaxed atomic load behind the STAPL_TRACE macro; enabled
-//     cost is one ring slot write.  Rings stay in memory;
-//     `trace::dump(path)` exports them once, at the end, as Chrome
-//     trace-event JSON with one pid/tid lane per location, loadable
-//     directly in Perfetto.
+//     algorithm pass, migration, rebalance wave, fault injection).
+//     Disabled cost is one relaxed atomic load behind the STAPL_TRACE
+//     macro; enabled cost is one ring slot write.  Each ring keeps its
+//     location's newest events.  `trace::dump(path)` exports them once, at
+//     the end, as Chrome trace-event JSON with one pid/tid lane per
+//     location, loadable directly in Perfetto.
 //
-//   * metrics:: — a named-counter registry.  Stats producers (the RTS
-//     location counters, directories, the load balancer) register
-//     fold/reset contributor callbacks on their owning location thread;
-//     `metrics::snapshot()` folds all of them plus the finals of
-//     already-destroyed contributors into one map, and
-//     `metrics::reset_all()` resets every family through the same hooks.
+//   * metrics:: — one `counters` block per location, a field per counter
+//     and a sub-struct per layer (runtime, collectives, idle time, fault
+//     injection, hardening, directory, load balancer).  Each layer bumps
+//     its own fields; `snapshot()` names them all, and `reset_all()` zeroes
+//     the block.
 //
 // Layering: this header depends only on types.hpp (plus the standard
 // library) because it is included *by* runtime.hpp — emit sites live in the
-// runtime core itself.  All mutable global state lives in instrument.cpp;
+// runtime core itself.  Global trace state lives in instrument.cpp;
 // per-location state is keyed off the calling thread (a location is a
-// thread in this RTS, so each ring and each contributor list is naturally
+// thread in this RTS, so each ring and each counter block is naturally
 // single-writer).
 
 #include "types.hpp"
@@ -36,7 +34,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -98,14 +95,11 @@ extern std::atomic<bool> g_trace_enabled;
 /// `capacity_per_location` slots each; call outside (or between) SPMD
 /// executions so every location attaches with tracing visible.
 ///
-/// Overflow policy: with `keep_last == false` (default) a full ring keeps
-/// the *first* `capacity` events and drops the tail; with `keep_last ==
-/// true` the ring is circular — new events overwrite the oldest, so long
-/// steady-state runs (scaling sweeps) retain the most recent window
-/// instead of the warm-up.  Drop counts are exact in both modes: a
-/// keep-last overwrite counts the displaced event as dropped.
-void enable(std::size_t capacity_per_location = std::size_t{1} << 16,
-            bool keep_last = false);
+/// Overflow policy: a ring is circular.  A new event overwrites the oldest,
+/// so a ring holds its location's newest `capacity` events — what a
+/// watchdog dump and the end of a long run need.  Every overwritten event
+/// counts as dropped, so drop counts are exact.
+void enable(std::size_t capacity_per_location = std::size_t{1} << 16);
 
 /// Turns tracing off.  Recorded events remain readable until `clear()`.
 void disable();
@@ -126,7 +120,7 @@ void detach();
 [[nodiscard]] std::uint64_t now_us() noexcept;
 
 /// Records an instant event on the calling location's ring.  No-op when the
-/// thread is not attached.  On a full ring the event is dropped and counted.
+/// thread is not attached.  On a full ring it overwrites the oldest event.
 void emit(event_kind k, std::uint64_t arg = 0) noexcept;
 
 /// Records a scope (complete) event with an explicit start and duration.
@@ -136,16 +130,15 @@ void emit_complete(event_kind k, std::uint64_t ts_us, std::uint64_t dur_us,
 /// Locations that have recorded (or attached) rings, ascending.
 [[nodiscard]] std::vector<location_id> traced_locations();
 
-/// Copy of the events currently held by `loc`'s ring, oldest first.  In
-/// keep-first mode these are the first `capacity` events; in keep-last
-/// mode the most recent `capacity` (overwritten events are gone and
-/// counted in `dropped`).
+/// Copy of the events currently held by `loc`'s ring, oldest first: the
+/// most recent `capacity` (overwritten events are gone and counted in
+/// `dropped`).
 [[nodiscard]] std::vector<event> events(location_id loc);
 
 /// Total events recorded across all rings.
 [[nodiscard]] std::uint64_t total_events();
 
-/// Events dropped on `loc`'s ring because it was full.
+/// Events on `loc`'s ring overwritten because it was full.
 [[nodiscard]] std::uint64_t dropped(location_id loc);
 
 /// Total drops across all rings.
@@ -197,7 +190,7 @@ class trace_scope {
   } while (0)
 
 // ---------------------------------------------------------------------------
-// metrics — unified named-counter registry
+// metrics — one counter block per location
 // ---------------------------------------------------------------------------
 
 namespace metrics {
@@ -205,69 +198,92 @@ namespace metrics {
 /// Ordered so snapshots print and compare deterministically.
 using counter_map = std::map<std::string, std::uint64_t>;
 
-/// Whether a snapshot key is additive across locations/executions.
-/// Latency quantile keys ("lat.<family>.p99_ns" etc.) are gauges: summing
-/// four locations' p99s is meaningless, so cross-location merges take the
-/// max instead and the process accumulator recomputes them from the exact
-/// merged histograms.  Counts and sums stay additive.
-[[nodiscard]] inline bool sums_on_merge(std::string const& key) noexcept
-{
-  if (key == "rmi.inbox_depth" || key == "rmi.deferred_depth")
-    return false; // high-water gauges: the deepest backlog, not a sum
-  if (key.rfind("lat.", 0) != 0)
-    return true;
-  auto const ends_with = [&key](char const* suffix) {
-    std::string const s(suffix);
-    return key.size() >= s.size() &&
-           key.compare(key.size() - s.size(), s.size(), s) == 0;
-  };
-  return ends_with(".count") || ends_with(".sum_ns");
-}
-
-using contributor_id = std::uint64_t;
-
-/// Registers a stats producer on the calling location thread.  `fold` adds
-/// the producer's current counters into the map; `reset` zeroes them.
-/// Producers register from their owning thread (constructor) and must
-/// unregister (destructor) before dying.
-contributor_id register_contributor(std::function<void(counter_map&)> fold,
-                                    std::function<void()> reset);
-
-/// Unregisters a producer, folding its final counter values into the
-/// calling thread's accumulated map so they survive the producer.
-void unregister_contributor(contributor_id id);
-
-/// Adds directly into the calling thread's accumulated map (for one-shot
-/// producers like a rebalance wave that has no live object to register).
-void add(std::string const& name, std::uint64_t delta);
-
-/// All counters visible to the calling location: finals of dead producers
-/// plus a fold over every live contributor, plus "lat.<family>.*"
-/// count/sum/quantile keys for every latency family this location has
-/// recorded (see latency.hpp).
-[[nodiscard]] counter_map snapshot();
-
-/// Resets every live contributor and clears the accumulated finals —
-/// the one-call replacement for the per-family piecemeal resets.  Also
-/// clears every location's latency recorders (lazily, see
-/// latency::reset), so back-to-back bench sections don't bleed quantiles
-/// into each other.
-void reset_all();
-
-/// Per-thread idle-time counters fed by the runtime's wait loops
-/// (deadline_backoff) and injected fault stalls, folded into snapshots by
-/// the runtime contributor.
-struct idle_counters {
-  std::uint64_t spins = 0;   ///< yield-phase backoff iterations
-  std::uint64_t sleeps = 0;  ///< sleep-phase backoff iterations
-  std::uint64_t nap_us = 0;  ///< total napped microseconds
+/// Every counter a location keeps, one block per layer.  A location is a
+/// thread, so each has one instance (`local()`) and each layer bumps its
+/// own fields with plain increments.  The runtime's fence counters are not
+/// here: other threads read those (see `location_state`).
+struct counters {
+  struct {
+    std::uint64_t rmis_sent = 0;      ///< RMIs sent to remote locations
+    std::uint64_t rmis_executed = 0;  ///< incoming RMIs executed here
+    std::uint64_t local_rmis = 0;     ///< RMIs resolved locally (inline)
+    std::uint64_t msgs_sent = 0;      ///< aggregated network messages sent
+    std::uint64_t sync_rmis = 0;      ///< synchronous round trips
+    std::uint64_t fences = 0;         ///< rmi_fence invocations
+    std::uint64_t rmi_bytes = 0;      ///< marshaled payload bytes of sent RMIs
+    std::uint64_t msg_bytes = 0;      ///< payload bytes of flushed messages
+    std::uint64_t inbox_depth = 0;    ///< deepest inbox seen (gauge)
+    std::uint64_t deferred_depth = 0; ///< deepest deferred queue (gauge)
+  } rmi;
+  struct {
+    std::uint64_t ops = 0;            ///< collective calls (P > 1)
+    std::uint64_t agg_batches = 0;    ///< flushed messages carrying >1 RMI
+    std::uint64_t agg_bytes = 0;      ///< payload bytes of those batches
+  } coll;
+  struct {
+    std::uint64_t spins = 0;          ///< yield-phase backoff iterations
+    std::uint64_t sleeps = 0;         ///< naps: backoff sleeps, fault stalls
+    std::uint64_t nap_us = 0;         ///< total napped microseconds
+  } idle;
+  struct {
+    std::uint64_t injected = 0;       ///< site hits with at least one action
+    std::uint64_t delays = 0;
+    std::uint64_t dups = 0;
+    std::uint64_t reorders = 0;
+    std::uint64_t stalls = 0;
+    std::uint64_t alloc_fails = 0;
+  } fault;
+  struct {
+    std::uint64_t retries = 0;        ///< deadline-backoff escalations
+    std::uint64_t dups_suppressed = 0; ///< duplicate deliveries suppressed
+    std::uint64_t watchdog_dumps = 0;
+  } robust;
+  struct {
+    std::uint64_t local_hits = 0;     ///< resolved on the owner, no traffic
+    std::uint64_t cache_hits = 0;     ///< resolved from the owner cache
+    std::uint64_t home_routed = 0;    ///< requests routed through the home
+    std::uint64_t cold_lookups = 0;   ///< synchronous home lookups
+    std::uint64_t forwards = 0;       ///< forwarding hops taken by work items
+    std::uint64_t stale_bounces = 0;  ///< work that hit a stale owner
+    std::uint64_t invalidations = 0;  ///< cache entries dropped on update
+    std::uint64_t retries = 0;        ///< requests parked for metadata
+    std::uint64_t migrations_in = 0;  ///< elements that arrived here
+    std::uint64_t migrations_out = 0; ///< elements that departed from here
+    std::uint64_t owner_accesses = 0; ///< accesses executed here as owner
+    std::uint64_t hints_reclaimed = 0; ///< forwarding hints retired by the home
+  } dir;
+  struct {
+    std::uint64_t waves = 0;          ///< rebalance() waves taken part in
+    std::uint64_t triggered = 0;      ///< waves that planned moves
+    std::uint64_t moves = 0;          ///< planned moves, summed over waves
+    std::uint64_t bytes_moved = 0;    ///< planned payload bytes
+  } lb;
 };
 
-[[nodiscard]] inline idle_counters& idle() noexcept
+/// The calling location's counters.
+[[nodiscard]] inline counters& local() noexcept
 {
-  thread_local idle_counters c;
+  thread_local counters c;
   return c;
 }
+
+/// Whether a snapshot key is additive across locations and executions.
+/// The two depth keys are high-water gauges, so merges keep the deepest
+/// backlog instead of a sum.
+[[nodiscard]] inline bool sums_on_merge(std::string const& key) noexcept
+{
+  return key != "rmi.inbox_depth" && key != "rmi.deferred_depth";
+}
+
+/// The calling location's counters by key — the one place a key is
+/// spelled.  Latency families are read through their histograms
+/// (`latency::global_histograms`, `latency::process_histogram`).
+[[nodiscard]] counter_map snapshot();
+
+/// Zeroes the calling location's counters, and every location's latency
+/// recorders (lazily, see latency::reset), so back-to-back bench sections
+/// don't bleed quantiles into each other.
+void reset_all();
 
 /// Folds a (usually end-of-execution) snapshot into the process-wide
 /// accumulator.  Called once per location at the end of every

@@ -24,6 +24,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -37,7 +38,7 @@ enum class op : std::uint8_t {
   dir_resolve,      ///< directory::resolve: blocking owner lookup
   rmi_sync,         ///< sync_rmi: synchronous RMI round trip
   tg_task,          ///< one pAlgorithm local pass (name kept for perfbench)
-  container_apply,  ///< container element-method execution (invoke paths)
+  container_apply,  ///< remote wait of a synchronous element method
   lb_wave_stall,    ///< one rebalance() wave, entry to exit (the stall it
                     ///< imposes on concurrent traffic)
   op_count_         ///< sentinel, keep last
@@ -45,8 +46,7 @@ enum class op : std::uint8_t {
 
 inline constexpr std::size_t op_count = static_cast<std::size_t>(op::op_count_);
 
-/// Stable display name ("dir.resolve", "rmi.sync", ...) — also the key stem
-/// of the "lat.<name>.*" entries in metrics::snapshot().
+/// Stable display name ("dir.resolve", "rmi.sync", ...).
 [[nodiscard]] char const* name_of(op o) noexcept;
 
 // ---------------------------------------------------------------------------
@@ -74,9 +74,7 @@ struct histogram {
   {
     if (ns < sub)
       return static_cast<std::size_t>(ns);
-    unsigned e = 63u;
-    while ((ns >> e) == 0)
-      --e; // bit_width - 1 without <bit> (kept constexpr-friendly)
+    auto const e = static_cast<unsigned>(std::bit_width(ns)) - 1;
     if (e >= max_exp)
       return n_buckets - 1;
     std::size_t const sidx =

@@ -12,7 +12,7 @@ void rmi_fence()
 {
   using namespace runtime_detail;
   auto& impl = rt();
-  rt().loc(tl_location).stats.fences += 1;
+  metrics::local().rmi.fences += 1;
   trace::trace_scope fence_scope(trace::event_kind::fence);
 
   // Distributed termination detection: drain, synchronize, and re-check
@@ -60,49 +60,6 @@ void execute(runtime_config const& cfg, std::function<void()> spmd)
     tl_location = id;
     trace::attach(id);
     fault::attach(id);
-    // The runtime itself is the first metrics contributor on every
-    // location: the RTS communication counters plus the idle-time counters
-    // fed by deadline_backoff and injected fault stalls.
-    auto const runtime_contributor = metrics::register_contributor(
-        [id](metrics::counter_map& m) {
-          location_stats const& s = rt().loc(id).stats;
-          m["rmi.rmis_sent"] += s.rmis_sent;
-          m["rmi.rmis_executed"] += s.rmis_executed;
-          m["rmi.local_rmis"] += s.local_rmis;
-          m["rmi.msgs_sent"] += s.msgs_sent;
-          m["rmi.sync_rmis"] += s.sync_rmis;
-          m["rmi.fences"] += s.fences;
-          m["rmi.rmi_bytes"] += s.rmi_bytes;
-          m["rmi.msg_bytes"] += s.msg_bytes;
-          m["coll.ops"] += s.coll_ops;
-          m["coll.agg_batches"] += s.agg_batches;
-          m["coll.agg_bytes"] += s.agg_batch_bytes;
-          if (m["rmi.inbox_depth"] < s.inbox_depth)
-            m["rmi.inbox_depth"] = s.inbox_depth; // gauge: deepest backlog
-          if (m["rmi.deferred_depth"] < s.deferred_hw)
-            m["rmi.deferred_depth"] = s.deferred_hw; // gauge
-          metrics::idle_counters const& i = metrics::idle();
-          m["idle.spins"] += i.spins;
-          m["idle.sleeps"] += i.sleeps;
-          m["idle.nap_us"] += i.nap_us;
-          fault::counters const& f = fault::tl_counters();
-          m["fault.injected"] += f.injected;
-          m["fault.delays"] += f.delays;
-          m["fault.dups"] += f.dups;
-          m["fault.reorders"] += f.reorders;
-          m["fault.stalls"] += f.stalls;
-          m["fault.alloc_fails"] += f.alloc_fails;
-          robust::counters const& r = robust::tl();
-          m["robust.retries"] += r.retries;
-          m["robust.dups_suppressed"] += r.dups_suppressed;
-          m["robust.watchdog_dumps"] += r.watchdog_dumps;
-        },
-        [id] {
-          rt().loc(id).stats = {};
-          metrics::idle() = {};
-          fault::tl_counters() = {};
-          robust::tl() = {};
-        });
     try {
       spmd();
     } catch (...) {
@@ -125,7 +82,6 @@ void execute(runtime_config const& cfg, std::function<void()> spmd)
     // before the thread dies.
     metrics::fold_into_process(metrics::snapshot());
     latency::fold_into_process();
-    metrics::unregister_contributor(runtime_contributor);
     fault::detach();
     trace::detach();
     tl_location = invalid_location;

@@ -61,28 +61,6 @@ struct runtime_config {
   /// Number of RMIs aggregated into a single "network" message (Ch. III.B:
   /// the RTS packs multiple requests to a given location into one message).
   unsigned aggregation = 16;
-  /// Byte cap of one aggregation buffer: a destination's buffer flushes as
-  /// soon as its marshaled payload reaches this many bytes, even when the
-  /// RMI count is still below `aggregation` — large payloads should not
-  /// sit in the buffer waiting for company.
-  std::size_t agg_max_bytes = 4096;
-};
-
-/// Per-location communication statistics (performance monitor).
-struct location_stats {
-  std::uint64_t rmis_sent = 0;      ///< RMIs issued to remote locations
-  std::uint64_t rmis_executed = 0;  ///< incoming RMIs executed here
-  std::uint64_t local_rmis = 0;     ///< RMIs resolved locally (inline)
-  std::uint64_t msgs_sent = 0;      ///< aggregated network messages sent
-  std::uint64_t sync_rmis = 0;      ///< synchronous round trips
-  std::uint64_t fences = 0;         ///< rmi_fence invocations
-  std::uint64_t rmi_bytes = 0;      ///< marshaled payload bytes of sent RMIs
-  std::uint64_t msg_bytes = 0;      ///< payload bytes of flushed messages
-  std::uint64_t coll_ops = 0;       ///< collective calls (P > 1)
-  std::uint64_t agg_batches = 0;    ///< flushed messages carrying >1 RMI
-  std::uint64_t agg_batch_bytes = 0; ///< payload bytes of those batches
-  std::uint64_t inbox_depth = 0;    ///< deepest inbox seen (gauge, max-merged)
-  std::uint64_t deferred_hw = 0;    ///< deepest deferred queue (gauge)
 };
 
 namespace runtime_detail {
@@ -108,7 +86,7 @@ class deadline_backoff {
 
   void pause() noexcept
   {
-    auto& idle = metrics::idle();
+    auto& idle = metrics::local().idle;
     if (m_spins++ < 64) {
       idle.spins += 1;
       std::this_thread::yield();
@@ -123,7 +101,7 @@ class deadline_backoff {
     if (++m_sleeps_at_tier >= 16 && m_sleep_us < 500) {
       m_sleep_us = std::min(500u, m_sleep_us * 2);
       m_sleeps_at_tier = 0;
-      robust::tl().retries += 1;
+      metrics::local().robust.retries += 1;
     }
     std::uint64_t const wd = fault::watchdog_ms();
     if (wd != 0 && m_napped_us > wd * 1000) {
@@ -314,7 +292,6 @@ struct location_state {
   std::vector<std::vector<request>> agg;
   /// marshaled payload bytes pending in each aggregation buffer
   std::vector<std::uint64_t> agg_bytes;
-  location_stats stats;
   /// Fence termination counters: RMIs this location sent (self-posts and
   /// injected duplicates included) and executed.  Only the owner writes
   /// them; metrics::reset_all never resets them.  rmi_fence sums them
@@ -436,12 +413,13 @@ namespace runtime_detail {
 inline void flush_dest(location_state& self, location_id d)
 {
   auto& buf = self.agg[d];
-  self.stats.msgs_sent += 1;
-  self.stats.msg_bytes += self.agg_bytes[d];
+  auto& c = metrics::local();
+  c.rmi.msgs_sent += 1;
+  c.rmi.msg_bytes += self.agg_bytes[d];
   if (buf.size() > 1) {
     // A coalesced message: several RMIs paid one delivery.
-    self.stats.agg_batches += 1;
-    self.stats.agg_batch_bytes += self.agg_bytes[d];
+    c.coll.agg_batches += 1;
+    c.coll.agg_bytes += self.agg_bytes[d];
   }
   self.agg_bytes[d] = 0;
   auto const fo = STAPL_FAULT(fault::site::rmi_flush);
@@ -469,10 +447,17 @@ inline void flush_aggregation()
 /// letting the queue grow silently.
 inline constexpr std::size_t max_deferred = std::size_t{1} << 20;
 
+/// Byte cap of one aggregation buffer: a destination's buffer flushes as
+/// soon as its marshaled payload reaches this many bytes, even when the
+/// RMI count is still below `runtime_config::aggregation` — large payloads
+/// should not sit in the buffer waiting for company.
+inline constexpr std::size_t agg_max_bytes = 4096;
+
 /// Executes one round of incoming requests; returns true if any executed.
 inline bool poll_once()
 {
   auto& self = rt().loc(tl_location);
+  auto& c = metrics::local().rmi;
   STAPL_FAULT_POINT(fault::site::rmi_poll); // straggler nap
   flush_aggregation();
 
@@ -483,8 +468,8 @@ inline bool poll_once()
     std::size_t w = 0;
     for (std::size_t i = 0; i < self.held.size(); ++i) {
       if (--self.held[i].ttl_polls == 0) {
-        self.stats.msgs_sent += 1;
-        self.stats.msg_bytes += self.held[i].bytes;
+        c.msgs_sent += 1;
+        c.msg_bytes += self.held[i].bytes;
         rt().loc(self.held[i].dest).in.push(std::move(self.held[i].r));
       } else {
         if (w != i)
@@ -505,7 +490,7 @@ inline bool poll_once()
       self.deferred.pop_front();
       if (r()) {
         progressed = true;
-        self.stats.rmis_executed += 1;
+        c.rmis_executed += 1;
         STAPL_TRACE(trace::event_kind::rmi_execute);
         count_one(self.executed);
       } else {
@@ -515,15 +500,14 @@ inline bool poll_once()
     self.deferred = std::move(still);
   }
 
-  if (std::size_t const depth = self.in.size();
-      depth > self.stats.inbox_depth)
-    self.stats.inbox_depth = depth;
+  if (std::size_t const depth = self.in.size(); depth > c.inbox_depth)
+    c.inbox_depth = depth;
 
   request r;
   while (self.in.pop(r)) {
     if (r()) {
       progressed = true;
-      self.stats.rmis_executed += 1;
+      c.rmis_executed += 1;
       STAPL_TRACE(trace::event_kind::rmi_execute);
       count_one(self.executed);
     } else {
@@ -534,8 +518,8 @@ inline bool poll_once()
   std::size_t const parked = self.deferred.size();
   self.deferred_depth.store(static_cast<std::uint32_t>(parked),
                             std::memory_order_relaxed);
-  if (parked > self.stats.deferred_hw) {
-    self.stats.deferred_hw = parked;
+  if (parked > c.deferred_depth) {
+    c.deferred_depth = parked;
     if (parked > max_deferred) {
       // Parked requests wait for a registration; past the bound that
       // registration is never coming.  Dump once per crossing, then trap
@@ -586,8 +570,9 @@ template <typename... Ts>
 inline void enqueue_remote(location_id dest, request r, std::size_t bytes = 0)
 {
   auto& self = rt().loc(tl_location);
-  self.stats.rmis_sent += 1;
-  self.stats.rmi_bytes += bytes;
+  auto& c = metrics::local().rmi;
+  c.rmis_sent += 1;
+  c.rmi_bytes += bytes;
   STAPL_TRACE(trace::event_kind::rmi_send, bytes);
   count_one(self.sent);
 
@@ -602,7 +587,7 @@ inline void enqueue_remote(location_id dest, request r, std::size_t bytes = 0)
     r = [src, seq, inner = std::move(r)]() mutable -> bool {
       auto& win = rt().loc(tl_location).dedup[src];
       if (win.is_dup(seq)) {
-        robust::tl().dups_suppressed += 1;
+        metrics::local().robust.dups_suppressed += 1;
         return true;
       }
       if (!inner())
@@ -616,7 +601,7 @@ inline void enqueue_remote(location_id dest, request r, std::size_t bytes = 0)
   if (fo.actions & fault::act_duplicate) {
     // The duplicate is a full pending RMI for termination purposes: it was
     // "sent", and its suppressed delivery will count as executed.
-    self.stats.rmis_sent += 1;
+    c.rmis_sent += 1;
     count_one(self.sent);
     self.agg[dest].push_back(r); // copy; the original continues below
   }
@@ -636,7 +621,7 @@ inline void enqueue_remote(location_id dest, request r, std::size_t bytes = 0)
     return;
   }
   if (buf.size() >= rt().config().aggregation ||
-      self.agg_bytes[dest] >= rt().config().agg_max_bytes)
+      self.agg_bytes[dest] >= agg_max_bytes)
     flush_dest(self, dest);
 }
 
@@ -655,7 +640,7 @@ inline bool rmi_poll()
 /// counters (the invoke skeleton's local fast path bypasses the RMI layer).
 inline void note_local_invocation() noexcept
 {
-  runtime_detail::rt().loc(this_location()).stats.local_rmis += 1;
+  metrics::local().rmi.local_rmis += 1;
 }
 
 /// Local representative of a registered p_object (nullptr if none).  Lets
@@ -684,7 +669,7 @@ void post_to_self(F f)
 {
   using namespace runtime_detail;
   auto& self = rt().loc(this_location());
-  self.stats.rmis_sent += 1;
+  metrics::local().rmi.rmis_sent += 1;
   count_one(self.sent);
   self.in.push([f = std::move(f)]() mutable -> bool {
     if constexpr (std::is_same_v<std::invoke_result_t<F&>, bool>) {
@@ -867,9 +852,8 @@ void async_rmi(location_id dest, rmi_handle h, F f, Args... args)
 {
   using namespace runtime_detail;
   if (dest == this_location()) {
-    auto& self = rt().loc(dest);
-    self.stats.local_rmis += 1;
-    Obj* o = static_cast<Obj*>(self.registry.lookup(h));
+    metrics::local().rmi.local_rmis += 1;
+    Obj* o = static_cast<Obj*>(rt().loc(dest).registry.lookup(h));
     assert(o != nullptr && "async_rmi: local object not registered");
     std::invoke(f, *o, std::move(args)...);
     return;
@@ -890,9 +874,8 @@ template <typename Obj, typename F, typename... Args>
   auto st = std::make_shared<typename pc_future<R>::state>();
 
   if (dest == this_location()) {
-    auto& self = rt().loc(dest);
-    self.stats.local_rmis += 1;
-    Obj* o = static_cast<Obj*>(self.registry.lookup(h));
+    metrics::local().rmi.local_rmis += 1;
+    Obj* o = static_cast<Obj*>(rt().loc(dest).registry.lookup(h));
     assert(o != nullptr && "opaque_rmi: local object not registered");
     st->value.emplace(std::invoke(f, *o, std::move(args)...));
     st->ready.store(true, std::memory_order_release);
@@ -916,9 +899,9 @@ template <typename Obj, typename F, typename... Args>
 
 /// Synchronous RMI (Ch. VII.B): opaque_rmi with its future waited for at
 /// once, driving progress meanwhile.  A remote call also counts as one
-/// synchronous round trip (rmi.sync_rmis), is timed in the lat.rmi.sync
-/// family and waits under the watchdog name "rmi.sync"; a local one is an
-/// inline call.
+/// synchronous round trip (rmi.sync_rmis), is timed in the rmi.sync
+/// latency family and waits under the watchdog name "rmi.sync"; a local
+/// one is an inline call.
 template <typename Obj, typename F, typename... Args>
 [[nodiscard]] auto sync_rmi(location_id dest, rmi_handle h, F f, Args... args)
 {
@@ -927,7 +910,7 @@ template <typename Obj, typename F, typename... Args>
     return opaque_rmi<Obj>(dest, h, std::move(f), std::move(args)...).get();
   // Remote round trip from here on — the tail-latency-relevant part.
   latency::timed_op lat_scope(latency::op::rmi_sync);
-  rt().loc(this_location()).stats.sync_rmis += 1;
+  metrics::local().rmi.sync_rmis += 1;
   auto fut = opaque_rmi<Obj>(dest, h, std::move(f), std::move(args)...);
   poll_until("rmi.sync", [&fut] { return fut.is_ready(); });
   return fut.get();

@@ -127,6 +127,7 @@ class sink_object : public p_object {
     std::lock_guard lock(m_mutex);
     m_seen.push_back(seq);
   }
+  void hit_payload(int seq, std::vector<char> /*payload*/) { hit(seq); }
   [[nodiscard]] std::size_t count() const
   {
     std::lock_guard lock(m_mutex);
@@ -151,11 +152,10 @@ TEST(Collectives, AggregationFlushOnFenceExactlyOnce)
 {
   runtime_config cfg;
   cfg.num_locations = 4;
-  cfg.aggregation = 64;        // count threshold never reached
-  cfg.agg_max_bytes = 1 << 20; // byte threshold never reached
+  cfg.aggregation = 64; // count threshold never reached
   execute(cfg, [&] {
     sink_object sink;
-    int const n = 10; // well below both thresholds
+    int const n = 10; // well below both thresholds (ten ints, not 4 KiB)
     location_id const dest = (this_location() + 1) % num_locations();
     for (int i = 0; i < n; ++i)
       async_rmi<sink_object>(dest, sink.get_handle(), &sink_object::hit,
@@ -172,20 +172,20 @@ TEST(Collectives, AggregationFlushOnFenceExactlyOnce)
 }
 
 // The byte cap flushes a buffer before the count threshold when payloads
-// are large: with a tiny agg_max_bytes every remote RMI goes out solo and
-// msgs_sent counts them individually.
+// are large: each RMI below carries at least agg_max_bytes (4 KiB), so
+// every remote RMI goes out solo and msgs_sent counts them individually.
 TEST(Collectives, AggregationByteThresholdFlushes)
 {
   runtime_config cfg;
   cfg.num_locations = 2;
   cfg.aggregation = 1000;
-  cfg.agg_max_bytes = 1; // every enqueue trips the byte cap
   execute(cfg, [&] {
     sink_object sink;
     metrics::reset_all();
     if (this_location() == 0)
       for (int i = 0; i < 8; ++i)
-        async_rmi<sink_object>(1, sink.get_handle(), &sink_object::hit, i);
+        async_rmi<sink_object>(1, sink.get_handle(), &sink_object::hit_payload,
+                               i, std::vector<char>(4096));
     rmi_fence();
     if (this_location() == 0) {
       EXPECT_GE(metrics::snapshot().at("rmi.msgs_sent"), 8u);

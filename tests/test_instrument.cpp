@@ -1,11 +1,13 @@
 // Tests for the runtime instrumentation layer (runtime/instrument.hpp):
-// the disabled tracer records nothing and metrics::reset_all() zeroes the
-// runtime counters; an enabled P=4 pAlgorithm run traces one local pass per
-// location per call, with monotonic timestamps per location; ring overflow
-// reports an exact drop count; the Chrome trace-event exporter's output
-// round-trips through a JSON parser, also for a traced P=4 rebalance run;
-// and metrics::global_snapshot() surfaces the runtime, idle, directory and
-// load-balancer families plus the byte counters in one map.
+// the disabled tracer records nothing and metrics::reset_all() zeroes every
+// counter; a snapshot carries every key perfbench reads; an enabled P=4
+// pAlgorithm run traces one local pass per location per call, with
+// monotonic timestamps per location; a full ring keeps the newest events
+// with an exact drop count, and a watchdog dump names them; the Chrome
+// trace-event exporter's output round-trips through a JSON parser, also for
+// a traced P=4 rebalance run; and metrics::global_snapshot() surfaces the
+// runtime, idle, directory and load-balancer families plus the byte
+// counters in one map.
 
 #include "algorithms/p_algorithms.hpp"
 #include "containers/p_array.hpp"
@@ -170,34 +172,47 @@ TEST(InstrumentTest, ResetAllZeroesRuntimeCounters)
 {
   execute(4, [] {
     p_array<long> pa(1'000 * num_locations());
+    pa.enable_load_balancing(); // directory-routed, with access tracking
     gid1d const remote = 1'000 * ((this_location() + 1) % num_locations());
     for (std::size_t i = 0; i < 200; ++i)
       pa.set_element(remote + i % 1'000, 1);
     long volatile sink = pa.get_element(remote); // a sync RMI as well
     (void)sink;
     rmi_fence();
+    (void)pa.rebalance(); // one balancer wave, triggered or not
 
-    // Remote traffic happened, so the counters and byte counters are live.
+    // Remote traffic, directory routing and the wave happened, so their
+    // counters are live.
     auto const snap = metrics::snapshot();
-    EXPECT_GT(snap.at("rmi.rmis_sent"), 0u);
-    EXPECT_GT(snap.at("rmi.rmis_executed"), 0u);
-    EXPECT_GT(snap.at("rmi.msgs_sent"), 0u);
-    EXPECT_GT(snap.at("rmi.fences"), 0u);
-    EXPECT_GT(snap.at("rmi.rmi_bytes"), 0u);
-    EXPECT_GT(snap.at("rmi.msg_bytes"), 0u);
+    for (char const* key :
+         {"rmi.rmis_sent", "rmi.rmis_executed", "rmi.msgs_sent", "rmi.fences",
+          "rmi.rmi_bytes", "rmi.msg_bytes", "dir.owner_accesses", "lb.waves"})
+      EXPECT_GT(snap.at(key), 0u) << key;
 
-    // reset_all() goes through the contributor hooks: every rmi.* key of
-    // the runtime family reads zero afterwards.
+    // reset_all() zeroes the location's whole counter block: every key of
+    // every layer reads zero afterwards.
     metrics::reset_all();
-    std::size_t rmi_keys = 0;
-    for (auto const& [key, value] : metrics::snapshot()) {
-      if (key.rfind("rmi.", 0) != 0)
-        continue;
-      rmi_keys += 1;
+    auto const zeroed = metrics::snapshot();
+    EXPECT_EQ(zeroed.size(), snap.size());
+    for (auto const& [key, value] : zeroed)
       EXPECT_EQ(value, 0u) << key;
-    }
-    EXPECT_GE(rmi_keys, 8u);
     rmi_fence();
+  });
+}
+
+// perfbench derives its per-layer metrics from these keys and reads a
+// missing key as 0, so a renamed key would fail nothing there.
+TEST(InstrumentTest, SnapshotCarriesEveryKeyPerfbenchReads)
+{
+  execute(2, [] {
+    auto const snap = metrics::snapshot();
+    for (char const* key :
+         {"rmi.rmis_sent", "rmi.local_rmis", "rmi.msgs_sent", "rmi.rmi_bytes",
+          "idle.nap_us", "robust.retries", "coll.ops", "dir.local_hits",
+          "dir.cache_hits", "dir.home_routed", "dir.cold_lookups",
+          "dir.forwards", "dir.stale_bounces", "dir.retries",
+          "dir.migrations_out"})
+      EXPECT_EQ(snap.count(key), 1u) << "missing counter: " << key;
   });
 }
 
@@ -252,10 +267,10 @@ TEST(InstrumentTest, EnabledAlgorithmRunTracesOnePassPerLocation)
 }
 
 // ---------------------------------------------------------------------------
-// Ring overflow: exact drop counts
+// Ring overflow: the newest events stay, with exact drop counts
 // ---------------------------------------------------------------------------
 
-TEST(InstrumentTest, RingOverflowReportsExactDropCount)
+TEST(InstrumentTest, KeepLastRingRetainsTrailingWindowWithExactDrops)
 {
   trace_guard guard;
   trace::enable(8);
@@ -264,26 +279,8 @@ TEST(InstrumentTest, RingOverflowReportsExactDropCount)
     trace::emit(trace::event_kind::rmi_send, i);
   trace::detach();
 
-  EXPECT_EQ(trace::events(0).size(), 8u);
-  EXPECT_EQ(trace::dropped(0), 12u);
-  EXPECT_EQ(trace::total_dropped(), 12u);
-  // The ring keeps the *first* capacity events; the drops are the tail.
-  auto const evs = trace::events(0);
-  for (std::size_t i = 0; i < evs.size(); ++i)
-    EXPECT_EQ(evs[i].arg, i);
-}
-
-TEST(InstrumentTest, KeepLastRingRetainsTrailingWindowWithExactDrops)
-{
-  trace_guard guard;
-  trace::enable(8, /*keep_last=*/true);
-  trace::attach(0);
-  for (std::uint64_t i = 0; i < 20; ++i)
-    trace::emit(trace::event_kind::rmi_send, i);
-  trace::detach();
-
-  // Circular mode keeps the *last* capacity events, oldest first; every
-  // overwritten event counts as a drop — still exact.
+  // The ring keeps the *last* capacity events, oldest first; every
+  // overwritten event counts as a drop.
   EXPECT_EQ(trace::events(0).size(), 8u);
   EXPECT_EQ(trace::total_events(), 8u);
   EXPECT_EQ(trace::dropped(0), 12u);
@@ -296,7 +293,7 @@ TEST(InstrumentTest, KeepLastRingRetainsTrailingWindowWithExactDrops)
 TEST(InstrumentTest, KeepLastRingBelowCapacityDropsNothing)
 {
   trace_guard guard;
-  trace::enable(8, /*keep_last=*/true);
+  trace::enable(8);
   trace::attach(0);
   for (std::uint64_t i = 0; i < 5; ++i)
     trace::emit(trace::event_kind::rmi_send, i);
@@ -307,6 +304,23 @@ TEST(InstrumentTest, KeepLastRingBelowCapacityDropsNothing)
   auto const evs = trace::events(0);
   for (std::size_t i = 0; i < evs.size(); ++i)
     EXPECT_EQ(evs[i].arg, i);
+}
+
+// A hang diagnosis needs what happened last: after the ring wrapped, the
+// watchdog dump's trace tail names the newest events, not stale ones.
+TEST(InstrumentTest, WatchdogDumpAfterOverflowNamesNewestEvents)
+{
+  trace_guard guard;
+  trace::enable(8);
+  execute(1, [] {
+    for (std::uint64_t i = 0; i < 20; ++i)
+      trace::emit(trace::event_kind::rmi_send, i);
+    fault::watchdog_fire("instrument_test");
+  });
+  std::string const report = fault::last_watchdog_report();
+  EXPECT_NE(report.find("rmi_send(19)"), std::string::npos) << report;
+  EXPECT_NE(report.find("watchdog(0)"), std::string::npos) << report;
+  EXPECT_EQ(report.find("rmi_send(7)"), std::string::npos) << report;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 // bucket math round-trips at every boundary, merge equals recording the
 // union, quantiles are monotone and bounded by the configured relative
 // error, a P=4 global_histogram() matches a single recorder that saw every
-// location's samples, disabled timed_op sites record nothing, and
-// reset_all() clears latency recorders.
+// location's samples, disabled timed_op sites record nothing, only remote
+// element reads are timed, and reset_all() clears latency recorders.
 
 #include "algorithms/p_algorithms.hpp"
 #include "containers/p_array.hpp"
@@ -191,35 +191,51 @@ TEST(LatencyTest, EnabledRunRecordsRuntimeFamiliesIntoProcessAccumulator)
   EXPECT_GT(latency::process_histogram(latency::op::rmi_sync).count, 0u);
 }
 
-TEST(LatencyTest, SnapshotSurfacesLatKeysAndResetAllClearsThem)
+// A synchronous element method times its remote wait only: a local read
+// is an inline access with no clock read.
+TEST(LatencyTest, OnlyRemoteElementReadsAreTimed)
+{
+  latency_guard guard;
+  latency::enable();
+  execute(2, [] {
+    p_array<long> pa(100 * num_locations(), 1);
+    gid1d const mine = 100 * this_location();
+    gid1d const remote = 100 * ((this_location() + 1) % num_locations());
+    auto const samples = [] {
+      return latency::local_snapshot(latency::op::container_apply).count;
+    };
+    auto const before = samples();
+    EXPECT_EQ(pa.get_element(mine), 1);
+    EXPECT_EQ(samples(), before) << "a local read was timed";
+    EXPECT_EQ(pa.get_element(remote), 1);
+    EXPECT_EQ(samples(), before + 1) << "a remote read was not timed";
+    rmi_fence();
+  });
+}
+
+TEST(LatencyTest, ResetAllClearsLatencyRecorders)
 {
   latency_guard guard;
   latency::record_ns(latency::op::lb_wave_stall, 1'000);
   latency::record_ns(latency::op::lb_wave_stall, 2'000);
-
-  auto const snap = metrics::snapshot();
-  ASSERT_NE(snap.find("lat.lb.wave_stall.count"), snap.end());
-  EXPECT_EQ(snap.at("lat.lb.wave_stall.count"), 2u);
-  EXPECT_EQ(snap.at("lat.lb.wave_stall.sum_ns"), 3'000u);
-  EXPECT_NE(snap.find("lat.lb.wave_stall.p99_ns"), snap.end());
-  EXPECT_EQ(snap.at("lat.lb.wave_stall.max_ns"), 2'000u);
+  ASSERT_EQ(latency::local_snapshot(latency::op::lb_wave_stall).count, 2u);
+  // Latency families are read through their histograms, never as
+  // counter keys.
+  for (auto const& [key, value] : metrics::snapshot())
+    EXPECT_NE(key.rfind("lat.", 0), 0u) << key;
 
   // reset_all() clears the latency recorders of *every* thread too
   // (lazily), along with the counters.
   metrics::reset_all();
   EXPECT_TRUE(latency::local_snapshot(latency::op::lb_wave_stall).empty());
-  auto const zeroed = metrics::snapshot();
-  EXPECT_EQ(zeroed.find("lat.lb.wave_stall.count"), zeroed.end());
 }
 
 TEST(LatencyTest, GaugeKeysMergeByMaxNotSum)
 {
   EXPECT_TRUE(metrics::sums_on_merge("rmi.rmis_sent"));
-  EXPECT_TRUE(metrics::sums_on_merge("lat.lb.wave_stall.count"));
-  EXPECT_TRUE(metrics::sums_on_merge("lat.lb.wave_stall.sum_ns"));
-  EXPECT_FALSE(metrics::sums_on_merge("lat.lb.wave_stall.p50_ns"));
-  EXPECT_FALSE(metrics::sums_on_merge("lat.lb.wave_stall.p999_ns"));
-  EXPECT_FALSE(metrics::sums_on_merge("lat.lb.wave_stall.max_ns"));
+  EXPECT_TRUE(metrics::sums_on_merge("dir.forwards"));
+  EXPECT_FALSE(metrics::sums_on_merge("rmi.inbox_depth"));
+  EXPECT_FALSE(metrics::sums_on_merge("rmi.deferred_depth"));
 }
 
 // ---------------------------------------------------------------------------

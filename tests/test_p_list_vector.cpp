@@ -71,7 +71,7 @@ TEST_P(PListTest, PushAnywhereIsLocalAndBalanced)
 {
   execute(GetParam(), [] {
     p_list<int> pl;
-    metrics::reset_all(); // resets location_stats and the pList's directory
+    metrics::reset_all(); // zeroes every counter of this location
     for (int i = 0; i < 50; ++i)
       pl.push_anywhere_async(i);
     // Anywhere-insertion must not communicate.
