@@ -2,9 +2,13 @@
 // different aspect ratios (paper: 1500x1500 vs 15x150000).  With row-major
 // vertex numbering and 1D blocked distribution, the elongated (tall-narrow)
 // mesh cuts only ~width edges per location boundary while the square mesh
-// cuts ~sqrt(n), so the elongated mesh communicates less per iteration and
-// runs faster — the aspect-ratio effect the figure reports.  Total rank
-// stays ~1 for both (mass conservation).
+// cuts ~sqrt(n).  PageRank's edge pass sends each neighbouring location one
+// message per iteration on both meshes, but the elongated mesh's messages
+// carry ~width shares instead of ~sqrt(n), so it communicates less per
+// iteration and runs faster at P = 4 and 8 — the aspect-ratio effect the
+// figure reports.  At P = 2 the one cut boundary is too little traffic to
+// tell the meshes apart from run-to-run noise, and at P = 1 nothing is
+// sent.  Total rank stays ~1 for both (mass conservation).
 
 #include "algorithms/graph_algorithms.hpp"
 #include "bench_common.hpp"

@@ -5,14 +5,23 @@
 // connected components by label propagation, find_sources (the Fig. 51
 // address-translation stressor) and PageRank (Fig. 56).
 //
-// All algorithms are SPMD collectives built from asynchronous vertex methods
-// plus fences, i.e. the asynchronous-only style the RTS scales with
-// (Ch. III.B: "it becomes essential for algorithms to be implemented using
-// only asynchronous RMIs").
+// All algorithms are SPMD collectives built from asynchronous RMIs plus
+// fences, i.e. the asynchronous-only style the RTS scales with (Ch. III.B:
+// "it becomes essential for algorithms to be implemented using only
+// asynchronous RMIs").  PageRank and connected components make commutative
+// updates along every edge, so they share one edge pass
+// (graph_algo_detail::edge_pass): on a static graph it updates a local
+// target in place and sends each other owner one RMI carrying the
+// contributions to its targets.  BFS, incremental PageRank and find_sources
+// keep one asynchronous vertex method per edge: the first two push
+// discovered vertices into frontier buffers, and find_sources' per-edge
+// cost is what Fig. 51 compares across address-translation modes.
 
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "../containers/p_graph.hpp"
@@ -65,6 +74,61 @@ template <typename G>
 {
   return g.is_static() ? g.get_num_vertices()
                        : allreduce(g.local_size(), std::plus<>{});
+}
+
+/// One pass of commutative updates along every out-edge: each local vertex
+/// with out-edges contributes value(rec) to each of its targets, and
+/// apply(target_rec, c) folds a contribution c into a target.  Every
+/// location calls it; it adds no fence, so the caller's next fence
+/// completes the pass.
+///
+/// On a static graph a local target's slot is its offset in this
+/// location's slice, so it is updated in place, with no invoke.  The
+/// (target, contribution) pairs for each other owner are buffered (BCL's
+/// buffered insert), and each other owner gets one RMI per pass, whose
+/// handler applies them in order.  A dynamic graph's vertices can move, so
+/// each of its edges stays one apply_vertex call.
+template <typename G, typename Value, typename Apply>
+void edge_pass(G& g, Value value, Apply apply)
+{
+  if (!g.is_static()) {
+    g.for_each_local_vertex([&](vertex_descriptor, auto& rec) {
+      if (rec.edges.empty())
+        return;
+      auto const c = value(rec);
+      for (auto const& e : rec.edges)
+        g.apply_vertex(e.target,
+                       [c, apply](auto& trec) { apply(trec, c); });
+    });
+    return;
+  }
+  using contribution =
+      std::invoke_result_t<Value&, typename G::vertex_record&>;
+  auto& slice = g.bc(this_location()); // a static graph's one bContainer
+  std::vector<std::vector<std::pair<vertex_descriptor, contribution>>> remote(
+      num_locations());
+  for (auto& slot : slice) {
+    auto& rec = slot.second;
+    if (rec.edges.empty())
+      continue;
+    auto const c = value(rec);
+    for (auto const& e : rec.edges)
+      if (slice.has_vertex(e.target))
+        apply(slice.vertex(e.target), c);
+      else
+        remote[g.resolve(e.target).loc].emplace_back(e.target, c);
+  }
+  for (location_id l = 0; l != remote.size(); ++l) {
+    if (remote[l].empty())
+      continue;
+    async_rmi<G>(l, g.get_handle(),
+                 [apply](G& h, auto&& cs) {
+                   auto& mine = h.bc(this_location());
+                   for (auto const& [t, c] : cs)
+                     apply(mine.vertex(t), c);
+                 },
+                 std::move(remote[l]));
+  }
 }
 
 } // namespace graph_algo_detail
@@ -145,16 +209,14 @@ std::size_t connected_components(G& g)
   for (;;) {
     flag.changed = false;
     rmi_fence();
-    g.for_each_local_vertex([&](vertex_descriptor, auto& rec) {
-      std::size_t const label = rec.property.component;
-      for (auto const& e : rec.edges)
-        g.apply_vertex(e.target, [label, fh](auto& trec) {
+    graph_algo_detail::edge_pass(
+        g, [](auto& rec) { return rec.property.component; },
+        [fh](auto& trec, std::size_t label) {
           if (label < trec.property.component) {
             trec.property.component = label;
             get_registered_object<change_flag>(fh)->changed = true;
           }
         });
-    });
     rmi_fence();
     bool const any =
         allreduce(static_cast<int>(flag.changed), std::plus<>{}) != 0;
@@ -219,20 +281,18 @@ void page_rank(G& g, std::size_t iterations, double damping = 0.85)
 
   for (std::size_t it = 0; it < iterations; ++it) {
     // Scatter rank shares along out-edges.
-    g.for_each_local_vertex([&](vertex_descriptor, auto& rec) {
-      if (rec.edges.empty())
-        return;
-      double const share =
-          rec.property.rank / static_cast<double>(rec.edges.size());
-      for (auto const& e : rec.edges)
-        g.apply_vertex(e.target, [share](auto& trec) {
-          trec.property.incoming += share;
-        });
-    });
+    graph_algo_detail::edge_pass(
+        g,
+        [](auto& rec) {
+          return rec.property.rank / static_cast<double>(rec.edges.size());
+        },
+        [](auto& trec, double share) { trec.property.incoming += share; });
     rmi_fence();
-    // Gather.  It neither polls nor sends, and a remote share of the next
-    // scatter runs only when its target polls, after the target's own
-    // gather: one fence per iteration orders both phases.
+    // Gather.  An owner applies the shares it receives while it polls in
+    // the fence.  Neither the scatter's local walk nor the gather
+    // polls, so a share of the next scatter reaches its target only after
+    // the target's own gather: one fence per iteration orders both
+    // phases.
     g.for_each_local_vertex([&](vertex_descriptor, auto& rec) {
       rec.property.rank =
           (1.0 - damping) / static_cast<double>(n) +

@@ -18,6 +18,8 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -364,6 +366,121 @@ TEST_P(GraphAlgoTest, MaxOutDegree)
         g.add_edge_async(3, t == 3 ? 6 : t);
     rmi_fence();
     EXPECT_EQ(max_out_degree(g), 5u);
+    rmi_fence();
+  });
+}
+
+/// Edges of the edge-pass test graph on 24 vertices: chains inside blocks
+/// of 6 (local edges at P <= 4), and from every even vertex the same edge
+/// twice to the vertex 12 ahead (a duplicate remote edge at P = 2 and 4).
+/// Vertex 7 has no out-edges.
+constexpr std::size_t edge_pass_n = 24;
+[[nodiscard]] std::vector<std::pair<vertex_descriptor, vertex_descriptor>>
+edge_pass_edges()
+{
+  std::vector<std::pair<vertex_descriptor, vertex_descriptor>> es;
+  for (vertex_descriptor v = 0; v != edge_pass_n; ++v) {
+    if (v == 7)
+      continue;
+    if (v % 6 != 5)
+      es.emplace_back(v, v + 1);
+    if (v % 2 == 0)
+      for (int dup = 0; dup != 2; ++dup)
+        es.emplace_back(v, (v + 12) % edge_pass_n);
+  }
+  return es;
+}
+
+/// Builds the edge-pass test graph in `g`.  A dynamic graph stores each
+/// location's slice of the vertices there, as a static one does.
+/// Collective.
+template <typename G>
+void build_edge_pass_graph(G& g)
+{
+  auto const [lo, sz] = split1d(edge_pass_n, num_locations(), this_location());
+  if (!g.is_static())
+    for (vertex_descriptor v = lo; v != lo + sz; ++v)
+      g.add_vertex(v, typename G::vertex_property{});
+  rmi_fence();
+  if (this_location() == 0)
+    for (auto const& [s, t] : edge_pass_edges())
+      g.add_edge_async(s, t);
+  rmi_fence();
+}
+
+/// Every vertex's f(property), indexed by vertex, on every location.
+/// Collective.
+template <typename G, typename F>
+[[nodiscard]] auto by_vertex(G& g, F f)
+{
+  using R = decltype(f(std::declval<typename G::vertex_property&>()));
+  std::vector<std::pair<vertex_descriptor, R>> mine;
+  g.for_each_local_vertex([&](vertex_descriptor v, auto& rec) {
+    mine.emplace_back(v, f(rec.property));
+  });
+  std::vector<R> out(edge_pass_n);
+  for (auto const& part : allgather(mine))
+    for (auto const& [v, x] : part)
+      out[v] = x;
+  return out;
+}
+
+TEST_P(GraphAlgoTest, PageRankEdgePassMatchesPerEdgePath)
+{
+  execute(GetParam(), [] {
+    // A static graph takes the edge pass, a dynamic one the per-edge
+    // apply_vertex path; both must compute the sequential ranks.
+    using G = p_graph<DIRECTED, MULTI, pagerank_property, no_property>;
+    G gs(edge_pass_n);
+    G gd(graph_partition_kind::dynamic_forwarding);
+    build_edge_pass_graph(gs);
+    build_edge_pass_graph(gd);
+    std::size_t const k = 20;
+    page_rank(gs, k);
+    page_rank(gd, k);
+    auto const rank = [](auto const& vp) { return vp.rank; };
+    auto const got_static = by_vertex(gs, rank);
+    auto const got_dynamic = by_vertex(gd, rank);
+
+    auto const edges = edge_pass_edges();
+    std::vector<std::size_t> degree(edge_pass_n);
+    for (auto const& [s, t] : edges)
+      ++degree[s];
+    double const n = edge_pass_n;
+    std::vector<double> want(edge_pass_n, 1.0 / n), in(edge_pass_n);
+    for (std::size_t it = 0; it != k; ++it) {
+      for (auto const& [s, t] : edges)
+        in[t] += want[s] / static_cast<double>(degree[s]);
+      for (std::size_t v = 0; v != edge_pass_n; ++v)
+        want[v] = 0.15 / n + 0.85 * std::exchange(in[v], 0.0);
+    }
+    for (std::size_t v = 0; v != edge_pass_n; ++v) {
+      EXPECT_NEAR(got_static[v], got_dynamic[v], 1e-12) << "vertex " << v;
+      EXPECT_NEAR(got_static[v], want[v], 1e-12) << "vertex " << v;
+    }
+    rmi_fence();
+  });
+}
+
+TEST_P(GraphAlgoTest, ConnectedComponentsEdgePassMatchesPerEdgePath)
+{
+  execute(GetParam(), [] {
+    // The undirected edge-pass graph has two components: blocks 0 and 2
+    // ({0..5, 12..17}) and the rest, joined through vertices 6 and 7.
+    using G = p_graph<UNDIRECTED, MULTI, cc_property, no_property>;
+    G gs(edge_pass_n);
+    G gd(graph_partition_kind::dynamic_forwarding);
+    build_edge_pass_graph(gs);
+    build_edge_pass_graph(gd);
+    EXPECT_EQ(connected_components(gs), 2u);
+    EXPECT_EQ(connected_components(gd), 2u);
+    auto const label = [](auto const& vp) { return vp.component; };
+    auto const got_static = by_vertex(gs, label);
+    auto const got_dynamic = by_vertex(gd, label);
+    for (std::size_t v = 0; v != edge_pass_n; ++v) {
+      EXPECT_EQ(got_static[v], got_dynamic[v]) << "vertex " << v;
+      EXPECT_EQ(got_static[v], v % 12 < 6 ? 0u : 6u) << "vertex " << v;
+    }
     rmi_fence();
   });
 }

@@ -14,11 +14,14 @@
 // home is its owner; a dynamic graph homes each vertex by a hash.  When
 // the owner is not the home, the home also fills the caller's owner cache
 // on the caller's first access; once the fill has landed, the request
-// goes straight to the owner.  Rows compute their counts from the
-// container's placement (resolve, home_of) and the graph's edges, so they
-// are exact; the one bound is the sample sort of random keys, whose
-// buckets depend on the sampled splitters.  rmi.msgs_sent is only checked
-// against rmi.rmis_sent: how RMIs batch into messages depends on timing.
+// goes straight to the owner.  On a static graph, page_rank and
+// connected_components update local targets in place and send one RMI
+// per round to each other owner their edges reach.  Rows compute their
+// counts from the container's placement (resolve, home_of) and the
+// graph's edges, so they are exact; the one bound is the sample sort of
+// random keys, whose buckets depend on the sampled splitters.
+// rmi.msgs_sent is only checked against rmi.rmis_sent: how RMIs batch into
+// messages depends on timing.
 
 #include "algorithms/euler_tour.hpp"
 #include "algorithms/graph_algorithms.hpp"
@@ -547,6 +550,20 @@ void visit(route_model& m, graph_info const& gi, vertex_descriptor v,
     m.access(gi.owner[v], w);
 }
 
+/// One edge pass on a static graph (page_rank, connected_components):
+/// each location updates its own targets in place and sends one RMI to
+/// each other owner that its out-edges reach.
+void edge_pass(route_model& m, graph_info const& gi)
+{
+  location_id const me = this_location();
+  std::set<location_id> reached;
+  for (vertex_descriptor v : gi.order[me])
+    for (vertex_descriptor w : gi.adj[v])
+      if (gi.owner[w] != me)
+        reached.insert(gi.owner[w]);
+  m.want.sent += reached.size();
+}
+
 template <typename G, typename F>
 void add_graph_row(std::vector<row>& t, std::string const& name, F f,
                    bool with_static = true)
@@ -567,9 +584,13 @@ void add_graph_rows(std::vector<row>& t)
     route_model m = graph_model(g, gi);
     if (!g.is_static()) // one allreduce of the local vertex counts
       m.want.coll = 1;
-    for (std::size_t it = 0; it != k; ++it, m.fence())
-      for (vertex_descriptor v = 0; v != nv; ++v)
-        visit(m, gi, v, false);
+    for (std::size_t it = 0; it != k; ++it, m.fence()) {
+      if (g.is_static())
+        edge_pass(m, gi);
+      else
+        for (vertex_descriptor v = 0; v != nv; ++v)
+          visit(m, gi, v, false);
+    }
     m.want.fences = 1 + k;
     expect_traffic("page_rank", [&] { page_rank(g, k); }, m.want);
   });
@@ -622,7 +643,9 @@ void add_graph_rows(std::vector<row>& t)
   add_graph_row<ugraph>(t, "connected_components", [](ugraph& g,
                                                       graph_info const& gi) {
     // Rounds of label propagation in each location's traversal order: a
-    // local target takes the label at once, a remote one at the fence.
+    // local target takes the label at once, a remote one at the fence.  A
+    // static graph's round is one edge pass; a dynamic one's visits every
+    // edge.
     route_model m = graph_model(g, gi);
     std::vector<std::size_t> label(nv);
     std::iota(label.begin(), label.end(), 0);
@@ -630,11 +653,14 @@ void add_graph_rows(std::vector<row>& t)
     for (bool changed = true; changed; m.fence()) {
       ++rounds;
       changed = false;
+      if (g.is_static())
+        edge_pass(m, gi);
       std::vector<std::pair<vertex_descriptor, std::size_t>> sent;
       for (location_id c = 0; c != num_locations(); ++c)
         for (vertex_descriptor v : gi.order[c])
           for (vertex_descriptor w : gi.adj[v]) {
-            m.access(c, w);
+            if (!g.is_static())
+              m.access(c, w);
             if (gi.owner[w] != c)
               sent.emplace_back(w, label[v]);
             else if (label[v] < label[w])

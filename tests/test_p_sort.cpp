@@ -227,7 +227,13 @@ TEST(SampleSortDetail, BucketsWithinFivePercentOfTheMean)
     for (auto& x : local)
       x = gen();
     std::less<> cmp;
-    auto const splitters = sort_detail::choose_splitters(local, cmp);
+    auto const splitters = sort_detail::choose_splitters(
+        sort_detail::draw_samples<std::uint64_t>(local.size(),
+                                                 [&](auto take) {
+                                                   for (auto const x : local)
+                                                     take(x);
+                                                 }),
+        cmp);
     ASSERT_EQ(splitters.size(), 3u);
     std::vector<std::size_t> counts(4, 0);
     for (auto const x : local)
@@ -320,9 +326,47 @@ TEST(SampleSortDetail, SortBucketMatchesStdSort)
   check_ranges<std::int16_t>(gen); // x - lo promotes to int
   check_ranges<unsigned char>(gen);
 
-  // 2^19 keys, so the digit takes its cap of 16 bits.
+  // 2^19 keys: 256 level-1 runs of about 2^11 keys.
   expect_sorted_like_std(
       keys_in<std::uint64_t>(0, UINT64_MAX, std::size_t{1} << 19, gen), gen);
+
+  // 2^16 keys in a window of 2^10 values, plus the type's min and max: one
+  // level-1 digit holds almost every key, level 2 takes its cap of 16 bits,
+  // and the keys still share one level-2 digit, so std::sort finishes them.
+  for (std::uint64_t const lo : {std::uint64_t{0}, std::uint64_t{1} << 40}) {
+    auto keys = keys_in<std::uint64_t>(lo, lo + 1023, std::size_t{1} << 16, gen);
+    keys.push_back(0);
+    keys.push_back(UINT64_MAX);
+    expect_sorted_like_std(std::move(keys), gen);
+  }
+  {
+    auto keys = keys_in<long>(-512, 511, std::size_t{1} << 16, gen);
+    keys.push_back(LONG_MIN);
+    keys.push_back(LONG_MAX);
+    expect_sorted_like_std(std::move(keys), gen);
+  }
+
+  // 2^16 keys drawn from 300 distinct values: level-2 sub-runs of about
+  // 220 equal keys take the std::sort path.
+  {
+    auto const values = keys_in<std::uint64_t>(0, UINT64_MAX, 300, gen);
+    std::vector<std::uint64_t> keys(std::size_t{1} << 16);
+    for (auto& x : keys)
+      x = values[gen() % values.size()];
+    expect_sorted_like_std(std::move(keys), gen);
+  }
+
+  // Sizes at each edge of the level widths: b1 = clamp(bit_width(n) - 12,
+  // 1, 16) is 1 at 2^12 - 1 and at 2^12 and 2 at 2^13 + 1, and the
+  // level-2 width follows each run's size.
+  for (std::size_t const n : {(std::size_t{1} << 12) - 1, std::size_t{1} << 12,
+                              (std::size_t{1} << 13) + 1}) {
+    expect_sorted_like_std(keys_in<std::uint64_t>(0, UINT64_MAX, n, gen), gen);
+    expect_sorted_like_std(keys_in<long>(-1000, 1000, n, gen), gen);
+    expect_sorted_like_std(keys_in<std::int16_t>(INT16_MIN, INT16_MAX, n, gen),
+                           gen);
+    expect_sorted_like_std(keys_in<unsigned char>(0, 255, n, gen), gen);
+  }
 
   // One sub-bucket: a floating-point key, and a comparator other than
   // std::less.
