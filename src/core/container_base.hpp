@@ -295,8 +295,7 @@ class p_container_base : public p_object {
     auto st = std::make_shared<typename pc_future<result_type>::state>();
     if (route(gid, [st, action = std::move(action)](Derived& c,
                                                     bcid_type b) mutable {
-          st->value.emplace(action(c, b));
-          st->ready.store(true, std::memory_order_release);
+          st->fulfil(action(c, b));
         }))
       note_local_invocation();
     return pc_future<result_type>(std::move(st));
@@ -776,12 +775,12 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
       });
       return out;
     }
-    auto const owned = this->get_directory().owned_snapshot();
+    auto const& dir = this->get_directory();
     for (auto const& [bcid, bcptr] : this->m_lm) {
       std::size_t const n = bcptr->size();
       for (std::size_t i = 0; i != n; ++i) {
         gid_type const g = this->partition().gid_of(bcid, i);
-        if (owned.count(g) != 0)
+        if (dir.owns(g))
           out.push_back(g);
       }
     }

@@ -172,15 +172,6 @@ class directory : public p_object {
     return m_owned.count(g) != 0;
   }
 
-  /// Copy of this location's owned-GID set, for bulk traversals (container
-  /// local_gids()/for_each_local): a traversal whose body polls may see
-  /// elements migrate, and keeps to the set it started with.
-  [[nodiscard]] std::unordered_set<GID, Hash> owned_snapshot() const
-  {
-    assert(on_own_thread());
-    return m_owned;
-  }
-
   /// Copy of this location's directory counters.  Every directory on a
   /// location counts into the same block (`metrics::counters::dir`).
   [[nodiscard]] auto stats() const

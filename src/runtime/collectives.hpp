@@ -34,9 +34,9 @@ void exchange(T const& mine, Reader reader)
   if (rt().num_locations() > 1)
     metrics::local().coll.ops += 1;
   self.slot = &mine;
-  polling_barrier_wait();
+  barrier_wait(true);
   reader();
-  polling_barrier_wait();
+  barrier_wait(true);
   self.slot = nullptr;
 }
 

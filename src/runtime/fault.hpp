@@ -19,9 +19,9 @@
 // Disabled cost is one relaxed atomic load per site, exactly like
 // STAPL_TRACE.
 //
-// Injected actions count as "fault.*", and the hardened paths (the
-// backoff's retry escalations, receiver-side duplicate suppression,
-// hang-watchdog dumps) as "robust.*": both are blocks of the location's
+// Injected actions count as "fault.*", and the hardened paths (waits whose
+// park ended by timeout, receiver-side duplicate suppression, hang-watchdog
+// dumps) as "robust.*": both are blocks of the location's
 // `metrics::counters` (instrument.hpp).
 //
 // Configuration: programmatic (`fault::add_plan` + `fault::arm(seed)`,
@@ -175,9 +175,9 @@ void init_from_env();
 // Hang watchdog
 // ---------------------------------------------------------------------------
 
-/// Deadline (milliseconds of accumulated blocked time in one wait) past
-/// which deadline_backoff dumps diagnostics.  0 disables.  Default 30000,
-/// overridable with STAPL_WATCHDOG_MS.
+/// Deadline (milliseconds a wait stays blocked without progress) past which
+/// the wait dumps diagnostics; no park outlasts it.  0 disables.  Default
+/// 30000, overridable with STAPL_WATCHDOG_MS.
 [[nodiscard]] std::uint64_t watchdog_ms() noexcept;
 void set_watchdog_ms(std::uint64_t ms) noexcept;
 

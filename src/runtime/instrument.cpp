@@ -299,6 +299,7 @@ counter_map snapshot()
       {"idle.spins", c.idle.spins},
       {"idle.sleeps", c.idle.sleeps},
       {"idle.nap_us", c.idle.nap_us},
+      {"idle.park_us", c.idle.park_us},
       {"fault.injected", c.fault.injected},
       {"fault.delays", c.fault.delays},
       {"fault.dups", c.fault.dups},

@@ -220,10 +220,14 @@ struct counters {
     std::uint64_t agg_batches = 0;    ///< flushed messages carrying >1 RMI
     std::uint64_t agg_bytes = 0;      ///< payload bytes of those batches
   } coll;
+  /// Idle time of the blocking waits (runtime.hpp's wait_until): each idle
+  /// step spins on the location's doorbell, then parks on it until a ring.
   struct {
-    std::uint64_t spins = 0;          ///< yield-phase backoff iterations
-    std::uint64_t sleeps = 0;         ///< naps: backoff sleeps, fault stalls
-    std::uint64_t nap_us = 0;         ///< total napped microseconds
+    std::uint64_t spins = 0;          ///< spin windows on the doorbell
+    std::uint64_t sleeps = 0;         ///< timer sleeps: fault stalls, and
+                                      ///< parks that ended by timeout
+    std::uint64_t nap_us = 0;         ///< microseconds of those timer sleeps
+    std::uint64_t park_us = 0;        ///< microseconds parked on the doorbell
   } idle;
   struct {
     std::uint64_t injected = 0;       ///< site hits with at least one action
@@ -234,7 +238,7 @@ struct counters {
     std::uint64_t alloc_fails = 0;
   } fault;
   struct {
-    std::uint64_t retries = 0;        ///< deadline-backoff escalations
+    std::uint64_t retries = 0;        ///< parks ended by timeout, not a ring
     std::uint64_t dups_suppressed = 0; ///< duplicate deliveries suppressed
     std::uint64_t watchdog_dumps = 0;
   } robust;

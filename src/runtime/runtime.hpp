@@ -71,120 +71,112 @@ namespace runtime_detail {
 /// the message is then deferred and retried on the next poll.
 using request = std::function<bool()>;
 
-/// Deadline-aware backoff for every blocking wait of the RTS.  Starts with
-/// a cheap profile (64 yields, then 50us naps) so uncontended
-/// waits cost the same; a wait that keeps not progressing escalates the nap
-/// x2 every 16 sleeps (capped at 500us) with per-waiter jitter so a herd of
-/// blocked locations does not re-probe in lockstep.  Each escalation counts
-/// as a bounded retry in robust.retries, and once the accumulated napped
-/// time passes the watchdog deadline the wait dumps diagnostics naming
-/// itself (`what`) instead of spinning silently — every converted wait loop
-/// gets hang coverage for free.  Progress resets the profile.
-class deadline_backoff {
+/// One location's doorbell: a ring counter and a parked flag.  Every event
+/// that can end one of the location's waits rings it after it happens: a
+/// push into its inbox, an SPMD barrier release, and a remote reply to one
+/// of its split-phase requests.  Only the owning location waits on it (see
+/// wait_until); it reads the count before it tests what it waits for, so a
+/// ring that follows the test moves the count past what it read, and the
+/// owner does not sleep through it.  A ringer makes the wake system call
+/// only while the owner is parked.
+class alignas(64) doorbell {
  public:
-  explicit deadline_backoff(char const* what) noexcept : m_what(what) {}
+  using clock = std::chrono::steady_clock;
 
-  void pause() noexcept
+  [[nodiscard]] std::uint32_t rings() const noexcept
   {
-    auto& idle = metrics::local().idle;
-    if (m_spins++ < 64) {
-      idle.spins += 1;
-      std::this_thread::yield();
-      return;
-    }
-    unsigned const j = (m_jitter = m_jitter * 1103515245u + 12345u) >> 28;
-    unsigned const nap = m_sleep_us + (m_sleep_us / 8) * (j % 5); // <= +50%
-    idle.sleeps += 1;
-    idle.nap_us += nap;
-    std::this_thread::sleep_for(std::chrono::microseconds(nap));
-    m_napped_us += nap;
-    if (++m_sleeps_at_tier >= 16 && m_sleep_us < 500) {
-      m_sleep_us = std::min(500u, m_sleep_us * 2);
-      m_sleeps_at_tier = 0;
-      metrics::local().robust.retries += 1;
-    }
-    std::uint64_t const wd = fault::watchdog_ms();
-    if (wd != 0 && m_napped_us > wd * 1000) {
-      fault::watchdog_fire(m_what);
-      m_napped_us = 0; // re-arm: a still-stuck wait dumps again next deadline
-    }
+    return m_rings.load(std::memory_order_acquire);
   }
 
-  void reset() noexcept
+  void ring() noexcept
   {
-    m_spins = 0;
-    m_sleep_us = 50;
-    m_sleeps_at_tier = 0;
-    m_napped_us = 0;
+    m_rings.fetch_add(1, std::memory_order_seq_cst);
+    if (m_parked.load(std::memory_order_seq_cst))
+      wake();
   }
+
+  /// Busy-waits until a ring past `seen` (true) or until `until` (false).
+  [[nodiscard]] bool spin(std::uint32_t seen,
+                          clock::time_point until) const noexcept;
+
+  /// Sleeps until a ring past `seen` (true) or until `until` (false);
+  /// clock::time_point::max() sleeps until a ring.
+  [[nodiscard]] bool park(std::uint32_t seen, clock::time_point until) noexcept;
+
+ private:
+  void wake() noexcept;
+
+  std::atomic<std::uint32_t> m_rings{0};
+  std::atomic<bool> m_parked{false};
+};
+
+/// How long an idle wait busy-waits on its doorbell before it parks, when
+/// every location can have a CPU of its own.  A remote synchronous read
+/// comes back in a few microseconds, so its reply rings inside the window
+/// and neither side makes a system call (see README, "Hardening").
+inline constexpr std::chrono::microseconds spin_window{50};
+
+/// Longest park of a polling wait while its location holds delayed or
+/// deferred requests: only the location's own polls release and retry
+/// them.
+inline constexpr std::chrono::microseconds pending_park{50};
+
+/// The idle half of one blocking wait (see wait_until): spins on the
+/// location's doorbell for spin_window (unless the execution has more
+/// locations than the process has CPUs, or the park is bounded), then
+/// parks on it.  It keeps the wait's watchdog deadline, counted from its
+/// first idle step after the last progress: no park outlasts the
+/// deadline, and a wait still blocked there dumps diagnostics naming
+/// itself (`what`), then re-arms.  A watchdog of 0, or one past the steady
+/// clock's range, is off.  A park that ends by its timeout rather than a
+/// ring counts as a timer nap (idle.sleeps, idle.nap_us) and as one
+/// robust.retries.
+class idle_wait {
+ public:
+  explicit idle_wait(char const* what) noexcept : m_what(what) {}
+
+  /// A poll made progress: the next idle step re-arms the deadline.
+  void progressed() noexcept { m_armed = false; }
+
+  /// Waits for a ring of `bell` past `seen`; `bounded` skips the spin and
+  /// caps the park at pending_park.
+  void idle(doorbell& bell, std::uint32_t seen, bool bounded);
 
  private:
   char const* m_what;
-  unsigned m_spins = 0;
-  unsigned m_sleep_us = 50;
-  unsigned m_sleeps_at_tier = 0;
-  std::uint64_t m_napped_us = 0;
-  unsigned m_jitter = static_cast<unsigned>(
-      reinterpret_cast<std::uintptr_t>(this)); // per-waiter LCG seed
-};
-
-/// Sense-reversing barrier across all locations of the execution.  `arrive`
-/// and `passed` are split so callers can drive communication progress while
-/// waiting (a blocked sync_rmi peer must be serviced even from a barrier).
-class spmd_barrier {
- public:
-  explicit spmd_barrier(unsigned n) noexcept : m_n(n) {}
-
-  /// Registers arrival; returns the generation token to wait on.
-  [[nodiscard]] unsigned arrive() noexcept
-  {
-    unsigned const gen = m_generation.load(std::memory_order_acquire);
-    if (m_count.fetch_add(1, std::memory_order_acq_rel) + 1 == m_n) {
-      m_count.store(0, std::memory_order_relaxed);
-      m_generation.fetch_add(1, std::memory_order_release);
-    }
-    return gen;
-  }
-
-  [[nodiscard]] bool passed(unsigned gen) const noexcept
-  {
-    return m_generation.load(std::memory_order_acquire) != gen;
-  }
-
-  void arrive_and_wait() noexcept
-  {
-    unsigned const gen = arrive();
-    deadline_backoff bo("rmi.barrier");
-    while (!passed(gen))
-      bo.pause();
-  }
-
- private:
-  unsigned const m_n;
-  std::atomic<unsigned> m_count{0};
-  std::atomic<unsigned> m_generation{0};
+  bool m_armed = false;
+  doorbell::clock::time_point m_deadline{};
 };
 
 /// FIFO inbox of one location.  A single queue per destination preserves
 /// per-source program order (each source enqueues in program order).
 /// An atomic element count lets the owner's poll loop skip the mutex when
 /// the inbox is empty — polling is the fabric of every wait loop, so the
-/// empty probe must not serialize against concurrent senders.
+/// empty probe must not serialize against concurrent senders.  Every push
+/// rings the owner's doorbell once its requests are visible.
 class inbox {
  public:
+  explicit inbox(doorbell& bell) noexcept : m_bell(bell) {}
+
   void push(request r)
   {
-    std::lock_guard lock(m_mutex);
-    m_queue.push_back(std::move(r));
-    m_count.fetch_add(1, std::memory_order_release);
+    {
+      std::lock_guard lock(m_mutex);
+      m_queue.push_back(std::move(r));
+      m_count.fetch_add(1, std::memory_order_release);
+    }
+    m_bell.ring();
   }
 
   void push_batch(std::vector<request>&& batch)
   {
-    std::lock_guard lock(m_mutex);
-    for (auto& r : batch)
-      m_queue.push_back(std::move(r));
-    m_count.fetch_add(batch.size(), std::memory_order_release);
+    {
+      std::lock_guard lock(m_mutex);
+      for (auto& r : batch)
+        m_queue.push_back(std::move(r));
+      m_count.fetch_add(batch.size(), std::memory_order_release);
+    }
+    m_bell.ring();
   }
 
   [[nodiscard]] bool pop(request& out)
@@ -214,6 +206,7 @@ class inbox {
   }
 
  private:
+  doorbell& m_bell;
   mutable std::mutex m_mutex;
   std::deque<request> m_queue;
   std::atomic<std::size_t> m_count{0};
@@ -275,7 +268,9 @@ struct held_msg {
 };
 
 struct location_state {
-  inbox in;
+  /// rung by every event that can end one of this location's waits
+  doorbell bell;
+  inbox in{bell};
   object_registry registry;
   std::deque<request> deferred; ///< requests whose target is not yet registered
   /// deferred.size() mirror readable from other threads (watchdog dump)
@@ -303,10 +298,45 @@ struct location_state {
   void const* slot = nullptr;
 };
 
+/// Sense-reversing barrier across all locations of the execution.  The
+/// arrival that completes a generation rings every location's doorbell.
+/// Arriving and waiting are split (see barrier_wait) so a waiter can keep
+/// polling: a blocked sync_rmi peer must be serviced even from a barrier.
+class spmd_barrier {
+ public:
+  explicit spmd_barrier(
+      std::vector<std::unique_ptr<location_state>> const& locs) noexcept
+      : m_locs(locs)
+  {}
+
+  /// Registers arrival; returns the generation token to wait on.
+  [[nodiscard]] unsigned arrive() noexcept
+  {
+    unsigned const gen = m_generation.load(std::memory_order_acquire);
+    if (m_count.fetch_add(1, std::memory_order_acq_rel) + 1 == m_locs.size()) {
+      m_count.store(0, std::memory_order_relaxed);
+      m_generation.fetch_add(1, std::memory_order_release);
+      for (auto const& l : m_locs)
+        l->bell.ring();
+    }
+    return gen;
+  }
+
+  [[nodiscard]] bool passed(unsigned gen) const noexcept
+  {
+    return m_generation.load(std::memory_order_acquire) != gen;
+  }
+
+ private:
+  std::vector<std::unique_ptr<location_state>> const& m_locs;
+  std::atomic<unsigned> m_count{0};
+  std::atomic<unsigned> m_generation{0};
+};
+
 class runtime_impl {
  public:
   explicit runtime_impl(runtime_config cfg)
-      : m_cfg(cfg), m_barrier(cfg.num_locations), m_locs(cfg.num_locations)
+      : m_cfg(cfg), m_locs(cfg.num_locations), m_barrier(m_locs)
   {
     for (auto& l : m_locs)
       l = std::make_unique<location_state>();
@@ -354,8 +384,8 @@ class runtime_impl {
 
  private:
   runtime_config m_cfg;
-  spmd_barrier m_barrier;
   std::vector<std::unique_ptr<location_state>> m_locs;
+  spmd_barrier m_barrier;
   bool m_sequenced = false;
 };
 
@@ -531,20 +561,28 @@ inline bool poll_once()
   return progressed;
 }
 
-/// The polling wait loop of the RTS: drives communication progress until
-/// `done()` holds, backing off while polls find no work.  `what` names the
-/// wait in watchdog dumps.  Barriers (and with them every collective),
-/// futures and sync replies all wait here, so a wake-on-arrival wait
-/// replaces one loop.
+/// The one blocking wait of the RTS: returns once `done()` holds.  Each
+/// round reads the location's doorbell, then tests `done`; a polling wait
+/// (barriers, and so collectives, futures and sync replies; all but the
+/// fence's last two barriers) then drives one poll.  A round that finds
+/// nothing to do idles on the bell (idle_wait) until a ring.  Every event
+/// that can make `done` true rings the bell after it happens, so no such
+/// event is slept through.  `what` names the wait in watchdog dumps.
 template <typename Done>
-void poll_until(char const* what, Done done)
+void wait_until(char const* what, bool polling, Done done)
 {
-  deadline_backoff bo(what);
-  while (!done()) {
-    if (poll_once())
-      bo.reset();
-    else
-      bo.pause();
+  location_state& self = rt().loc(tl_location);
+  idle_wait idle(what);
+  for (;;) {
+    std::uint32_t const seen = self.bell.rings();
+    if (done())
+      return;
+    if (polling && poll_once()) {
+      idle.progressed();
+      continue;
+    }
+    idle.idle(self.bell, seen,
+              polling && (!self.held.empty() || !self.deferred.empty()));
   }
 }
 
@@ -683,14 +721,14 @@ void post_to_self(F f)
 
 namespace runtime_detail {
 
-/// Barrier that keeps servicing incoming RMIs while waiting, so a peer
-/// blocked on a synchronous response from this location cannot deadlock the
-/// collective.
-inline void polling_barrier_wait()
+/// Waits at the SPMD barrier.  A polling wait keeps servicing incoming
+/// RMIs, so a peer blocked on a synchronous response from this location
+/// cannot deadlock the collective; only the fence waits without polling.
+inline void barrier_wait(bool polling)
 {
   auto& b = rt().barrier();
   unsigned const gen = b.arrive();
-  poll_until("rmi.barrier", [&] { return b.passed(gen); });
+  wait_until("rmi.barrier", polling, [&] { return b.passed(gen); });
 }
 
 } // namespace runtime_detail
@@ -702,7 +740,7 @@ void rmi_fence();
 /// Barrier without the termination-detection drain (still polls).
 inline void location_barrier()
 {
-  runtime_detail::polling_barrier_wait();
+  runtime_detail::barrier_wait(true);
 }
 
 // ---------------------------------------------------------------------------
@@ -778,6 +816,19 @@ class pc_future {
   struct state {
     std::atomic<bool> ready{false};
     std::optional<R> value;
+    location_id waiter = this_location();
+
+    /// Stores the value and publishes it; fulfilled from another location,
+    /// it rings the waiter's doorbell.
+    template <typename... A>
+    void fulfil(A&&... a)
+    {
+      location_id const w = waiter;
+      value.emplace(std::forward<A>(a)...);
+      ready.store(true, std::memory_order_release);
+      if (w != this_location())
+        runtime_detail::rt().loc(w).bell.ring();
+    }
   };
 
   pc_future() = default;
@@ -795,7 +846,7 @@ class pc_future {
   [[nodiscard]] R get()
   {
     assert(valid());
-    runtime_detail::poll_until("rmi.future", [this] {
+    runtime_detail::wait_until("rmi.future", true, [this] {
       return m_state->ready.load(std::memory_order_acquire);
     });
     return std::move(*m_state->value);
@@ -877,8 +928,7 @@ template <typename Obj, typename F, typename... Args>
     metrics::local().rmi.local_rmis += 1;
     Obj* o = static_cast<Obj*>(rt().loc(dest).registry.lookup(h));
     assert(o != nullptr && "opaque_rmi: local object not registered");
-    st->value.emplace(std::invoke(f, *o, std::move(args)...));
-    st->ready.store(true, std::memory_order_release);
+    st->fulfil(std::invoke(f, *o, std::move(args)...));
     return pc_future<R>(st);
   }
 
@@ -889,8 +939,7 @@ template <typename Obj, typename F, typename... Args>
                    void* p = rt().loc(dest).registry.lookup(h);
                    if (p == nullptr)
                      return false;
-                   st->value.emplace(apply_on(*static_cast<Obj*>(p), f, tup));
-                   st->ready.store(true, std::memory_order_release);
+                   st->fulfil(apply_on(*static_cast<Obj*>(p), f, tup));
                    return true;
                  },
                  bytes);
@@ -912,7 +961,7 @@ template <typename Obj, typename F, typename... Args>
   latency::timed_op lat_scope(latency::op::rmi_sync);
   metrics::local().rmi.sync_rmis += 1;
   auto fut = opaque_rmi<Obj>(dest, h, std::move(f), std::move(args)...);
-  poll_until("rmi.sync", [&fut] { return fut.is_ready(); });
+  wait_until("rmi.sync", true, [&fut] { return fut.is_ready(); });
   return fut.get();
 }
 

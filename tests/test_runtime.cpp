@@ -8,9 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -270,6 +275,160 @@ TEST(Runtime, AggregationReducesMessageCount)
   }
   EXPECT_GE(msgs_agg1, 1000u);
   EXPECT_LE(msgs_agg32 * 16, msgs_agg1);
+}
+
+// ---------------------------------------------------------------------------
+// Wake on arrival: every blocking wait parks on its location's doorbell
+// ---------------------------------------------------------------------------
+
+/// Process-wide total of one counter over every finished execution.
+[[nodiscard]] std::uint64_t total(char const* key)
+{
+  return metrics::process_totals()[key];
+}
+
+/// Busy-waits `us` microseconds without polling: this location arrives
+/// late at whatever it calls next.
+void busy_spin(std::chrono::microseconds us)
+{
+  auto const until = std::chrono::steady_clock::now() + us;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// Restores the watchdog deadline and the fault layer on scope exit.
+struct watchdog_guard {
+  explicit watchdog_guard(std::uint64_t ms) { fault::set_watchdog_ms(ms); }
+  ~watchdog_guard()
+  {
+    fault::disarm();
+    fault::clear_plans();
+    fault::set_watchdog_ms(30000);
+  }
+};
+
+TEST(Runtime, SkewedArrivalsAreWokenByTheirRing)
+{
+  // Each round, every location arrives 0-200us late at a fence, an
+  // allreduce and a remote sync_rmi, so the early ones park and must be
+  // woken by a ring: a barrier release, an inbox push or a reply.  A lost
+  // wake-up would end a park by its timeout (robust.retries) and then dump
+  // the watchdog; the rounds stop at the first such park.
+  watchdog_guard wd(2000);
+  for (unsigned p : {2u, 4u}) {
+    auto const retries = total("robust.retries");
+    auto const dumps = total("robust.watchdog_dumps");
+    auto const parked = total("idle.park_us");
+    execute(p, [] {
+      counter_object c;
+      c.add(static_cast<int>(this_location()));
+      rmi_fence();
+      std::mt19937 gen(7 + this_location());
+      std::uniform_int_distribution<int> skew(0, 200);
+      auto late = [&] { busy_spin(std::chrono::microseconds(skew(gen))); };
+      location_id const next = (this_location() + 1) % num_locations();
+      using sums = std::pair<int, std::uint64_t>; // locations, timeouts
+      for (int round = 0; round != 2000; ++round) {
+        late();
+        rmi_fence();
+        late();
+        auto const [n, timeouts] = allreduce(
+            sums{1, metrics::local().robust.retries},
+            [](sums a, sums const& b) {
+              return sums{a.first + b.first, a.second + b.second};
+            });
+        EXPECT_EQ(n, static_cast<int>(num_locations()));
+        late();
+        EXPECT_EQ(
+            sync_rmi<counter_object>(next, c.get_handle(), &counter_object::get),
+            static_cast<int>(next));
+        if (timeouts != 0) {
+          ADD_FAILURE() << "a park ended by its timeout by round " << round;
+          break;
+        }
+      }
+      rmi_fence();
+    });
+    EXPECT_EQ(total("robust.retries"), retries) << "P = " << p;
+    EXPECT_EQ(total("robust.watchdog_dumps"), dumps) << "P = " << p;
+    EXPECT_GT(total("idle.park_us"), parked) << "P = " << p;
+  }
+}
+
+TEST(Runtime, HeldMessagesAreReleasedWithoutWaitingOutAPark)
+{
+  // Every message location 0 sends is held back for 8 of its own polls
+  // (an injected delay), and only those polls release it.  Location 0 then
+  // waits on sync replies and in fences while its peers sit in the fence,
+  // so nothing rings it: its parks must stay short enough that it keeps
+  // polling, and no wait may reach the watchdog deadline.
+  watchdog_guard wd(1000);
+  fault::plan delay;
+  delay.where = fault::site::rmi_enqueue;
+  delay.actions = fault::act_delay;
+  delay.every_n = 1;
+  delay.delay_polls = 8;
+  delay.only_location = 0;
+  fault::add_plan(delay);
+  fault::arm(1);
+  for (unsigned p : {2u, 4u}) {
+    auto const dumps = total("robust.watchdog_dumps");
+    auto const start = std::chrono::steady_clock::now();
+    execute(p, [] {
+      counter_object c;
+      c.add(static_cast<int>(this_location()) + 10);
+      rmi_fence();
+      if (this_location() == 0) {
+        for (int i = 0; i != 4 && metrics::local().robust.watchdog_dumps == 0;
+             ++i)
+          EXPECT_EQ(sync_rmi<counter_object>(1, c.get_handle(),
+                                             &counter_object::get),
+                    11);
+        for (location_id l = 1; l < num_locations(); ++l)
+          async_rmi<counter_object>(l, c.get_handle(), &counter_object::add, 1);
+      }
+      rmi_fence();
+      if (this_location() != 0) {
+        EXPECT_EQ(c.get(), static_cast<int>(this_location()) + 11);
+      }
+      rmi_fence();
+    });
+    auto const took = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(total("robust.watchdog_dumps"), dumps) << "P = " << p;
+    EXPECT_LT(took, std::chrono::seconds(1)) << "P = " << p;
+  }
+}
+
+TEST(Runtime, WatchdogPastTheClockRangeIsOff)
+{
+  // A deadline the steady clock cannot hold (STAPL_WATCHDOG_MS=-1 reads as
+  // UINT64_MAX; past about 9.2e12 ms the nanosecond clock overflows) turns
+  // the watchdog off, like 0.  A sync_rmi blocked 20ms on a sleeping peer
+  // then parks until the reply rings it: no park ends by a timeout and
+  // nothing is dumped.  A large deadline inside the range behaves alike.
+  for (std::uint64_t ms : {std::numeric_limits<std::uint64_t>::max(),
+                           std::uint64_t{10'000'000'000'000},
+                           std::uint64_t{1'000'000'000'000}}) {
+    watchdog_guard wd(ms);
+    auto const retries = total("robust.retries");
+    auto const dumps = total("robust.watchdog_dumps");
+    execute(2, [] {
+      counter_object c;
+      c.add(static_cast<int>(this_location()) + 10);
+      rmi_fence();
+      if (this_location() == 0) {
+        EXPECT_EQ(sync_rmi<counter_object>(1, c.get_handle(),
+                                           &counter_object::get),
+                  11);
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      rmi_fence();
+    });
+    EXPECT_EQ(total("robust.retries"), retries) << "watchdog " << ms << "ms";
+    EXPECT_EQ(total("robust.watchdog_dumps"), dumps)
+        << "watchdog " << ms << "ms";
+  }
 }
 
 // ---------------------------------------------------------------------------
